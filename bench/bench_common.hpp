@@ -8,6 +8,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "core/estimator.hpp"
 #include "core/lattice.hpp"
 #include "core/inventory.hpp"
+#include "phylo/kernels/kernels.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -75,6 +77,17 @@ class JsonReport {
   /// Record the process peak RSS under `key` (see bench::rss_peak_kb).
   void set_rss_peak_kb(const std::string& key = "rss_peak_kb") {
     set(key, bench::rss_peak_kb());
+  }
+
+  /// Record which host produced the numbers: core count, the likelihood
+  /// kernels' active ISA tier, compiler version and build type.
+  void set_host_facts() {
+    set("host_nproc",
+        static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    set("host_isa", std::string(phylo::kernels::tier_name(
+                        phylo::kernels::active_tier())));
+    set("host_compiler", std::string(__VERSION__));
+    set("host_build_type", std::string(LATTICE_BENCH_BUILD_TYPE));
   }
 
   void write() const {

@@ -253,6 +253,7 @@ int main(int argc, char** argv) {
                    static_cast<long long>(row_rss_kb)});
   }
   json.set_rss_peak_kb();
+  json.set_host_facts();
   table.print(std::cout);
   std::cout << "\n(shape: every row carries the same aggregate demand, so "
                "turnaround percentiles should be flat as the population "

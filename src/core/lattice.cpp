@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <tuple>
 
 #include "util/log.hpp"
 
@@ -296,6 +297,50 @@ std::size_t LatticeSystem::grid_backlog() const {
   return backlog;
 }
 
+namespace {
+
+/// Everything choose() and the backpressure test read from a job. The
+/// requirements are compared by value through the pointer; the job outlives
+/// the pump pass and a pending job's requirements never change during it.
+struct DecisionKey {
+  const grid::JobRequirements* requirements;
+  bool require_stable;
+  std::optional<double> estimate;  // MetaScheduler::rank_estimate
+  double data_mb;                  // input_mb + output_mb
+
+  bool operator<(const DecisionKey& other) const {
+    return std::tie(require_stable, estimate, data_mb, *requirements) <
+           std::tie(other.require_stable, other.estimate, other.data_mb,
+                    *other.requirements);
+  }
+};
+
+enum class Deferral : std::uint8_t { kNoEligible, kBackpressure };
+
+}  // namespace
+
+void LatticeSystem::order_pending_by_usage() {
+  // Decorate, sort, undecorate: one ledger read per run of same-user jobs
+  // (a batch's members sit together) instead of two per comparison. The
+  // (usage, job id) key is a strict total order, so the result is the one
+  // a stable sort on usage alone would give.
+  std::vector<std::pair<double, std::uint64_t>> keys;
+  keys.reserve(pending_.size());
+  UserId user = 0;
+  double usage = fair_share_ledger_.usage(user);
+  for (const std::uint64_t id : pending_) {
+    const UserId job_user = jobs_.at(id)->user_id;
+    if (job_user != user) {
+      user = job_user;
+      usage = fair_share_ledger_.usage(user);
+    }
+    keys.emplace_back(usage, id);
+  }
+  // lattice-lint: allow(decision-sort) — once-per-period pending-queue maintenance keyed on (decayed usage, job id); no placement decision ranks with it
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < keys.size(); ++i) pending_[i] = keys[i].second;
+}
+
 void LatticeSystem::pump() {
   fair_share_ledger_.settle(sim_.now());
   if (config_.fair_share.order_queue && pending_.size() > 1) {
@@ -304,48 +349,80 @@ void LatticeSystem::pump() {
     // queue — queue maintenance, not a per-placement decision — and keys
     // on (decayed usage, job id), a pure function of the charge history
     // and the sim clock, so twin runs reorder identically.
-    // lattice-lint: allow(decision-sort) — once-per-period pending-queue maintenance keyed on (decayed usage, job id); no placement decision ranks with it
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [this](std::uint64_t a, std::uint64_t b) {
-                       const double usage_a = fair_share_ledger_.usage(
-                           jobs_.at(a)->user_id);
-                       const double usage_b = fair_share_ledger_.usage(
-                           jobs_.at(b)->user_id);
-                       if (usage_a != usage_b) return usage_a < usage_b;
-                       return a < b;
-                     });
+    order_pending_by_usage();
     obs_fair_share_reorders_->inc();
   }
-  std::size_t deferred = 0;
+
+  // A dispatch epoch is the span between two dispatches. Sim time is fixed
+  // for the whole pass and only dispatch() changes the MDS view, the ledger
+  // and the resource queues, so within an epoch choose() and the
+  // backpressure test are pure functions of the job's DecisionKey: a job
+  // whose key was already deferred this epoch would be deferred again, and
+  // skips both. Round-robin is exempt — every choose() advances its cursor.
+  const bool memoize =
+      scheduler_.policy().mode != SchedulingMode::kRoundRobin;
+  std::map<DecisionKey, Deferral> deferred_keys;
+  // Backpressure verdict per resource, computed once per epoch.
+  std::vector<std::pair<const grid::LocalResource*, bool>> saturated;
+  const auto is_saturated = [&](const std::string& name) {
+    const grid::LocalResource* target = resources_.at(name).get();
+    for (const auto& [resource, full] : saturated) {
+      if (resource == target) return full;
+    }
+    const grid::ResourceInfo info = target->info();
+    const bool full = static_cast<double>(info.queued_jobs) >=
+                      config_.fair_share.backlog_per_slot *
+                          static_cast<double>(info.total_slots);
+    saturated.emplace_back(target, full);
+    return full;
+  };
+
+  std::size_t no_eligible = 0;
+  std::size_t backpressure = 0;
+  const auto defer = [&](std::uint64_t id, Deferral cause) {
+    pending_.push_back(id);
+    ++(cause == Deferral::kNoEligible ? no_eligible : backpressure);
+  };
   const std::size_t to_place = pending_.size();
   for (std::size_t i = 0; i < to_place; ++i) {
     const std::uint64_t id = pending_.front();
     pending_.pop_front();
     grid::GridJob& job = *jobs_.at(id);
-    const auto choice = scheduler_.choose(job);
-    if (!choice) {
-      pending_.push_back(id);
-      ++deferred;
-      continue;
-    }
-    if (config_.fair_share.backlog_per_slot > 0.0) {
-      // Backpressure: past the per-slot backlog cap the job stays in the
-      // grid-level queue (where fair-share ordering applies) instead of
-      // sinking into the resource's own FIFO queue.
-      const grid::ResourceInfo info = resources_.at(*choice)->info();
-      if (static_cast<double>(info.queued_jobs) >=
-          config_.fair_share.backlog_per_slot *
-              static_cast<double>(info.total_slots)) {
-        pending_.push_back(id);
-        ++deferred;
+    const DecisionKey key{&job.requirements, job.require_stable,
+                          scheduler_.rank_estimate(job),
+                          job.input_mb + job.output_mb};
+    if (memoize) {
+      const auto memo = deferred_keys.find(key);
+      if (memo != deferred_keys.end()) {
+        defer(id, memo->second);
         continue;
       }
     }
+    const auto choice = scheduler_.choose(job);
+    std::optional<Deferral> cause;
+    if (!choice) {
+      cause = Deferral::kNoEligible;
+    } else if (config_.fair_share.backlog_per_slot > 0.0 &&
+               is_saturated(*choice)) {
+      // Backpressure: past the per-slot backlog cap the job stays in the
+      // grid-level queue (where fair-share ordering applies) instead of
+      // sinking into the resource's own FIFO queue.
+      cause = Deferral::kBackpressure;
+    }
+    if (cause) {
+      defer(id, *cause);
+      if (memoize) deferred_keys.emplace(key, *cause);
+      continue;
+    }
     dispatch(job, *choice);
+    deferred_keys.clear();
+    saturated.clear();
   }
-  if (deferred > 0) {
-    util::log_debug("lattice", "{} jobs deferred (no eligible resource)",
-                    deferred);
+  if (no_eligible + backpressure > 0) {
+    util::log_debug("lattice",
+                    "{} jobs deferred ({} no eligible resource, {} "
+                    "backpressure)",
+                    no_eligible + backpressure, no_eligible, backpressure);
   }
 }
 

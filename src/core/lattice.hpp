@@ -202,6 +202,9 @@ class LatticeSystem : public InventoryHost {
                      std::unique_ptr<grid::SchedulerAdapter> adapter);
   void bind_observability();
   void pump();
+  /// Sort the pending queue by (decayed usage, job id) — the fair-share
+  /// order (FairShareConfig.order_queue).
+  void order_pending_by_usage();
   void on_outcome(grid::GridJob& job, const grid::JobOutcome& outcome);
   void dispatch(grid::GridJob& job, const std::string& resource_name);
 

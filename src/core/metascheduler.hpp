@@ -101,6 +101,14 @@ class MetaScheduler {
   /// calls on one.
   std::optional<std::string> choose_linear(const grid::GridJob& job);
 
+  /// The runtime estimate the current mode is allowed to rank with
+  /// (reference seconds): true runtime for kOracle, the a priori estimate
+  /// for kEstimateAware, nothing otherwise. Inflated by the fair-share
+  /// factor when a ledger is bound — both decision sites call this, so the
+  /// inflation is identical by construction. Public because it is one of
+  /// the decision inputs the grid-level pump keys its deferral memo on.
+  std::optional<double> rank_estimate(const grid::GridJob& job) const;
+
   const SchedulerPolicy& policy() const { return policy_; }
   void set_policy(const SchedulerPolicy& policy) { policy_ = policy; }
 
@@ -127,13 +135,6 @@ class MetaScheduler {
   std::optional<std::string> pick(
       const grid::GridJob& job,
       const std::vector<const grid::MdsEntry*>& all_eligible);
-
-  /// The runtime estimate the current mode is allowed to rank with
-  /// (reference seconds): true runtime for kOracle, the a priori estimate
-  /// for kEstimateAware, nothing otherwise. Inflated by the fair-share
-  /// factor when a ledger is bound — both decision sites call this, so the
-  /// inflation is identical by construction.
-  std::optional<double> rank_estimate(const grid::GridJob& job) const;
 
   const grid::MdsDirectory& mds_;
   const SpeedCalibrator& speeds_;

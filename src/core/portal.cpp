@@ -35,26 +35,6 @@ void Portal::set_observability(obs::MetricsRegistry& metrics) {
       "shed watermark");
 }
 
-SubmitReceipt Portal::submit(const std::string& user_email,
-                             bool registered_user,
-                             const phylo::GarliJob& job,
-                             std::size_t replicates, std::size_t num_taxa,
-                             std::size_t num_patterns,
-                             const phylo::Alignment* alignment) {
-  SubmissionRequest request;
-  request.user_id =
-      user_email.empty() ? 0 : user_id_from_email(user_email);
-  request.user_class =
-      registered_user ? UserClass::kRegistered : UserClass::kGuest;
-  request.user_email = user_email;
-  request.job = job;
-  request.replicates = replicates;
-  request.num_taxa = num_taxa;
-  request.num_patterns = num_patterns;
-  request.alignment = alignment;
-  return submit(request);
-}
-
 SubmitReceipt Portal::submit(const SubmissionRequest& request) {
   SubmitReceipt receipt;
 

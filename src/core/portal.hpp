@@ -148,14 +148,6 @@ class Portal {
   /// shedding), then bundles and splits the batch into grid jobs.
   SubmitReceipt submit(const SubmissionRequest& request);
 
-  /// Deprecated forwarding shim for pre-SubmissionRequest callers (user id
-  /// derived from the email, class from the registered flag). Kept for one
-  /// PR; migrate to submit(const SubmissionRequest&).
-  SubmitReceipt submit(const std::string& user_email, bool registered_user,
-                       const phylo::GarliJob& job, std::size_t replicates,
-                       std::size_t num_taxa, std::size_t num_patterns,
-                       const phylo::Alignment* alignment = nullptr);
-
   const BatchRecord* batch(std::uint64_t id) const;
 
   /// Point-in-time progress of a batch: completed/failed so far, members

@@ -34,9 +34,9 @@ inline std::string_view user_class_name(UserClass user_class) {
   return "?";
 }
 
-/// Deterministic user id from an email address (FNV-1a 64). The deprecated
-/// string-based Portal::submit overload derives its identity this way so
-/// per-user accounting stays stable across calls with the same address.
+/// Deterministic user id from an email address (FNV-1a 64), so callers that
+/// only know an address get per-user accounting that stays stable across
+/// calls with the same address.
 inline UserId user_id_from_email(const std::string& email) {
   std::uint64_t hash = 1469598103934665603ull;
   for (const char c : email) {

@@ -6,6 +6,7 @@
 // to see.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -22,7 +23,7 @@ struct PlatformSpec {
   OsType os = OsType::kLinux;
   Arch arch = Arch::kX86_64;
 
-  bool operator==(const PlatformSpec&) const = default;
+  auto operator<=>(const PlatformSpec&) const = default;
 };
 
 std::string platform_name(const PlatformSpec& platform);
@@ -35,6 +36,9 @@ struct JobRequirements {
   bool needs_mpi = false;
   /// Software dependencies that must be present on the resource ("java").
   std::vector<std::string> software;
+
+  /// Member-wise order; the grid-level pump keys its deferral memo on it.
+  auto operator<=>(const JobRequirements&) const = default;
 };
 
 enum class JobState : std::uint8_t {

@@ -614,20 +614,6 @@ TEST(PortalTest, ValidatesAgainstAlignment) {
   ASSERT_FALSE(receipt.problems.empty());
 }
 
-TEST(PortalTest, DeprecatedSubmitShimForwards) {
-  // The pre-SubmissionRequest overload must keep working for one PR:
-  // identity derived from the email, class from the registered flag.
-  PortalFixture fx;
-  phylo::GarliJob job;
-  const auto receipt =
-      fx.portal.submit("user@example.org", true, job, 4, 40, 300);
-  ASSERT_TRUE(receipt.accepted);
-  const BatchRecord* record = fx.portal.batch(receipt.batch_id);
-  ASSERT_NE(record, nullptr);
-  EXPECT_EQ(record->user_id, user_id_from_email("user@example.org"));
-  EXPECT_EQ(record->user_class, UserClass::kRegistered);
-}
-
 TEST(PortalTest, AcceptsAndTracksBatch) {
   PortalFixture fx;
   phylo::GarliJob job;

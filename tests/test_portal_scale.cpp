@@ -1,10 +1,14 @@
 // Multi-tenant portal at scale: admission quotas, guest load shedding,
-// fair-share queue ordering, the user-population workload generator, the
-// per-user trace columns, and twin-run determinism of a 10^4-user portal
-// workload (DESIGN.md §15).
+// fair-share queue ordering, the pump pass's per-epoch deferral memo, the
+// user-population workload generator, the per-user trace columns, and
+// twin-run determinism plus a golden placement digest of a 10^4-user
+// portal workload (DESIGN.md §15).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/lattice.hpp"
@@ -260,7 +264,119 @@ TEST(UserPopulation, ParsesPrePortalTracesWithoutUserColumns) {
   EXPECT_EQ(parsed[0].replicates, 0u);  // plain grid-level trace row
 }
 
-TEST(PortalScale, TwinRunsOfATenThousandUserWorkloadAreBitIdentical) {
+// Fair-share pump fixture: one 4-slot cluster, backpressure at one queued
+// job per slot, and four users whose jobs interleave by id. Each user's
+// jobs share a runtime (distinct across users), which the oracle mode
+// ranks with, so a user's jobs share one decision key. Users are
+// pre-charged so that usage order (4, 3, 2, 1) differs from id order.
+// Building the fixture runs exactly one pump pass.
+struct PumpFixture {
+  static constexpr std::uint64_t kUsers = 4;
+  static constexpr std::uint64_t kJobsPerUser = 5;
+  static constexpr std::size_t kSlots = 4;
+
+  LatticeSystem system;
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  std::vector<std::uint64_t> ids;
+
+  explicit PumpFixture(SchedulingMode mode) : system(config(mode)) {
+    grid::BatchQueueResource::Config cluster;
+    cluster.nodes = 2;
+    cluster.cores_per_node = 2;
+    system.add_cluster("hpc", cluster);
+    system.enable_observability(metrics, tracer);
+    for (UserId user = 1; user <= kUsers; ++user) {
+      system.fair_share().charge(
+          user, 3600.0 * static_cast<double>(kUsers + 1 - user));
+    }
+    GarliFeatures features;
+    for (std::uint64_t j = 0; j < kJobsPerUser; ++j) {
+      for (UserId user = 1; user <= kUsers; ++user) {
+        ids.push_back(system.submit_job_with_runtime(
+            features, 7200.0 * static_cast<double>(user), {}, 0, {}, user));
+      }
+    }
+    // One pump: the first fires at t = scheduler_period, long before any
+    // job can finish.
+    system.run(system.config().scheduler_period + 1.0);
+  }
+
+  static LatticeConfig config(SchedulingMode mode) {
+    LatticeConfig config;
+    config.scheduler.mode = mode;
+    config.fair_share.order_queue = true;
+    config.fair_share.backlog_per_slot = 1.0;
+    return config;
+  }
+
+  UserId user_of(std::uint64_t id) const { return system.job(id)->user_id; }
+};
+
+TEST(FairSharePump, DispatchesInUsageOrderAndDecidesOncePerDeferredKey) {
+  PumpFixture fx(SchedulingMode::kOracle);
+  // The pump sorts by (usage, job id) before it charges anything. The
+  // pre-charges make usage fall with the user id, so the expected order is
+  // user 4's jobs by id, then user 3's, and so on.
+  std::vector<std::uint64_t> order = fx.ids;
+  std::sort(order.begin(), order.end(), [&fx](std::uint64_t a,
+                                              std::uint64_t b) {
+    const UserId ua = fx.user_of(a);
+    const UserId ub = fx.user_of(b);
+    if (ua != ub) return ua > ub;
+    return a < b;
+  });
+
+  // The cluster runs the first kSlots jobs in pump order and queues the
+  // next kSlots; its backlog cap then defers the rest.
+  const std::size_t dispatched = 2 * PumpFixture::kSlots;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const grid::JobState expected =
+        i < PumpFixture::kSlots ? grid::JobState::kRunning
+        : i < dispatched        ? grid::JobState::kQueued
+                                : grid::JobState::kPending;
+    EXPECT_EQ(fx.system.job(order[i])->state, expected)
+        << "position " << i << " (job " << order[i] << ", user "
+        << fx.user_of(order[i]) << ")";
+  }
+  EXPECT_EQ(fx.metrics.counter_total("sched.fair_share_charges"),
+            dispatched);
+  EXPECT_EQ(fx.metrics.counter_total("sched.fair_share_reorders"), 1u);
+
+  // Dispatches happen back to back, so the only epoch with deferrals is the
+  // last one, where choose() runs once per distinct key (one per user).
+  std::set<UserId> deferred_users;
+  for (std::size_t i = dispatched; i < order.size(); ++i) {
+    deferred_users.insert(fx.user_of(order[i]));
+  }
+  EXPECT_EQ(fx.metrics.counter_total("sched.decisions"),
+            dispatched + deferred_users.size());
+  EXPECT_EQ(fx.system.pending_jobs(), order.size() - dispatched);
+}
+
+TEST(FairSharePump, RoundRobinCallsChooseForEveryJobVisit) {
+  // Every round-robin choose() advances the cursor, so the pump must not
+  // skip any: one decision per visited job, dispatched or deferred.
+  PumpFixture fx(SchedulingMode::kRoundRobin);
+  EXPECT_EQ(fx.metrics.counter_total("sched.decisions"), fx.ids.size());
+  EXPECT_EQ(fx.metrics.counter_total("sched.fair_share_charges"),
+            2 * PumpFixture::kSlots);
+}
+
+struct TenThousandUserRun {
+  std::string workload_csv;
+  std::uint64_t completed = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t quota_denied = 0;
+  std::uint64_t shed = 0;
+  double last_completion = 0.0;
+  double total_turnaround = 0.0;
+  /// FNV-1a over (job id, resource, finish time bits) of every completed
+  /// job in id order: pins where and when each job ran.
+  std::uint64_t placement_digest = 0;
+};
+
+TenThousandUserRun run_ten_thousand_user_workload() {
   UserPopulationConfig pop_config;
   pop_config.guests = {9000, 0.02, 1.2, 1};
   pop_config.registered = {900, 0.3, 1.4, 2};
@@ -268,55 +384,70 @@ TEST(PortalScale, TwinRunsOfATenThousandUserWorkloadAreBitIdentical) {
   pop_config.max_replicates = 30;
   pop_config.max_expected_hours = 8.0;
 
-  struct RunResult {
-    std::string workload_csv;
-    std::uint64_t completed = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t quota_denied = 0;
-    std::uint64_t shed = 0;
-    double last_completion = 0.0;
-    double total_turnaround = 0.0;
+  PortalConfig portal_config;
+  portal_config.quota_guest = {2, 50};
+  portal_config.quota_registered = {8, 400};
+  portal_config.quota_power = {16, 2000};
+  portal_config.shed_backlog_watermark = 2000;
+  LatticeConfig config = scale_config();
+  config.scheduler_period = 300.0;
+  config.fair_share.order_queue = true;
+  config.fair_share.backlog_per_slot = 2.0;
+  config.scheduler.fair_share_weight = 0.5;
+  ScaleFixture fx{portal_config, config};
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  fx.system.enable_observability(metrics, tracer);
+  fx.portal.set_observability(metrics);
+
+  UserPopulation population(pop_config);
+  GarliCostModel model;
+  util::Rng rng(29);
+  const auto trace = population.generate(100, model, rng);
+  submit_portal_workload(fx.portal, trace);
+  // Arrivals are scheduled events: run past the last arrival so every
+  // submission fires, then drain what was admitted.
+  fx.system.run(trace.back().arrival_seconds + 1.0);
+  fx.system.run_until_drained(600.0 * 86400.0);
+
+  TenThousandUserRun result;
+  result.workload_csv = workload_to_csv(trace);
+  result.completed = fx.system.metrics().completed;
+  result.accepted = metrics.counter_total("portal.admit_accepted");
+  result.quota_denied = metrics.counter_total("portal.admit_quota_denied");
+  result.shed = metrics.counter_total("portal.shed_guest");
+  result.last_completion = fx.system.metrics().last_completion;
+  result.total_turnaround = fx.system.metrics().total_turnaround_seconds;
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ull;
+    }
   };
-  const auto run_once = [&pop_config]() {
-    PortalConfig portal_config;
-    portal_config.quota_guest = {2, 50};
-    portal_config.quota_registered = {8, 400};
-    portal_config.quota_power = {16, 2000};
-    portal_config.shed_backlog_watermark = 2000;
-    LatticeConfig config = scale_config();
-    config.scheduler_period = 300.0;
-    config.fair_share.order_queue = true;
-    config.fair_share.backlog_per_slot = 2.0;
-    config.scheduler.fair_share_weight = 0.5;
-    ScaleFixture fx{portal_config, config};
-    obs::MetricsRegistry metrics;
-    obs::Tracer tracer;
-    fx.system.enable_observability(metrics, tracer);
-    fx.portal.set_observability(metrics);
+  fx.system.for_each_job([&mix](const grid::GridJob& job) {
+    if (job.state != grid::JobState::kCompleted) return;
+    mix(&job.id, sizeof job.id);
+    mix(job.resource.data(), job.resource.size());
+    mix(&job.finish_time, sizeof job.finish_time);
+  });
+  result.placement_digest = hash;
+  return result;
+}
 
-    UserPopulation population(pop_config);
-    GarliCostModel model;
-    util::Rng rng(29);
-    const auto trace = population.generate(100, model, rng);
-    submit_portal_workload(fx.portal, trace);
-    // Arrivals are scheduled events: run past the last arrival so every
-    // submission fires, then drain what was admitted.
-    fx.system.run(trace.back().arrival_seconds + 1.0);
-    fx.system.run_until_drained(600.0 * 86400.0);
+TEST(PortalScale, TenThousandUserWorkloadMatchesGoldenPlacementDigest) {
+  // Frozen from the pump that stable-sorted the pending queue and called
+  // choose() for every pending job: the decorated sort, the per-epoch
+  // deferral memo and the cached backpressure test must not move any job.
+  const TenThousandUserRun run = run_ten_thousand_user_workload();
+  EXPECT_EQ(run.placement_digest, 0x5129e871510ebf42ull)
+      << std::hex << "digest 0x" << run.placement_digest;
+}
 
-    RunResult result;
-    result.workload_csv = workload_to_csv(trace);
-    result.completed = fx.system.metrics().completed;
-    result.accepted = metrics.counter_total("portal.admit_accepted");
-    result.quota_denied = metrics.counter_total("portal.admit_quota_denied");
-    result.shed = metrics.counter_total("portal.shed_guest");
-    result.last_completion = fx.system.metrics().last_completion;
-    result.total_turnaround = fx.system.metrics().total_turnaround_seconds;
-    return result;
-  };
-
-  const RunResult first = run_once();
-  const RunResult second = run_once();
+TEST(PortalScale, TwinRunsOfATenThousandUserWorkloadAreBitIdentical) {
+  const TenThousandUserRun first = run_ten_thousand_user_workload();
+  const TenThousandUserRun second = run_ten_thousand_user_workload();
   EXPECT_EQ(first.workload_csv, second.workload_csv);
   EXPECT_EQ(first.completed, second.completed);
   EXPECT_EQ(first.accepted, second.accepted);
@@ -324,6 +455,7 @@ TEST(PortalScale, TwinRunsOfATenThousandUserWorkloadAreBitIdentical) {
   EXPECT_EQ(first.shed, second.shed);
   EXPECT_EQ(first.last_completion, second.last_completion);
   EXPECT_EQ(first.total_turnaround, second.total_turnaround);
+  EXPECT_EQ(first.placement_digest, second.placement_digest);
   EXPECT_GT(first.completed, 0u);
   EXPECT_GT(first.accepted, 0u);
 }
