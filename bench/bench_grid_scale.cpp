@@ -38,15 +38,14 @@
 //                   batches, quorum-2 over a flaky pool) as a tier-1 ctest
 //                   on every lane including the sanitizers;
 //   --hosts CSV     replace the sweep with explicit sizes, one rep each
-//                   (e.g. --hosts 2500,10000,100000);
-//   --shards N      volunteer-pool calendar shards (bit-identical for any
-//                   N; the ctest lane runs --smoke --shards 2 to hold the
-//                   sharded kernel to that claim under the sanitizers).
+//                   (e.g. --hosts 2500,10000,100000); a malformed list is
+//                   a usage error.
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string_view>
+#include <system_error>
 
 #include "bench_common.hpp"
 #include "core/portal.hpp"
@@ -67,7 +66,7 @@ struct SweepResult {
 /// One full run at `hosts` volunteer hosts: build the inventory, submit
 /// the portal workload, drain, and time the drain (setup and estimator
 /// training excluded — the sweep measures the scheduler, not the RF fit).
-SweepResult run_once(std::size_t hosts, std::size_t shards, int batches,
+SweepResult run_once(std::size_t hosts, int batches,
                      std::size_t replicates_per_batch,
                      std::size_t estimator_corpus,
                      std::size_t estimator_trees, bool stress_boinc,
@@ -84,7 +83,6 @@ SweepResult run_once(std::size_t hosts, std::size_t shards, int batches,
   core::LatticeSystem system(config);
   bench::InventoryOptions inventory;
   inventory.boinc_hosts = hosts;
-  inventory.boinc_shards = shards;
   inventory.include_boinc = hosts > 0;
   if (transfers) {
     // Transfer-on pass: the broadband/DSL/modem volunteer mix replaces the
@@ -144,18 +142,19 @@ SweepResult run_once(std::size_t hosts, std::size_t shards, int batches,
 }
 
 /// Parse a `--hosts` comma-separated size list ("2500,10000,100000").
-std::vector<std::size_t> parse_host_csv(const char* text) {
+/// Empty when any entry is not a plain decimal count.
+std::vector<std::size_t> parse_host_csv(std::string_view text) {
   std::vector<std::size_t> sizes;
-  const char* cursor = text;
-  while (*cursor != '\0') {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(cursor, &end, 10);
-    if (end == cursor) break;
-    sizes.push_back(static_cast<std::size_t>(value));
-    cursor = (*end == ',') ? end + 1 : end;
-    if (end == cursor && *end != '\0') break;
+  for (;;) {
+    const std::string_view item = text.substr(0, text.find(','));
+    std::size_t hosts = 0;
+    const char* end = item.data() + item.size();
+    const auto [ptr, error] = std::from_chars(item.data(), end, hosts);
+    if (error != std::errc{} || ptr != end) return {};
+    sizes.push_back(hosts);
+    if (item.size() == text.size()) return sizes;
+    text.remove_prefix(item.size() + 1);
   }
-  return sizes;
 }
 
 }  // namespace
@@ -163,25 +162,23 @@ std::vector<std::size_t> parse_host_csv(const char* text) {
 int main(int argc, char** argv) {
   using namespace lattice;
   bool smoke = false;
-  std::size_t shards = 1;
   std::vector<std::size_t> host_list;
+  const auto usage = [] {
+    std::cerr << "usage: bench_grid_scale [--smoke] [--hosts N1,N2,...]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = static_cast<std::size_t>(
-          std::strtoull(argv[i] + std::strlen("--shards="), nullptr, 10));
     } else if (arg == "--hosts" && i + 1 < argc) {
       host_list = parse_host_csv(argv[++i]);
+      if (host_list.empty()) return usage();
     } else if (arg.rfind("--hosts=", 0) == 0) {
-      host_list = parse_host_csv(argv[i] + std::strlen("--hosts="));
+      host_list = parse_host_csv(arg.substr(8));
+      if (host_list.empty()) return usage();
     } else {
-      std::cerr << "usage: bench_grid_scale [--smoke] [--shards N] "
-                   "[--hosts N1,N2,...]\n";
-      return 2;
+      return usage();
     }
   }
 
@@ -228,7 +225,7 @@ int main(int argc, char** argv) {
                      "net ovh x"});
   table.set_precision(1);
   bench::JsonReport json(smoke ? "grid_scale_smoke" : "grid_scale");
-  json.set("shards", static_cast<std::uint64_t>(shards));
+  json.set_host_facts();
 
   for (const SweepPoint& point : points) {
     // Weak scaling above the 100k baseline row: 6 investigator batches
@@ -242,7 +239,7 @@ int main(int argc, char** argv) {
     // differ only in wall time; the minimum is the least-disturbed run.
     SweepResult best;
     for (int rep = 0; rep < point.reps; ++rep) {
-      const SweepResult r = run_once(point.hosts, shards, batches, replicates,
+      const SweepResult r = run_once(point.hosts, batches, replicates,
                                      corpus, trees, smoke,
                                      /*transfers=*/false);
       if (rep == 0 || r.wall_s < best.wall_s) best = r;
@@ -258,8 +255,8 @@ int main(int argc, char** argv) {
     // cost). The event count grows (Transfer start/finish epochs enter the
     // kernel), so the comparable figure is event throughput, not jobs/s.
     const SweepResult net_run =
-        run_once(point.hosts, shards, batches, replicates, corpus, trees,
-                 smoke, /*transfers=*/true);
+        run_once(point.hosts, batches, replicates, corpus, trees, smoke,
+                 /*transfers=*/true);
     // Running peak RSS after this row: monotone across rows (ru_maxrss is
     // a high-water mark), so each row's figure bounds the memory needed up
     // to and including its own sweep size.
@@ -332,7 +329,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\n(shape: wall time grows far slower than the host count — "
                "the capability-class matchmaking index, the rank-ordered "
-               "candidate stream, the sharded churn calendar, and the "
+               "candidate stream, the keyed churn calendar, and the "
                "two-band event kernel keep per-decision cost sub-linear "
                "while the volunteer pool scales to 10^6 hosts; the 10k and "
                "100k rows record the measured speedups over the seed and "

@@ -30,8 +30,11 @@
 //        accepted batch drains, and the fair-share odometer was charged.
 // See docs/OBSERVABILITY.md for the metric catalog and trace schema.
 #include <algorithm>
+#include <charconv>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "boinc/server.hpp"
@@ -66,7 +69,7 @@ namespace {
 // two identical invocations are bit-identical.
 int run_fault_scenario(const std::string& plan_path,
                        const std::string& metrics_out,
-                       const std::string& trace_out, std::size_t shards) {
+                       const std::string& trace_out) {
   using namespace lattice;
 
   fault::FaultPlan plan;
@@ -113,7 +116,6 @@ int run_fault_scenario(const std::string& plan_path,
   volunteers.min_quorum = 2;  // cross-validation catches corruption
   volunteers.target_nresults = 2;
   volunteers.seed = 99;
-  volunteers.shards = shards;
   fault::apply_fault_plan(plan, volunteers);
 
   std::vector<core::ResourceSpec> specs;
@@ -206,10 +208,10 @@ int run_fault_scenario(const std::string& plan_path,
 // bulk-data jobs whose staging time alone exceeds the stability cutoff —
 // and the run self-verifies the transfer contract, so it doubles as the
 // slow_link_smoke ctest; scripts/determinism.sh additionally asserts two
-// identical invocations (and a sharded twin) are bit-identical.
+// identical invocations are bit-identical.
 int run_net_scenario(const std::string& profile_path,
                      const std::string& metrics_out,
-                     const std::string& trace_out, std::size_t shards) {
+                     const std::string& trace_out) {
   using namespace lattice;
 
   net::NetConfig profile;
@@ -270,7 +272,6 @@ int run_net_scenario(const std::string& profile_path,
   volunteers.mean_speed = 0.8;
   volunteers.speed_sigma = 0.6;
   volunteers.seed = 99;
-  volunteers.shards = shards;
   volunteers.network = profile;
 
   std::vector<core::ResourceSpec> specs;
@@ -553,6 +554,15 @@ int run_portal_scenario(std::size_t users, const std::string& metrics_out,
   return ok ? 0 : 1;
 }
 
+/// Parse a whole decimal flag value into `out`. False for anything else
+/// ("abc", "4x", "", out of range), which main turns into the usage line.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && ptr == end;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -564,7 +574,13 @@ int main(int argc, char** argv) {
   std::string net_profile;
   std::size_t portal_users = 0;  // 0: portal scenario off
   int pool_threads = -1;  // -1: self-test off
-  std::size_t shards = 1;  // volunteer-pool calendar shards
+  const auto usage = [] {
+    std::cerr << "usage: volunteer_grid [--metrics-out=FILE] "
+                 "[--trace-out=FILE] [--pool-threads=N] "
+                 "[--fault-plan=FILE] [--net-profile=FILE] "
+                 "[--portal-users=N]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -576,9 +592,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg.rfind("--pool-threads=", 0) == 0) {
-      pool_threads = std::stoi(arg.substr(15));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = static_cast<std::size_t>(std::stoul(arg.substr(9)));
+      if (!parse_number(arg.substr(15), pool_threads) || pool_threads < 0) {
+        return usage();
+      }
     } else if (arg.rfind("--fault-plan=", 0) == 0) {
       fault_plan = arg.substr(13);
     } else if (arg == "--fault-plan" && i + 1 < argc) {
@@ -588,21 +604,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--net-profile" && i + 1 < argc) {
       net_profile = argv[++i];
     } else if (arg.rfind("--portal-users=", 0) == 0) {
-      portal_users = static_cast<std::size_t>(std::stoul(arg.substr(15)));
+      if (!parse_number(arg.substr(15), portal_users)) return usage();
     } else {
-      std::cerr << "usage: volunteer_grid [--metrics-out=FILE] "
-                   "[--trace-out=FILE] [--pool-threads=N] [--shards=N] "
-                   "[--fault-plan=FILE] [--net-profile=FILE] "
-                   "[--portal-users=N]\n";
-      return 2;
+      return usage();
     }
   }
 
   if (!fault_plan.empty()) {
-    return run_fault_scenario(fault_plan, metrics_out, trace_out, shards);
+    return run_fault_scenario(fault_plan, metrics_out, trace_out);
   }
   if (!net_profile.empty()) {
-    return run_net_scenario(net_profile, metrics_out, trace_out, shards);
+    return run_net_scenario(net_profile, metrics_out, trace_out);
   }
   if (portal_users > 0) {
     return run_portal_scenario(portal_users, metrics_out, trace_out);
@@ -629,9 +641,6 @@ int main(int argc, char** argv) {
   config.min_quorum = 2;             // cross-validate results
   config.target_nresults = 2;
   config.seed = 99;
-  // Calendar shard count for the volunteer pool: any value produces a
-  // bit-identical run (determinism.sh proves it at the binary level).
-  config.shards = shards;
   boinc::BoincServer server(sim, "lattice-boinc", config);
   if (observe) server.set_observability(metrics, bound_tracer);
 

@@ -42,7 +42,7 @@ done
 # The scheduler-scalability passes document a complexity budget
 # (docs/PERFORMANCE.md) and index-invalidation rules (DESIGN.md §10 for
 # the linear→indexed pass, §11 for the sub-linear rank-index stream and
-# the sharded pool calendar); all must keep naming the structures they
+# the keyed pool calendar); all must keep naming the structures they
 # govern so the docs cannot silently drift from the data structures.
 perf=docs/PERFORMANCE.md
 if [ ! -f "$perf" ]; then
@@ -116,8 +116,8 @@ else
   done
 fi
 if ! grep -qE '^## +(§ *)?11' "$design" 2>/dev/null; then
-  echo "check_docs: $design has no §11 (sub-linear decision + sharded" \
-       "kernel invalidation rules)" >&2
+  echo "check_docs: $design has no §11 (sub-linear decision + pool" \
+       "calendar invalidation rules)" >&2
   fail=1
 else
   for anchor in 'best_ranked' 'by_load' 'by_eta' 'unrank' \

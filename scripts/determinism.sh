@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end determinism check (ctest test `determinism_e2e`): the PR 2
 # obs-on/off guard, promoted to the binary level. Runs the volunteer_grid
-# scenario (with the pooled-likelihood self-test enabled) five times —
+# scenario (with the pooled-likelihood self-test enabled) four times —
 # twice identically, once with a different thread-pool size, once with the
-# volunteer-pool calendar sharded 4 ways, once with the likelihood-kernel
-# ISA pinned to the scalar oracle (LATTICE_FORCE_ISA=scalar) — and demands
-# bit-identical stdout, metrics snapshot, and trace.
+# likelihood-kernel ISA pinned to the scalar oracle
+# (LATTICE_FORCE_ISA=scalar) — and demands bit-identical stdout, metrics
+# snapshot, and trace.
 #
 # Wall-clock observations are the one sanctioned nondeterminism, and they
 # are confined by construction: the sim.handler_wall_us histogram in the
@@ -19,10 +19,9 @@
 # snapshot.
 #
 # The transfer-aware scenario (--net-profile, docs/NETWORKING.md) likewise:
-# two identical runs plus a 4-way-sharded twin must be bit-identical —
-# transfer completion times come from epoch arithmetic on the sim clock,
-# never from iteration order — and the net.* counters must appear in the
-# snapshot.
+# two identical runs must be bit-identical — transfer completion times come
+# from epoch arithmetic on the sim clock, never from iteration order — and
+# the net.* counters must appear in the snapshot.
 #
 # The multi-tenant portal scenario (--portal-users, DESIGN.md §15) closes
 # the set: two identical 10^4-user heavy-tailed workload runs through
@@ -39,9 +38,9 @@ bin=${1:?usage: determinism.sh <volunteer_grid-binary> [workdir]}
 work=${2:-$(mktemp -d)}
 mkdir -p "$work"
 
-run() {  # run <tag> <pool-threads> [shards]
-  local tag=$1 threads=$2 shards=${3:-1}
-  "$bin" --pool-threads="$threads" --shards="$shards" \
+run() {  # run <tag> <pool-threads>
+  local tag=$1 threads=$2
+  "$bin" --pool-threads="$threads" \
          --metrics-out="$work/m-$tag.json" \
          --trace-out="$work/t-$tag.json" > "$work/out-$tag.raw"
   # stdout echoes the per-run output paths; normalize them so the
@@ -65,9 +64,9 @@ run_fault() {  # run_fault <tag>
 }
 
 profile="$(cd "$(dirname "$0")" && pwd)/../scenarios/slow_link_smoke.ini"
-run_net() {  # run_net <tag> [shards]
-  local tag=$1 shards=${2:-1}
-  "$bin" --net-profile="$profile" --shards="$shards" \
+run_net() {  # run_net <tag>
+  local tag=$1
+  "$bin" --net-profile="$profile" \
          --metrics-out="$work/nm-$tag.json" > "$work/nout-$tag.raw"
   sed -e "s#$work#WORK#g" -e "s#-$tag\.json#-RUN.json#g" \
       -e "s#$profile#PROFILE#g" "$work/nout-$tag.raw" > "$work/nout-$tag.txt"
@@ -77,7 +76,7 @@ run_net() {  # run_net <tag> [shards]
 run_scalar() {  # run_scalar <tag>: ISA tier pinned to the portable oracle
   local tag=$1
   LATTICE_FORCE_ISA=scalar \
-      "$bin" --pool-threads=2 --shards=1 \
+      "$bin" --pool-threads=2 \
              --metrics-out="$work/m-$tag.json" \
              --trace-out="$work/t-$tag.json" > "$work/out-$tag.raw"
   sed -e "s#$work#WORK#g" -e "s#-$tag\.json#-RUN.json#g" \
@@ -98,13 +97,11 @@ run_portal() {  # run_portal <tag>: 10^4-user multi-tenant workload
 run a 2
 run b 2
 run c 5
-run d 2 4
 run_scalar e
 run_fault a
 run_fault b
 run_net a
 run_net b
-run_net c 4
 run_portal a
 run_portal b
 
@@ -135,12 +132,6 @@ check t-a.det t-b.det "trace across identical runs"
 check out-a.txt out-c.txt "stdout across thread counts (2 vs 5)"
 check m-a.det m-c.det "metrics across thread counts (2 vs 5)"
 check t-a.det t-c.det "trace across thread counts (2 vs 5)"
-# Sharded pool calendar: the shard count must be unobservable too — the
-# per-shard drains and (when, seq) merge reproduce the sequential firing
-# order exactly (DESIGN.md §11).
-check out-a.txt out-d.txt "stdout across calendar shards (1 vs 4)"
-check m-a.det m-d.det "metrics across calendar shards (1 vs 4)"
-check t-a.det t-d.det "trace across calendar shards (1 vs 4)"
 # ISA tier pinned to the scalar oracle: the likelihood-kernel dispatch
 # (LATTICE_FORCE_ISA, DESIGN.md §14) must be unobservable — every vector
 # tier computes bit-identical partials, scale folds, and reductions.
@@ -161,11 +152,9 @@ for metric in fault. sched.retry_; do
 done
 
 # Transfer-model runs: completion times are recomputed at start/finish
-# epochs, so shard count and run order must both be unobservable.
+# epochs, so two identical runs must match exactly.
 check nout-a.txt nout-b.txt "stdout across identical net-profile runs"
 check nm-a.det nm-b.det "metrics across identical net-profile runs"
-check nout-a.txt nout-c.txt "stdout across calendar shards (net, 1 vs 4)"
-check nm-a.det nm-c.det "metrics across calendar shards (net, 1 vs 4)"
 # ...and the transfer pipeline must be visibly exercised by the profile.
 for metric in net.bytes_down net.bytes_up net.transfers_completed; do
   if ! grep -q "$metric" "$work/nm-a.json"; then
@@ -187,7 +176,7 @@ for metric in portal.admit_ sched.fair_share_; do
 done
 
 if [ "$fail" -eq 0 ]; then
-  echo "determinism: 12 runs bit-identical" \
+  echo "determinism: 10 runs bit-identical" \
        "(sha256 $(sha256sum "$work/m-a.det" | cut -c1-12)…" \
        "fault $(sha256sum "$work/fm-a.det" | cut -c1-12)…" \
        "net $(sha256sum "$work/nm-a.det" | cut -c1-12)…" \

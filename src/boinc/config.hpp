@@ -43,11 +43,6 @@ struct BoincPoolConfig {
   int trust_threshold = 10;
   /// Transitioner poll period.
   double transitioner_period = 600.0;
-  /// Shards of the idle-host churn calendar (sim::ShardedCalendar). Any
-  /// value produces bit-identical behavior — shards only decide how the
-  /// calendar's per-shard drains parallelize; firing order is always the
-  /// strict (when, seq) merge. 1 keeps the pool fully sequential.
-  std::size_t shards = 1;
   /// Fixed wall-clock cost per result on the host (scheduler RPC round
   /// trips, client bookkeeping) — what replicate bundling amortizes.
   double result_overhead_seconds = 120.0;

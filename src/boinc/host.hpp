@@ -75,7 +75,7 @@ class VolunteerHost {
 
   /// Begin life: seeds the lifetime clock and the first availability
   /// transition. The host starts idle, so its churn parks in the server's
-  /// sharded calendar rather than the kernel event queue.
+  /// pool calendar rather than the kernel event queue.
   void start(bool initially_online);
 
   /// Server pushes a task (result instance) to this host. Preconditions:
@@ -122,7 +122,7 @@ class VolunteerHost {
   /// exact time (it pauses the kernel-visible completion event), so it
   /// gets a kernel event; an idle host's flip only moves census counts
   /// and idle-list membership, which no one observes before the next
-  /// pool interaction — it parks in the server's sharded calendar and is
+  /// pool interaction — it parks in the server's pool calendar and is
   /// batch-advanced at that barrier.
   void arm_churn();
   /// Leaving computing mode: churn moves from the kernel event back to

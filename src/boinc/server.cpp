@@ -7,7 +7,6 @@
 
 #include "net/model.hpp"
 #include "util/log.hpp"
-#include "util/threadpool.hpp"
 
 namespace lattice::boinc {
 
@@ -18,9 +17,7 @@ namespace {
 /// flip interval entries, and sizing the window for ~16k of them keeps
 /// sift traffic in L2 at 10⁵–10⁶ hosts instead of taking a last-level
 /// miss per level. The far band absorbs the rest at O(1) bucket appends,
-/// paid back as one bucket scan per entry. Depends only on the pool
-/// config — never on the shard count — so sharded twin runs see
-/// identical banding.
+/// paid back as one bucket scan per entry.
 double churn_far_window(const BoincPoolConfig& config) {
   constexpr double kMaxWindow = 8.0 * 3600.0;  // the kernel default
   constexpr double kMinWindow = 900.0;
@@ -52,8 +49,7 @@ BoincServer::BoincServer(sim::Simulation& sim, std::string name,
     : grid::LocalResource(sim, std::move(name)),
       config_(config),
       rng_(config.seed),
-      calendar_(config.shards == 0 ? 1 : config.shards,
-                churn_far_window(config)) {
+      calendar_(churn_far_window(config)) {
   assert(config_.hosts > 0);
   // The transfer model draws no randomness (class assignment is a pure
   // function of the host key), so constructing it here leaves the host
@@ -62,12 +58,6 @@ BoincServer::BoincServer(sim::Simulation& sim, std::string name,
     network_ = std::make_unique<net::NetworkModel>(sim_, config_.network);
   }
   calendar_.ensure_keys(config_.hosts);
-  if (calendar_.shards() > 1) {
-    // Drain workers for the sharded calendar. Bounded: the drains are
-    // short struct operations, so a handful of workers saturate them.
-    shard_pool_ = std::make_unique<util::ThreadPool>(
-        std::min<std::size_t>(calendar_.shards(), 8));
-  }
   // Pool-uniform churn distributions: fold the mean-preserving Weibull
   // normalization (E[X] = scale · Γ(1 + 1/shape)) into the scales once,
   // instead of once per flip. Shape 1.0 keeps the exponential model with
@@ -199,7 +189,7 @@ grid::ResourceInfo BoincServer::info() const {
 
 void BoincServer::advance_pool() {
   // churn_fire touches exactly one churn record per flip; the prefetch
-  // hook pulls upcoming records of the merged batch into cache ahead of
+  // hook pulls upcoming records of the due batch into cache ahead of
   // the fire cursor (the batch order is (when, seq) — effectively random
   // in key space, so at 10⁵–10⁶ hosts every record is a DRAM miss
   // without it).
@@ -208,8 +198,7 @@ void BoincServer::advance_pool() {
       [this](std::uint32_t key, sim::SimTime when) { churn_fire(key, when); },
       [this](std::uint32_t key) {
         __builtin_prefetch(&churn_state_[key], 1 /* for write */);
-      },
-      shard_pool_.get());
+      });
 }
 
 std::size_t BoincServer::online_hosts() const {

@@ -35,10 +35,6 @@
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
-namespace lattice::util {
-class ThreadPool;
-}
-
 namespace lattice::net {
 class NetworkModel;
 }
@@ -88,10 +84,9 @@ class BoincServer final : public grid::LocalResource {
   /// incremental census is exact at the observation point.
   std::size_t online_hosts() const;
   std::size_t attached_hosts() const { return hosts_.size(); }
-  /// Churn steps processed through the sharded calendar (lazy idle-host
+  /// Churn steps processed through the pool calendar (lazy idle-host
   /// flips that never entered the kernel event queue).
   std::uint64_t calendar_steps() const { return calendar_.fired(); }
-  std::size_t calendar_shards() const { return calendar_.shards(); }
   std::uint64_t reissued_results() const { return reissued_; }
   std::uint64_t timed_out_results() const { return timeouts_; }
   /// Unsent results sitting in the per-platform feeder queues — the
@@ -176,13 +171,11 @@ class BoincServer final : public grid::LocalResource {
     std::uint32_t index;
   };
 
-  /// Advance the sharded host calendar to now() — the conservative
-  /// lookahead barrier. Called at every cross-pool interaction point
-  /// (census reads, dispatch, the transitioner tick) so idle-host churn
-  /// is applied, in strict (when, seq) order, before anything observes or
-  /// assigns host state. With >1 shard the per-shard drains run on
-  /// shard_pool_; firing order is shard-count-independent by construction
-  /// (sim/calendar.hpp).
+  /// Advance the host calendar to now() — the conservative lookahead
+  /// barrier. Called at every cross-pool interaction point (census reads,
+  /// dispatch, the transitioner tick) so idle-host churn is applied, in
+  /// strict (when, seq) order, before anything observes or assigns host
+  /// state (sim/calendar.hpp).
   void advance_pool();
   /// One interval draw from the pool-uniform churn distribution:
   /// exponential when the Weibull shape is 1.0 (identical draw sequence to
@@ -298,10 +291,8 @@ class BoincServer final : public grid::LocalResource {
   util::Rng rng_;
   /// Transfer cost model (config_.network.enabled); null = free staging.
   std::unique_ptr<net::NetworkModel> network_;
-  /// Idle-host churn timers, sharded by host key (config_.shards).
-  sim::ShardedCalendar calendar_;
-  /// Drain workers for the calendar when config_.shards > 1.
-  std::unique_ptr<util::ThreadPool> shard_pool_;
+  /// Idle-host churn timers, keyed by host.
+  sim::Calendar calendar_;
   /// Dense per-host churn records, indexed by host key (id - 1) — one
   /// cache line each, so the calendar fire loop streams records instead of
   /// chasing host pointers. Reserved up front; hosts hold references.
@@ -393,7 +384,7 @@ inline void VolunteerHost::arm_churn() {
   } else {
     // Idle: the flip only moves census counts and idle-list membership,
     // observed no earlier than the next pool interaction — park it in the
-    // sharded calendar (batch-advanced at that barrier).
+    // pool calendar (batch-advanced at that barrier).
     server_.calendar_.schedule(due, key());
   }
 }

@@ -65,7 +65,6 @@ std::vector<ResourceSpec> lattice_inventory(const InventoryOptions& options) {
   if (options.include_boinc && options.boinc_hosts > 0) {
     boinc::BoincPoolConfig config;
     config.hosts = options.boinc_hosts;
-    config.shards = options.boinc_shards;
     config.mean_speed = 0.8;
     config.speed_sigma = 0.6;
     config.seed = options.seed + 999;

@@ -63,10 +63,6 @@ struct ResourceSpec {
 /// Knobs for the canonical paper inventory (lattice_inventory).
 struct InventoryOptions {
   std::size_t boinc_hosts = 300;
-  /// Shards of the volunteer pool's idle-host churn calendar
-  /// (sim::ShardedCalendar). Bit-identical for any value — shards only
-  /// parallelize the calendar drains, never reorder firings.
-  std::size_t boinc_shards = 1;
   std::size_t condor_machines_per_pool = 40;
   bool include_boinc = true;
   double cluster_overhead = 30.0;

@@ -1,5 +1,5 @@
-// Banded event storage shared by the kernel (Simulation) and the sharded
-// pool calendar (ShardedCalendar): a 4-ary implicit min-heap of POD entries
+// Banded event storage shared by the kernel (Simulation) and the keyed
+// pool calendar (Calendar): a 4-ary implicit min-heap of POD entries
 // for the near future, a far band of coarse time buckets for entries at or
 // beyond a sliding threshold, and an unsorted overflow band for the rare
 // entry past the bucketed span. The banding keeps the hot heap small — a
@@ -12,8 +12,8 @@
 // Entry is any POD with `.when` (SimTime) and `.seq` (monotone u64) fields;
 // (when, seq) is a strict total order, so every valid heap over the same
 // entries pops in exactly the same sequence — what lets the structure be
-// rebuilt (compaction), change arity, or be sharded without affecting
-// firing order (DESIGN.md §10, §11).
+// rebuilt (compaction) or change arity without affecting firing order
+// (DESIGN.md §10, §11).
 //
 // Bucket b covers [b·width, (b+1)·width). The width is the construction
 // window rounded down to a power of two, so `when / width` and

@@ -1,108 +1,42 @@
 #include "sim/calendar.hpp"
 
-#include <algorithm>
-#include <cassert>
-
-#include "util/threadpool.hpp"
-
 namespace lattice::sim {
 
 namespace {
-/// Per-shard compaction trigger, matching the kernel's (Simulation
-/// kCompactMinEntries): compact once a shard holds at least this many
+/// Compaction trigger, matching the kernel's (Simulation
+/// kCompactMinEntries): compact once the queue holds at least this many
 /// entries and tombstones outnumber live ones.
 constexpr std::size_t kCompactMinEntries = 64;
 }  // namespace
 
-ShardedCalendar::ShardedCalendar(std::size_t shards, SimTime far_window) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.emplace_back(far_window);
-  }
-  due_.resize(shards);
-  shard_live_.assign(shards, 0);
-}
-
-void ShardedCalendar::ensure_keys(std::size_t n) {
+void Calendar::ensure_keys(std::size_t n) {
   if (epoch_.size() < n) {
     epoch_.resize(n, 0);
     pending_.resize(n, 0);
   }
 }
 
-void ShardedCalendar::maybe_compact(std::size_t shard) {
-  const std::size_t entries = shards_[shard].entries();
-  const std::size_t live = shard_live_[shard];
-  if (entries < kCompactMinEntries || entries - live <= live) return;
-  shards_[shard].compact(
-      [this](const Entry& e) { return entry_live(e); });
-  ++compactions_;
+void Calendar::maybe_compact() {
+  const std::size_t entries = queue_.entries();
+  if (entries < kCompactMinEntries || entries - live_ <= live_) return;
+  queue_.compact([this](const Entry& e) { return entry_live(e); });
 }
 
-void ShardedCalendar::drain_due(SimTime now, util::ThreadPool* pool) {
-  // Phase 1 — drain: each shard pops its due prefix into scratch. Pure
-  // struct operations over shard-local state (epoch_ is read-only here,
-  // pending_/shard_live_ entries are owned by the draining shard), so
-  // the drains may run concurrently on the pool.
-  const auto drain = [this, now](std::size_t s) {
-    std::vector<Entry>& due = due_[s];
-    TwoBandQueue<Entry>& queue = shards_[s];
-    const auto live = [this](const Entry& e) { return entry_live(e); };
-    while (!queue.heap_empty() || queue.refill(live)) {
-      const Entry entry = queue.front();
-      if (!live(entry)) {
-        queue.pop_front();  // tombstone
-        continue;
-      }
-      if (entry.when > now) break;  // lookahead barrier
-      queue.pop_front();
-      pending_[entry.key] = 0;
-      --shard_live_[s];
-      due.push_back(entry);
+void Calendar::pop_due(SimTime now) {
+  due_.clear();
+  const auto live = [this](const Entry& e) { return entry_live(e); };
+  while (!queue_.heap_empty() || queue_.refill(live)) {
+    const Entry entry = queue_.front();
+    if (!live(entry)) {
+      queue_.pop_front();  // tombstone
+      continue;
     }
-  };
-  if (shards_.size() == 1) {
-    // Single shard: drain straight into the merge buffer — heap pops are
-    // already in (when, seq) order, so phase 2 is the identity.
-    merged_.clear();
-    due_[0].swap(merged_);
-    drain(0);
-    due_[0].swap(merged_);
-    return;
+    if (entry.when > now) break;  // lookahead barrier
+    queue_.pop_front();
+    pending_[entry.key] = 0;
+    --live_;
+    due_.push_back(entry);
   }
-  if (pool != nullptr) {
-    pool->parallel_for(shards_.size(), drain);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) drain(s);
-  }
-
-  // Phase 2 — deterministic merge: one batch in strict (when, seq)
-  // order, independent of the shard partition. Each per-shard run is
-  // already sorted (heap pop order), so the concatenation sorts fast.
-  merged_.clear();
-  for (std::vector<Entry>& due : due_) {
-    merged_.insert(merged_.end(), due.begin(), due.end());
-    due.clear();
-  }
-  std::sort(merged_.begin(), merged_.end(),
-            [](const Entry& a, const Entry& b) {
-              return TwoBandQueue<Entry>::earlier(a, b);
-            });
-}
-
-std::size_t ShardedCalendar::live_entries() const {
-  std::size_t live = 0;
-  for (const std::size_t count : shard_live_) live += count;
-  return live;
-}
-
-std::size_t ShardedCalendar::entries() const {
-  std::size_t total = 0;
-  for (const TwoBandQueue<Entry>& queue : shards_) {
-    total += queue.entries();
-  }
-  return total;
 }
 
 }  // namespace lattice::sim

@@ -1,58 +1,41 @@
-// Sharded pool calendar: the kernel's sharded mode for bulk per-entity
-// timers (volunteer-host churn at 10⁵–10⁶ hosts). Keys (host indexes) are
-// partitioned across K shards, each holding its own two-band queue (4-ary
-// POD heap + far-band parking, sim/band_queue.hpp). Shards advance
-// independently up to a conservative lookahead barrier — the `now` passed
-// to advance(), which callers place at the next cross-pool interaction
-// (dispatch, census read, transitioner tick) — and the due entries are
-// merged and fired sequentially in strict (when, seq) order.
-//
-// Bit-identical by construction for every shard count: seq numbers are
-// assigned globally at schedule time (independent of K), a shard holds a
-// key-partition of the same entry set, and each advance round collects
-// *all* entries due by the barrier before firing any — so the fired
-// sequence is the (when, seq) order of the due set regardless of how it
-// was partitioned. The per-shard drains are pure struct operations (no
-// handlers run), which is what makes them safe to run on a ThreadPool.
+// Keyed pool calendar: bulk per-entity timers (volunteer-host churn at
+// 10⁵–10⁶ hosts) kept out of the kernel event queue. One two-band queue
+// (4-ary POD heap + far-band parking, sim/band_queue.hpp) holds at most one
+// live entry per key. Callers advance it to a conservative lookahead
+// barrier — the `now` passed to advance(), placed at the next cross-pool
+// interaction (dispatch, census read, transitioner tick) — and the due
+// entries fire sequentially in strict (when, seq) order.
 //
 // Handler contract (the lookahead-barrier invariant, DESIGN.md §11): a
 // fire handler may mutate only its own key's timeline (schedule/cancel for
 // that key) plus commutative pool-level accumulators (census deltas) and
 // order-canonical appends (the idle list, appended in fire order, which is
-// (when, seq) order). Handlers scheduling new entries at or before the
-// barrier are fired in a follow-up round of the same advance; entries of
-// one round never interleave into another, so cross-round (when) inversion
-// is possible between *different* keys — harmless exactly because handlers
-// of different keys are independent.
+// (when, seq) order). Each advance round pops *all* entries due by the
+// barrier before firing any; entries a handler schedules at or before the
+// barrier fire in a follow-up round of the same advance. Entries of one
+// round never interleave into another, so cross-round (when) inversion is
+// possible between *different* keys — harmless exactly because handlers of
+// different keys are independent.
 //
 // Invalidation is epoch-based: each key carries a monotone epoch, bumped
 // by every schedule()/cancel(), and an entry is live only while its
 // stamped epoch matches — cancelled entries tombstone in place and are
-// dropped lazily (or by per-shard compaction once tombstones outnumber
-// live entries).
+// dropped lazily (or by compaction once tombstones outnumber live
+// entries).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "sim/band_queue.hpp"
 
-namespace lattice::util {
-class ThreadPool;
-}
-
 namespace lattice::sim {
 
-class ShardedCalendar {
+class Calendar {
  public:
-  /// `shards` is clamped to at least 1; `far_window` as in TwoBandQueue.
-  explicit ShardedCalendar(std::size_t shards = 1,
-                           SimTime far_window = 8.0 * 3600.0);
-
-  std::size_t shards() const { return shards_.size(); }
+  /// `far_window` as in TwoBandQueue.
+  explicit Calendar(SimTime far_window) : queue_(far_window) {}
 
   /// Grow the key space to at least `n` keys (epochs start at 0).
   void ensure_keys(std::size_t n);
@@ -62,18 +45,16 @@ class ShardedCalendar {
   /// churn fast path re-arms once per fired flip (10⁵–10⁶ times per sweep).
   void schedule(SimTime when, std::uint32_t key) {
     ++epoch_[key];  // invalidate any previously pending entry
-    const std::size_t shard = shard_of(key);
+    queue_.push(Entry{when, next_seq_++, key, epoch_[key]});
     if (pending_[key] == 0) {
       // Fresh arm (the fired-flip re-arm path): no tombstone is created,
       // so the live/dead balance can only improve — skip the compaction
       // check entirely.
       pending_[key] = 1;
-      ++shard_live_[shard];
-      shards_[shard].push(Entry{when, next_seq_++, key, epoch_[key]});
+      ++live_;
       return;
     }
-    shards_[shard].push(Entry{when, next_seq_++, key, epoch_[key]});
-    maybe_compact(shard);
+    maybe_compact();
   }
 
   /// Invalidate `key`'s pending entry, if any.
@@ -81,65 +62,43 @@ class ShardedCalendar {
     ++epoch_[key];
     if (pending_[key] != 0) {
       pending_[key] = 0;
-      const std::size_t shard = shard_of(key);
-      --shard_live_[shard];
-      maybe_compact(shard);
+      --live_;
+      maybe_compact();
     }
   }
 
   /// Fire every entry due at or before `now` in strict (when, seq) order,
   /// as `fire(key, when)`. Handlers may schedule new entries; those due by
-  /// `now` fire in follow-up rounds. When `pool` is non-null and there is
-  /// more than one shard, the per-shard drains run on the pool (the merge
-  /// and all firing stay sequential). Returns the number fired.
+  /// `now` fire in follow-up rounds.
   ///
-  /// Templated over the handler so the per-entry call is direct (and
-  /// inlinable) rather than a std::function dispatch — the handler runs
-  /// once per churn flip, which is the hottest edge of a large sweep.
-  template <typename Fire>
-  std::uint64_t advance(SimTime now, Fire&& fire,
-                        util::ThreadPool* pool = nullptr) {
-    return advance(now, std::forward<Fire>(fire), [](std::uint32_t) {}, pool);
-  }
-
-  /// As above, with a `prefetch(key)` hook called kPrefetchAhead entries
-  /// in front of the fire cursor. The batch visits keys in (when, seq)
-  /// order — effectively random in key space — so a handler indexing a
-  /// large per-key array can use the hook to hide the memory latency of
-  /// upcoming entries behind the current handler's work. (SFINAE keeps
-  /// `advance(now, fire, pool)` resolving to the overload above.)
-  template <typename Fire, typename Prefetch,
-            typename = std::enable_if_t<
-                !std::is_convertible_v<Prefetch&&, util::ThreadPool*>>>
-  std::uint64_t advance(SimTime now, Fire&& fire, Prefetch&& prefetch,
-                        util::ThreadPool* pool = nullptr) {
-    std::uint64_t total = 0;
+  /// `prefetch(key)` is called kPrefetchAhead entries in front of the fire
+  /// cursor. A batch visits keys in (when, seq) order — effectively random
+  /// in key space — so a handler indexing a large per-key array can use the
+  /// hook to hide the memory latency of upcoming entries behind the current
+  /// handler's work. Templated over both so the per-entry calls are direct
+  /// (and inlinable) rather than std::function dispatches — the handler
+  /// runs once per churn flip, the hottest edge of a large sweep.
+  template <typename Fire, typename Prefetch>
+  void advance(SimTime now, Fire&& fire, Prefetch&& prefetch) {
     for (;;) {
-      drain_due(now, pool);
-      if (merged_.empty()) return total;
-      // Phase 3 — fire sequentially. A handler may cancel/re-arm its own
-      // key; the epoch re-check drops entries invalidated earlier in the
-      // batch. New entries due by `now` are picked up by the next round.
-      const std::size_t count = merged_.size();
+      pop_due(now);
+      if (due_.empty()) return;
+      // A handler may cancel/re-arm its own key; the epoch re-check drops
+      // entries invalidated earlier in the batch. New entries due by `now`
+      // are picked up by the next round.
+      const std::size_t count = due_.size();
       for (std::size_t i = 0; i < count; ++i) {
-        if (i + kPrefetchAhead < count) {
-          prefetch(merged_[i + kPrefetchAhead].key);
-        }
-        const Entry& entry = merged_[i];
+        if (i + kPrefetchAhead < count) prefetch(due_[i + kPrefetchAhead].key);
+        const Entry& entry = due_[i];
         if (!entry_live(entry)) continue;
         ++fired_;
-        ++total;
         fire(entry.key, entry.when);
       }
     }
   }
 
-  // Introspection for tests/benches -----------------------------------
+  /// Entries fired so far (introspection for tests/benches).
   std::uint64_t fired() const { return fired_; }
-  std::size_t live_entries() const;
-  /// Total entries held across shards (live + tombstones).
-  std::size_t entries() const;
-  std::uint64_t compactions() const { return compactions_; }
 
  private:
   /// Fire-loop prefetch distance (entries). Batches average a few dozen
@@ -154,28 +113,22 @@ class ShardedCalendar {
     std::uint32_t epoch;
   };
 
-  std::size_t shard_of(std::uint32_t key) const {
-    return key % shards_.size();
-  }
   bool entry_live(const Entry& entry) const {
     return entry.epoch == epoch_[entry.key];
   }
-  void maybe_compact(std::size_t shard);
-  /// Phases 1 + 2 of one advance round: per-shard drains of the due-by-
-  /// `now` prefix (optionally on `pool`), then the deterministic
-  /// (when, seq) merge into merged_. Out of line — only the per-entry fire
-  /// loop benefits from the template.
-  void drain_due(SimTime now, util::ThreadPool* pool);
+  void maybe_compact();
+  /// Pop one round's due-by-`now` prefix into due_ — heap pops, so already
+  /// in (when, seq) order — dropping tombstones on the way. Out of line:
+  /// only the per-entry fire loop benefits from the template.
+  void pop_due(SimTime now);
 
-  std::vector<TwoBandQueue<Entry>> shards_;
-  std::vector<std::vector<Entry>> due_;   // per-shard drain scratch
-  std::vector<Entry> merged_;             // one round's (when, seq) batch
-  std::vector<std::uint32_t> epoch_;      // per-key liveness stamp
-  std::vector<std::uint8_t> pending_;     // key has a live entry
-  std::vector<std::size_t> shard_live_;   // live entries per shard
+  TwoBandQueue<Entry> queue_;
+  std::vector<Entry> due_;             // one round's (when, seq) batch
+  std::vector<std::uint32_t> epoch_;   // per-key liveness stamp
+  std::vector<std::uint8_t> pending_;  // key has a live entry
+  std::size_t live_ = 0;               // live entries held
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
-  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace lattice::sim

@@ -235,7 +235,9 @@ TEST(Kernels, OpsForClampsToSupportedTier) {
     const KernelOps& ops = ops_for(want);
     EXPECT_NE(ops.name, nullptr);
     EXPECT_TRUE(tier_supported(parse_tier(ops.name)));
-    if (tier_supported(want)) EXPECT_STREQ(ops.name, tier_name(want));
+    if (tier_supported(want)) {
+      EXPECT_STREQ(ops.name, tier_name(want));
+    }
   }
   EXPECT_STREQ(ops_for(IsaTier::kScalar).name, "scalar");
 }

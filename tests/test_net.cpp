@@ -1,9 +1,9 @@
 // Tests for lattice::net, the deterministic transfer engine: the
 // analytic fair-share oracle on a shared server pipe, epoch-recompute
-// exactness under staggered joins and fault transitions, start-order and
-// shard-count bit-identity, the zero-size fast path, cancellation, the
-// class assignment, profile parsing, and the transfer-enabled volunteer
-// pool end to end (twin-run determinism with and without calendar shards).
+// exactness under staggered joins and fault transitions, start-order
+// bit-identity, the zero-size fast path, cancellation, the class
+// assignment, profile parsing, and the transfer-enabled volunteer pool end
+// to end (twin-run determinism).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -270,10 +270,9 @@ TEST(Net, ProfileParsingValidates) {
 // ---------------------------------------------------------------------
 // The transfer-enabled volunteer pool end to end.
 
-boinc::BoincPoolConfig net_pool(std::size_t hosts, std::size_t shards) {
+boinc::BoincPoolConfig net_pool(std::size_t hosts) {
   boinc::BoincPoolConfig config;
   config.hosts = hosts;
-  config.shards = shards;
   config.mean_on_hours = 8.0;
   config.mean_off_hours = 16.0;
   config.mean_lifetime_days = 1e6;
@@ -294,13 +293,10 @@ grid::GridJob make_job(std::uint64_t id, double runtime, double input_mb,
 }
 
 // Drive one full pool run and fingerprint it: per-job completion times
-// plus every net counter. Any nondeterminism — across runs or shard
-// counts — shows up here.
-std::vector<std::pair<std::uint64_t, double>> run_pool(std::size_t shards,
-                                                       std::uint64_t* moved
-                                                       = nullptr) {
+// plus every net counter. Any nondeterminism across runs shows up here.
+std::vector<std::pair<std::uint64_t, double>> run_pool(std::uint64_t* moved) {
   sim::Simulation sim;
-  boinc::BoincServer server(sim, "pool", net_pool(40, shards));
+  boinc::BoincServer server(sim, "pool", net_pool(40));
   std::vector<std::pair<std::uint64_t, double>> completions;
   server.set_completion_callback(
       [&](grid::GridJob& job, const grid::JobOutcome& outcome) {
@@ -321,34 +317,23 @@ std::vector<std::pair<std::uint64_t, double>> run_pool(std::size_t shards,
   EXPECT_NE(net, nullptr);
   EXPECT_GE(net->transfers_completed(), 24u);  // a down + an up per job
   EXPECT_GT(net->megabytes_moved(Direction::kDown), 0.0);
-  if (moved != nullptr) {
-    *moved = static_cast<std::uint64_t>(
-        std::llround(net->megabytes_moved(Direction::kDown) * 1e6));
-  }
+  *moved = static_cast<std::uint64_t>(
+      std::llround(net->megabytes_moved(Direction::kDown) * 1e6));
   return completions;
 }
 
 TEST(NetPool, TwinRunsAreBitIdentical) {
   std::uint64_t moved_a = 0;
   std::uint64_t moved_b = 0;
-  const auto a = run_pool(1, &moved_a);
-  const auto b = run_pool(1, &moved_b);
+  const auto a = run_pool(&moved_a);
+  const auto b = run_pool(&moved_b);
   EXPECT_EQ(a, b);  // completion id+time streams, bitwise
   EXPECT_EQ(moved_a, moved_b);
 }
 
-TEST(NetPool, ShardCountIsUnobservable) {
-  std::uint64_t moved_1 = 0;
-  std::uint64_t moved_4 = 0;
-  const auto one = run_pool(1, &moved_1);
-  const auto four = run_pool(4, &moved_4);
-  EXPECT_EQ(one, four);
-  EXPECT_EQ(moved_1, moved_4);
-}
-
 TEST(NetPool, DisabledNetworkLeavesServerTransferFree) {
   sim::Simulation sim;
-  boinc::BoincPoolConfig config = net_pool(10, 1);
+  boinc::BoincPoolConfig config = net_pool(10);
   config.network = NetConfig{};  // disabled: the free-staging baseline
   boinc::BoincServer server(sim, "pool", config);
   EXPECT_EQ(server.network(), nullptr);

@@ -16,9 +16,9 @@
 //   4. MDS rank index (ISSUE 6) — best_ranked streams vs a linear
 //      (rank key, name)-argmin reference under randomized speed updates,
 //      host churn (TTL staleness), and capability re-filing.
-//   5. Sharded pool calendar (ISSUE 6) — twin identically-seeded churny
-//      BOINC scenarios at --shards 1 vs 2 vs 4 must be bit-identical in
-//      event counts and the full server fingerprint.
+//   5. Pool churn calendar — a churny BOINC scenario whose idle-host
+//      flips run through the keyed calendar must reproduce a golden
+//      digest of its server fingerprint, event count and calendar steps.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -489,13 +489,18 @@ TEST(Transitioner, DeadlineHeapMatchesFullSweepOracleBitIdentically) {
 }
 
 // ---------------------------------------------------------------------
-// Sharded pool calendar: twin-run bit-identity
+// Pool churn calendar: golden run digest
 // ---------------------------------------------------------------------
 
-/// A churny pool (frequent flips, departures, timeouts, reissues) run with
-/// the given calendar shard count; everything else identical.
-std::string run_sharded_scenario(std::size_t shards,
-                                 std::size_t* events_fired) {
+struct ChurnyPoolRun {
+  std::string fingerprint;
+  std::uint64_t events_fired = 0;
+  std::uint64_t calendar_steps = 0;
+};
+
+/// A churny pool (frequent flips, departures, timeouts, reissues) whose
+/// idle-host flips run through the pool calendar.
+ChurnyPoolRun run_churny_pool_scenario() {
   sim::Simulation sim;
   boinc::BoincPoolConfig config;
   config.hosts = 400;
@@ -511,7 +516,6 @@ std::string run_sharded_scenario(std::size_t shards,
   config.max_total_results = 6;
   config.transitioner_period = 900.0;
   config.seed = 20260808;
-  config.shards = shards;
   boinc::BoincServer server(sim, "pool", config);
 
   std::vector<grid::GridJob> jobs;
@@ -528,27 +532,36 @@ std::string run_sharded_scenario(std::size_t shards,
     sim.at(static_cast<double>(j) * 1200.0,
            [&server, &jobs, j] { server.submit(jobs[j]); });
   }
-  const std::size_t fired = sim.run(20.0 * 86400.0);
-  if (events_fired != nullptr) *events_fired = fired;
+  ChurnyPoolRun run;
+  run.events_fired = sim.run(20.0 * 86400.0);
+  run.calendar_steps = server.calendar_steps();
   std::ostringstream tail;
-  tail << "now=" << sim.now() << " pending=" << sim.pending()
-       << " pool_fired=" << server.calendar_steps() << "\n";
-  return server_fingerprint(server) + tail.str();
+  tail << "now=" << sim.now() << " pending=" << sim.pending() << "\n";
+  run.fingerprint = server_fingerprint(server) + tail.str();
+  return run;
 }
 
-TEST(ShardedCalendar, TwinRunsBitIdenticalAcrossShardCounts) {
-  std::size_t events1 = 0;
-  const std::string run1 = run_sharded_scenario(1, &events1);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    std::size_t events_n = 0;
-    const std::string run_n = run_sharded_scenario(shards, &events_n);
-    EXPECT_EQ(events1, events_n) << "shards=" << shards;
-    EXPECT_EQ(run1, run_n) << "shards=" << shards;
-  }
+TEST(PoolCalendar, ChurnyPoolRunMatchesGoldenDigest) {
+  // FNV-1a over the server fingerprint, the kernel event count and the
+  // calendar steps. The calendar pops each round's whole due prefix before
+  // firing it, which fixes the idle-list append order: any change to the
+  // firing order moves this digest.
+  const ChurnyPoolRun run = run_churny_pool_scenario();
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(run.fingerprint.data(), run.fingerprint.size());
+  mix(&run.events_fired, sizeof run.events_fired);
+  mix(&run.calendar_steps, sizeof run.calendar_steps);
+  EXPECT_EQ(hash, 0x1ddf421c52106fd5ull) << std::hex << "digest 0x" << hash;
   // The scenario must actually run flips through the pool calendar, or
-  // the equality above proves nothing about the sharded drain/merge.
-  EXPECT_NE(run1.find("pool_fired="), std::string::npos);
-  EXPECT_EQ(run1.find("pool_fired=0\n"), std::string::npos)
+  // the digest pins nothing about it.
+  EXPECT_GT(run.calendar_steps, 0u)
       << "scenario fired no pool-calendar events; loosen the horizon";
 }
 
