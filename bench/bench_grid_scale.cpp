@@ -17,9 +17,10 @@
 // under proportionate load, not about shrinking the simulated pool's
 // bookkeeping, which is inherently linear in hosts.
 //
-// Each sweep point reports simulator throughput (completed jobs and kernel
-// events per second of wall time, best of `reps` runs to damp scheduling
-// noise on shared machines), wall-clock per scheduling decision, the
+// Each sweep point reports the portal's submission wall time next to the
+// drain's, simulator throughput (completed jobs and kernel events per
+// second of drain wall time, best of `reps` runs to damp scheduling noise
+// on shared machines), wall-clock per scheduling decision, the
 // kernel's peak pending-event depth, and the running peak RSS after the
 // row. The 10k-host row also records the pre-index baseline measured on
 // the seed (linear matchmaking, full-sweep transitioner, O(hosts) census)
@@ -57,6 +58,7 @@ namespace {
 
 struct SweepResult {
   std::uint64_t completed = 0;
+  double submit_wall_s = 0.0;
   double wall_s = 0.0;
   std::uint64_t events = 0;
   std::size_t peak_pending = 0;
@@ -64,8 +66,9 @@ struct SweepResult {
 };
 
 /// One full run at `hosts` volunteer hosts: build the inventory, submit
-/// the portal workload, drain, and time the drain (setup and estimator
-/// training excluded — the sweep measures the scheduler, not the RF fit).
+/// the portal workload, drain, and time the submission and the drain
+/// separately (setup and estimator training excluded — the sweep measures
+/// the portal and the scheduler, not the RF fit).
 SweepResult run_once(std::size_t hosts, int batches,
                      std::size_t replicates_per_batch,
                      std::size_t estimator_corpus,
@@ -110,6 +113,7 @@ SweepResult run_once(std::size_t hosts, int batches,
   // desktop/volunteer pools.
   phylo::GarliJob job;
   job.genthresh = 400;
+  const auto submit_start = std::chrono::steady_clock::now();
   for (int user = 0; user < batches; ++user) {
     core::SubmissionRequest request;
     request.user_email = util::format("investigator{}@umd.edu", user);
@@ -132,6 +136,8 @@ SweepResult run_once(std::size_t hosts, int batches,
 
   SweepResult result;
   result.completed = system.metrics().completed;
+  result.submit_wall_s =
+      std::chrono::duration<double>(t0 - submit_start).count();
   result.wall_s = std::chrono::duration<double>(t1 - t0).count();
   result.events = system.simulation().events_fired();
   result.peak_pending = system.simulation().peak_pending();
@@ -219,8 +225,8 @@ int main(int argc, char** argv) {
   const std::size_t corpus = smoke ? 60 : 150;
   const std::size_t trees = smoke ? 50 : 300;
 
-  util::Table table({"BOINC hosts", "total slots", "completed", "wall s",
-                     "jobs/wall-s", "events/s", "ns/decision",
+  util::Table table({"BOINC hosts", "total slots", "completed", "submit ms",
+                     "wall s", "jobs/wall-s", "events/s", "ns/decision",
                      "peak pending", "rss peak KB", "net ev/s",
                      "net ovh x"});
   table.set_precision(1);
@@ -294,6 +300,7 @@ int main(int argc, char** argv) {
 
     const std::string key = "hosts_" + std::to_string(point.hosts);
     json.set(key + "_completed", best.completed);
+    json.set(key + "_submit_wall_s", best.submit_wall_s);
     json.set(key + "_wall_s", best.wall_s);
     json.set(key + "_jobs_per_wall_s", jobs_per_s);
     json.set_events_per_sec(key, best.events, best.wall_s);
@@ -319,8 +326,9 @@ int main(int argc, char** argv) {
     }
     table.add_row({static_cast<long long>(point.hosts),
                    static_cast<long long>(best.total_slots),
-                   static_cast<long long>(best.completed), best.wall_s,
-                   jobs_per_s, events_per_s, ns_per_decision,
+                   static_cast<long long>(best.completed),
+                   best.submit_wall_s * 1e3,
+                   best.wall_s, jobs_per_s, events_per_s, ns_per_decision,
                    static_cast<long long>(best.peak_pending),
                    static_cast<long long>(row_rss_kb), net_events_per_s,
                    net_overhead});

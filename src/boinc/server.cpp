@@ -74,6 +74,7 @@ BoincServer::BoincServer(sim::Simulation& sim, std::string name,
   // array must never reallocate after this point.
   churn_state_.reserve(config_.hosts);
   hosts_.reserve(config_.hosts);
+  ledger_.resize(config_.hosts);
   for (std::size_t h = 0; h < config_.hosts; ++h) {
     HostParams params;
     const double sigma = config_.speed_sigma;
@@ -594,8 +595,8 @@ void BoincServer::transition_full_sweep() {
 }
 
 int BoincServer::host_valid_streak(std::uint64_t host_id) const {
-  const auto it = valid_streak_.find(host_id);
-  return it == valid_streak_.end() ? 0 : it->second;
+  if (host_id == 0 || host_id > ledger_.size()) return 0;
+  return ledger_[host_id - 1].valid_streak;
 }
 
 bool BoincServer::host_trusted(std::uint64_t host_id) const {
@@ -649,22 +650,29 @@ void BoincServer::validate(Workunit& wu) {
 }
 
 double BoincServer::host_credit(std::uint64_t host_id) const {
-  const auto it = credit_.find(host_id);
-  return it == credit_.end() ? 0.0 : it->second;
+  if (host_id == 0 || host_id > ledger_.size()) return 0.0;
+  return ledger_[host_id - 1].credit;
 }
 
 double BoincServer::total_credit() const {
+  // Ascending host id; uncredited hosts add an exact 0, so the total is
+  // the sum over the credited hosts alone.
   double total = 0.0;
-  for (const auto& [host, credit] : credit_) total += credit;
+  for (const HostLedger& host : ledger_) total += host.credit;
   return total;
 }
 
 std::vector<std::pair<std::uint64_t, double>>
 BoincServer::credit_leaderboard(std::size_t top_n) const {
-  std::vector<std::pair<std::uint64_t, double>> board(credit_.begin(),
-                                                      credit_.end());
-  std::sort(board.begin(), board.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+  std::vector<std::pair<std::uint64_t, double>> board;
+  for (std::size_t key = 0; key < ledger_.size(); ++key) {
+    if (ledger_[key].credited) board.emplace_back(key + 1, ledger_[key].credit);
+  }
+  // (credit desc, host id asc) is a strict total order, so the board does
+  // not depend on the sort's stability.
+  std::sort(board.begin(), board.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
   if (board.size() > top_n) board.resize(top_n);
   return board;
 }
@@ -700,13 +708,15 @@ void BoincServer::finish_workunit(Workunit& wu, bool success,
     if (canonical != 0) ++corrupted_;
     for (const Result& result : wu.results) {
       if (result.state != ResultState::kSuccess) continue;
+      HostLedger& host = ledger_[result.host_id - 1];
       if (result.output_hash == canonical) {
         // Cobblestone-ish: reference CPU-seconds of validated work.
-        credit_[result.host_id] += wu.reference_work / 100.0;
-        ++valid_streak_[result.host_id];
+        host.credit += wu.reference_work / 100.0;
+        host.credited = true;
+        ++host.valid_streak;
       } else {
         // A disagreeing return breaks the host's trust streak.
-        valid_streak_[result.host_id] = 0;
+        host.valid_streak = 0;
       }
     }
   }

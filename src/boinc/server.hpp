@@ -139,8 +139,9 @@ class BoincServer final : public grid::LocalResource {
   /// fingerprint; flawed or wasted results earn nothing).
   double host_credit(std::uint64_t host_id) const;
   double total_credit() const;
-  /// (host_id, credit) pairs sorted by credit, highest first — the
-  /// public leaderboard every BOINC project runs.
+  /// (host_id, credit) pairs of the hosts that earned canonical credit,
+  /// highest credit first and ties by ascending host id — the public
+  /// leaderboard every BOINC project runs.
   std::vector<std::pair<std::uint64_t, double>> credit_leaderboard(
       std::size_t top_n = 10) const;
   /// Consecutive valid results delivered by a host (adaptive replication's
@@ -340,8 +341,19 @@ class BoincServer final : public grid::LocalResource {
   double wasted_duplicate_ = 0.0;
   double discarded_cpu_ = 0.0;
   double total_cpu_ = 0.0;
-  std::map<std::uint64_t, double> credit_;
-  std::map<std::uint64_t, int> valid_streak_;
+  /// Validation ledger of one host.
+  struct HostLedger {
+    /// Credit granted for canonical results (cobblestone-style).
+    double credit = 0.0;
+    /// Consecutive canonical results; a disagreeing return resets it.
+    int valid_streak = 0;
+    /// Whether any canonical result was ever credited (leaderboard
+    /// membership, independent of the amount).
+    bool credited = false;
+  };
+  /// Dense per-host ledger indexed by host key (id - 1), sized once with
+  /// the pool: host ids are dense from 1 and hosts are never removed.
+  std::vector<HostLedger> ledger_;
   std::uint64_t corrupted_ = 0;
 
   // Incremental host census (see census_delta).

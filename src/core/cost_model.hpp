@@ -35,6 +35,8 @@ struct GarliFeatures {
   double search_reps = 1;
   double genthresh = 200;
   bool has_starting_tree = false;
+
+  bool operator==(const GarliFeatures&) const = default;
 };
 
 /// Feature schema shared by the estimator's training set and predictions.

@@ -1,8 +1,20 @@
 #include "core/estimator.hpp"
 
+#include <atomic>
 #include <cmath>
 
 namespace lattice::core {
+
+namespace {
+
+/// Process-wide, not per object: an estimator assigned over another one
+/// must not reuse an id the old model held.
+std::uint64_t next_model_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
 
 RuntimeEstimator::RuntimeEstimator(Config config)
     : config_(std::move(config)) {}
@@ -17,6 +29,7 @@ void RuntimeEstimator::rebuild(util::ThreadPool* pool) {
   if (corpus_.size() < 2) return;
   dataset_ = corpus_to_dataset(corpus_, config_.log_space);
   forest_.fit(*dataset_, config_.forest, pool);
+  model_id_ = next_model_id();
   observations_since_train_ = 0;
 }
 

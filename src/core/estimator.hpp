@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -47,6 +48,11 @@ class RuntimeEstimator {
              util::ThreadPool* pool = nullptr);
 
   bool trained() const { return forest_.trained(); }
+  /// Identity of the fitted model: a fresh process-unique id on every fit
+  /// (train(), or a rebuild triggered by observe()), 0 before the first.
+  /// Equal ids mean predict() is the same function, so callers may cache
+  /// estimates keyed on it.
+  std::uint64_t model_id() const { return model_id_; }
   std::size_t corpus_size() const { return corpus_.size(); }
 
   /// Predicted runtime in reference seconds. Returns nullopt before the
@@ -75,6 +81,7 @@ class RuntimeEstimator {
   rf::RandomForest forest_;
   std::optional<rf::Dataset> dataset_;
   std::size_t observations_since_train_ = 0;
+  std::uint64_t model_id_ = 0;
 };
 
 }  // namespace lattice::core

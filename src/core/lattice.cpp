@@ -102,6 +102,10 @@ void LatticeSystem::bind_observability() {
   obs_fair_share_charges_ = &m.counter(
       "sched.fair_share_charges", "dispatches",
       "usage charges applied to a user's fair-share odometer at dispatch");
+  obs_estimator_predictions_ = &m.counter(
+      "estimator.predictions", "evaluations",
+      "forest evaluations made to price submitted work (memo misses of "
+      "estimate_runtime)");
   obs_retry_backoff_ = &m.histogram(
       "sched.retry_backoff_s",
       {1.0, 10.0, 60.0, 600.0, 3600.0, 6.0 * 3600.0}, "s",
@@ -220,21 +224,19 @@ std::uint64_t LatticeSystem::submit_job_with_runtime(
     const GarliFeatures& features, double true_reference_runtime,
     grid::JobRequirements requirements, std::uint64_t batch_id,
     JobData data, UserId user_id) {
-  auto job = std::make_unique<grid::GridJob>();
-  job->id = next_job_id_++;
-  job->batch_id = batch_id;
-  job->user_id = user_id;
-  job->requirements = std::move(requirements);
-  job->true_reference_runtime = true_reference_runtime;
-  job->input_mb = data.input_mb;
-  job->output_mb = data.output_mb;
-  job->submit_time = sim_.now();
-  if (auto estimate = estimator_.predict(features)) {
-    job->estimated_reference_runtime = estimate;
-  }
-  const std::uint64_t id = job->id;
-  job_features_[id] = features;
-  jobs_[id] = std::move(job);
+  const std::uint64_t id = next_job_id_++;
+  JobRecord& record = jobs_.emplace_back();
+  record.features = features;
+  grid::GridJob& job = record.job;
+  job.id = id;
+  job.batch_id = batch_id;
+  job.user_id = user_id;
+  job.requirements = std::move(requirements);
+  job.true_reference_runtime = true_reference_runtime;
+  job.input_mb = data.input_mb;
+  job.output_mb = data.output_mb;
+  job.submit_time = sim_.now();
+  job.estimated_reference_runtime = estimate_runtime(features);
   pending_.push_back(id);
   ++metrics_.submitted;
   ++outstanding_;
@@ -246,15 +248,29 @@ std::uint64_t LatticeSystem::submit_job_with_runtime(
   return id;
 }
 
+std::optional<double> LatticeSystem::estimate_runtime(
+    const GarliFeatures& features) {
+  if (!estimator_.trained()) return std::nullopt;
+  // Every fit takes a new model id, so a retrain or a replaced estimator
+  // misses the memo and the cached value is always predict(features).
+  const std::uint64_t model = estimator_.model_id();
+  if (model != memo_model_id_ || !(features == memo_features_)) {
+    memo_estimate_ = *estimator_.predict(features);
+    memo_features_ = features;
+    memo_model_id_ = model;
+    obs_estimator_predictions_->inc();
+  }
+  return memo_estimate_;
+}
+
 const grid::GridJob* LatticeSystem::job(std::uint64_t id) const {
-  const auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : it->second.get();
+  if (id == 0 || id > jobs_.size()) return nullptr;
+  return &jobs_[id - 1].job;
 }
 
 bool LatticeSystem::cancel_job(std::uint64_t id) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  grid::GridJob& job = *it->second;
+  if (id == 0 || id > jobs_.size()) return false;
+  grid::GridJob& job = jobs_[id - 1].job;
   switch (job.state) {
     case grid::JobState::kCompleted:
     case grid::JobState::kFailed:
@@ -329,7 +345,7 @@ void LatticeSystem::order_pending_by_usage() {
   UserId user = 0;
   double usage = fair_share_ledger_.usage(user);
   for (const std::uint64_t id : pending_) {
-    const UserId job_user = jobs_.at(id)->user_id;
+    const UserId job_user = jobs_[id - 1].job.user_id;
     if (job_user != user) {
       user = job_user;
       usage = fair_share_ledger_.usage(user);
@@ -387,7 +403,7 @@ void LatticeSystem::pump() {
   for (std::size_t i = 0; i < to_place; ++i) {
     const std::uint64_t id = pending_.front();
     pending_.pop_front();
-    grid::GridJob& job = *jobs_.at(id);
+    grid::GridJob& job = jobs_[id - 1].job;
     const DecisionKey key{&job.requirements, job.require_stable,
                           scheduler_.rank_estimate(job),
                           job.input_mb + job.output_mb};
@@ -491,11 +507,9 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
     // §VI.E: feed the observation back into the model. The measured
     // reference runtime is the attempt's CPU time scaled by the calibrated
     // resource speed.
-    const auto features_it = job_features_.find(job.id);
-    if (features_it != job_features_.end()) {
-      const double speed = speeds_.speed_or_default(job.resource);
-      estimator_.observe(features_it->second, outcome.cpu_seconds * speed);
-    }
+    const double speed = speeds_.speed_or_default(job.resource);
+    estimator_.observe(jobs_[job.id - 1].features,
+                       outcome.cpu_seconds * speed);
     if (terminal_hook_) terminal_hook_(job, true);
     return;
   }
@@ -559,12 +573,8 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
     obs_retry_backoff_->observe(delay);
     const std::uint64_t id = job.id;
     sim_.after(delay, [this, id] {
-      const auto it = jobs_.find(id);
       // The job may have been cancelled while waiting out the backoff.
-      if (it == jobs_.end() ||
-          it->second->state != grid::JobState::kPending) {
-        return;
-      }
+      if (jobs_[id - 1].job.state != grid::JobState::kPending) return;
       pending_.push_back(id);
     });
   } else {
@@ -574,7 +584,7 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
 
 void LatticeSystem::for_each_job(
     const std::function<void(const grid::GridJob&)>& visit) const {
-  for (const auto& [id, job] : jobs_) visit(*job);
+  for (const JobRecord& record : jobs_) visit(record.job);
 }
 
 void LatticeSystem::run(sim::SimTime until) { sim_.run(until); }

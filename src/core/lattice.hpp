@@ -160,6 +160,13 @@ class LatticeSystem : public InventoryHost {
                                         JobData data = {},
                                         UserId user_id = 0);
 
+  /// The estimator's runtime estimate for `features` in reference
+  /// seconds; nullopt while the estimator is untrained. Every submitted
+  /// job and the portal's per-replicate estimate come through here, so a
+  /// batch of identical replicates evaluates the forest once.
+  std::optional<double> estimate_runtime(const GarliFeatures& features);
+
+  /// The job with this id; nullptr for ids never handed out.
   const grid::GridJob* job(std::uint64_t id) const;
   std::size_t pending_jobs() const { return pending_.size(); }
 
@@ -223,11 +230,24 @@ class LatticeSystem : public InventoryHost {
   std::map<std::string, std::unique_ptr<grid::SchedulerAdapter>> adapters_;
   std::map<std::string, boinc::BoincAdapter*> boinc_adapters_;
 
-  std::map<std::uint64_t, std::unique_ptr<grid::GridJob>> jobs_;
-  std::map<std::uint64_t, GarliFeatures> job_features_;
+  /// A job and the features its estimate and §VI.E observation use.
+  struct JobRecord {
+    grid::GridJob job;
+    GarliFeatures features;
+  };
+  /// Every job ever submitted, indexed by id - 1: ids are handed out
+  /// densely from 1 and never erased. A deque, because resources and
+  /// workunits hold GridJob pointers and push_back never moves elements.
+  std::deque<JobRecord> jobs_;
   std::deque<std::uint64_t> pending_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t outstanding_ = 0;  // submitted minus terminal
+
+  /// One-entry estimate memo (estimate_runtime): the last features priced
+  /// and the model that priced them. Model ids start at 1, so 0 is empty.
+  GarliFeatures memo_features_{};
+  std::uint64_t memo_model_id_ = 0;
+  double memo_estimate_ = 0.0;
 
   std::unique_ptr<sim::PeriodicTask> pump_task_;
   std::function<void(const grid::GridJob&, bool)> terminal_hook_;
@@ -244,6 +264,7 @@ class LatticeSystem : public InventoryHost {
   obs::Counter* obs_demotions_ = nullptr;
   obs::Counter* obs_fair_share_reorders_ = nullptr;
   obs::Counter* obs_fair_share_charges_ = nullptr;
+  obs::Counter* obs_estimator_predictions_ = nullptr;
   obs::Histogram* obs_retry_backoff_ = nullptr;
   obs::Histogram* obs_sched_queue_wait_ = nullptr;
   obs::Histogram* obs_predictor_error_ = nullptr;

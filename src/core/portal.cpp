@@ -116,7 +116,7 @@ SubmitReceipt Portal::submit(const SubmissionRequest& request) {
   // Replicate bundling (§VI.A): very short replicates are grouped so that
   // per-job scheduling overhead does not dominate.
   std::size_t bundle = 1;
-  const auto per_replicate = system_.estimator().predict(features);
+  const auto per_replicate = system_.estimate_runtime(features);
   if (per_replicate && *per_replicate < config_.bundle_threshold_seconds) {
     bundle = static_cast<std::size_t>(
         std::ceil(config_.bundle_target_seconds /

@@ -277,6 +277,70 @@ TEST(Boinc, CreditGrantedForValidatedWork) {
   EXPECT_DOUBLE_EQ(server.host_credit(999999), 0.0);
 }
 
+TEST(Boinc, LeaderboardBreaksCreditTiesByHostId) {
+  sim::Simulation sim;
+  BoincServer server(sim, "boinc", reliable_pool(24));
+  server.set_completion_callback(
+      [&](grid::GridJob&, const grid::JobOutcome&) {});
+  // Twenty equal workunits land on twenty different idle hosts at once:
+  // those hosts tie on credit, the other four earn none. More than sixteen
+  // ties, so an unstable sort on credit alone would scramble them.
+  std::vector<grid::GridJob> jobs;
+  for (std::uint64_t id = 1; id <= 20; ++id) {
+    jobs.push_back(make_job(id, 3600.0));
+  }
+  for (auto& job : jobs) server.submit(job);
+  sim.run(10.0 * 86400.0);
+
+  std::vector<std::uint64_t> credited;
+  for (std::uint64_t host = 1; host <= 24; ++host) {
+    if (server.host_credit(host) > 0.0) credited.push_back(host);
+  }
+  ASSERT_EQ(credited.size(), 20u);
+
+  // Exactly the credited hosts, tied at 36, in ascending host id.
+  const auto board = server.credit_leaderboard(24);
+  ASSERT_EQ(board.size(), credited.size());
+  for (std::size_t i = 0; i < board.size(); ++i) {
+    EXPECT_EQ(board[i].first, credited[i]) << "rank " << i;
+    EXPECT_EQ(board[i].second, 36.0) << "rank " << i;
+  }
+  // Two tied hosts at the cut: the lower id ranks first.
+  const auto top_two = server.credit_leaderboard(2);
+  ASSERT_EQ(top_two.size(), 2u);
+  EXPECT_EQ(top_two[0].first, credited[0]);
+  EXPECT_EQ(top_two[1].first, credited[1]);
+}
+
+TEST(Boinc, HostLedgerRejectsIdsOutsideThePool) {
+  sim::Simulation sim;
+  BoincServer server(sim, "boinc", reliable_pool(6));
+  server.set_completion_callback(
+      [&](grid::GridJob&, const grid::JobOutcome&) {});
+  std::vector<grid::GridJob> jobs;
+  for (std::uint64_t id = 1; id <= 9; ++id) {
+    jobs.push_back(make_job(id, 600.0 * static_cast<double>(id)));
+  }
+  for (auto& job : jobs) server.submit(job);
+  sim.run(10.0 * 86400.0);
+
+  for (const std::uint64_t outside : {std::uint64_t{0}, std::uint64_t{7},
+                                      std::uint64_t{1} << 40}) {
+    EXPECT_EQ(server.host_credit(outside), 0.0) << outside;
+    EXPECT_EQ(server.host_valid_streak(outside), 0) << outside;
+    EXPECT_FALSE(server.host_trusted(outside)) << outside;
+  }
+  double sum = 0.0;
+  int streaks = 0;
+  for (std::uint64_t host = 1; host <= 6; ++host) {
+    sum += server.host_credit(host);
+    streaks += server.host_valid_streak(host);
+  }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_EQ(server.total_credit(), sum);
+  EXPECT_EQ(streaks, 9);  // every workunit validated on its first result
+}
+
 TEST(Boinc, FlawedResultsEarnNoCredit) {
   sim::Simulation sim;
   BoincPoolConfig config = reliable_pool(20);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/cost_model.hpp"
 #include "core/deadline.hpp"
@@ -14,6 +15,8 @@
 #include "core/portal.hpp"
 #include "core/speed.hpp"
 #include "core/status.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "phylo/simulate.hpp"
 #include "util/stats.hpp"
 
@@ -703,6 +706,141 @@ TEST(PortalTest, UntrainedEstimatorMeansNoEtaNoBundling) {
   ASSERT_TRUE(outcome.accepted);
   EXPECT_EQ(outcome.bundle_size, 1u);
   EXPECT_FALSE(outcome.eta_seconds.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Estimate memo and the dense job table
+
+/// Bitwise equality, so a memo that returned a merely close value fails.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+RuntimeEstimator::Config small_forest(std::size_t retrain_every = 0) {
+  RuntimeEstimator::Config config;
+  config.forest.n_trees = 40;
+  config.retrain_every = retrain_every;
+  return config;
+}
+
+TEST(EstimateMemo, BatchOfIdenticalReplicatesEvaluatesTheForestOnce) {
+  PortalFixture fx;
+  fx.train_estimator();
+  obs::MetricsRegistry metrics;
+  fx.system.enable_observability(metrics, obs::Tracer::null());
+  PortalConfig config;
+  config.bundle_threshold_seconds = 0.0;  // bundle size 1: 2000 grid jobs
+  Portal portal(fx.system, config);
+  phylo::GarliJob job;
+  const auto receipt = portal.submit(make_request(
+      "user@example.org", UserClass::kRegistered, job, 2000, 40, 300));
+  ASSERT_TRUE(receipt.accepted);
+  ASSERT_EQ(receipt.bundle_size, 1u);
+  ASSERT_EQ(receipt.grid_jobs, 2000u);
+
+  const obs::Counter* predictions =
+      metrics.find_counter("estimator.predictions");
+  ASSERT_NE(predictions, nullptr);
+  EXPECT_LE(predictions->value(), 2u);
+
+  GarliFeatures features = features_from_job(job, 40, 300);
+  features.search_reps = 1;
+  const double expected = *fx.system.estimator().predict(features);
+  for (const std::uint64_t id : portal.batch(receipt.batch_id)->job_ids) {
+    const grid::GridJob* submitted = fx.system.job(id);
+    ASSERT_NE(submitted, nullptr);
+    ASSERT_TRUE(submitted->estimated_reference_runtime.has_value());
+    EXPECT_TRUE(same_bits(*submitted->estimated_reference_runtime, expected))
+        << "job " << id;
+  }
+}
+
+TEST(EstimateMemo, ObserveTriggeredRebuildRepricesTheNextJob) {
+  LatticeSystem system(fast_config(SchedulingMode::kEstimateAware));
+  GarliCostModel model;
+  util::Rng rng(31);
+  system.estimator() = RuntimeEstimator(small_forest(/*retrain_every=*/3));
+  system.estimator().train(generate_corpus(60, model, rng));
+  GarliFeatures features;
+  features.num_taxa = 120;
+  const double before = *system.estimator().predict(features);
+  const std::uint64_t first = system.submit_garli_job(features);
+  EXPECT_TRUE(
+      same_bits(*system.job(first)->estimated_reference_runtime, before));
+
+  const std::uint64_t old_model = system.estimator().model_id();
+  for (int i = 0; i < 3; ++i) system.estimator().observe(features, 4.0e6);
+  ASSERT_NE(system.estimator().model_id(), old_model);
+  const double after = *system.estimator().predict(features);
+  ASSERT_FALSE(same_bits(after, before));
+
+  const std::uint64_t second = system.submit_garli_job(features);
+  EXPECT_TRUE(
+      same_bits(*system.job(second)->estimated_reference_runtime, after));
+}
+
+TEST(EstimateMemo, ReplacedEstimatorRepricesAndUntrainedGivesNoEstimate) {
+  LatticeSystem system(fast_config(SchedulingMode::kEstimateAware));
+  GarliCostModel model;
+  util::Rng rng(32);
+  GarliFeatures features;
+  features.num_patterns = 900;
+
+  // Untrained from the start: no estimate.
+  const std::uint64_t bare = system.submit_garli_job(features);
+  EXPECT_FALSE(system.job(bare)->estimated_reference_runtime.has_value());
+
+  system.estimator() = RuntimeEstimator(small_forest());
+  system.estimator().train(generate_corpus(60, model, rng));
+  const double first_model = *system.estimator().predict(features);
+  const std::uint64_t a = system.submit_garli_job(features);
+  EXPECT_TRUE(
+      same_bits(*system.job(a)->estimated_reference_runtime, first_model));
+
+  // A fresh estimator trained on a different corpus: its first fit gets a
+  // new process-unique model id, so the memo cannot serve the old value.
+  system.estimator() = RuntimeEstimator(small_forest());
+  system.estimator().train(generate_corpus(80, model, rng));
+  const double second_model = *system.estimator().predict(features);
+  ASSERT_FALSE(same_bits(second_model, first_model));
+  const std::uint64_t b = system.submit_garli_job(features);
+  EXPECT_TRUE(
+      same_bits(*system.job(b)->estimated_reference_runtime, second_model));
+
+  // Replaced by an untrained estimator: back to no estimate.
+  system.estimator() = RuntimeEstimator(small_forest());
+  const std::uint64_t c = system.submit_garli_job(features);
+  EXPECT_FALSE(system.job(c)->estimated_reference_runtime.has_value());
+}
+
+TEST(Lattice, JobTableRejectsIdsOutsideTheTable) {
+  LatticeSystem system(fast_config(SchedulingMode::kEstimateAware));
+  EXPECT_EQ(system.job(0), nullptr);
+  EXPECT_EQ(system.job(1), nullptr);
+  EXPECT_FALSE(system.cancel_job(1));
+
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(system.submit_job_with_runtime(GarliFeatures{}, 600.0));
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(system.job(0), nullptr);
+  EXPECT_EQ(system.job(4), nullptr);
+  EXPECT_FALSE(system.cancel_job(0));
+  EXPECT_FALSE(system.cancel_job(4));
+  for (const std::uint64_t id : ids) {
+    ASSERT_NE(system.job(id), nullptr);
+    EXPECT_EQ(system.job(id)->id, id);
+  }
+
+  // Cancelling a pending job works once; visits stay in ascending id order.
+  EXPECT_TRUE(system.cancel_job(2));
+  EXPECT_FALSE(system.cancel_job(2));
+  std::vector<std::uint64_t> visited;
+  system.for_each_job(
+      [&](const grid::GridJob& job) { visited.push_back(job.id); });
+  EXPECT_EQ(visited, ids);
+  EXPECT_EQ(system.job(2)->state, grid::JobState::kCancelled);
 }
 
 }  // namespace
