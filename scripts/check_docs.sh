@@ -121,7 +121,7 @@ if ! grep -qE '^## +(§ *)?11' "$design" 2>/dev/null; then
   fail=1
 else
   for anchor in 'best_ranked' 'by_load' 'by_eta' 'unrank' \
-                'rank_load_weight' 'lookahead barrier' 'epoch' \
+                'sched_reference.hpp' 'lookahead barrier' 'epoch' \
                 '(when, seq)'; do
     if ! grep -qiF "$anchor" "$design"; then
       echo "check_docs: $design §11 lost its '$anchor' invalidation rule" >&2

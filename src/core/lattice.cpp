@@ -36,10 +36,6 @@ LatticeSystem::LatticeSystem(LatticeConfig config)
       rng_(config.seed),
       obs_metrics_(&obs::MetricsRegistry::null()),
       obs_tracer_(&obs::Tracer::null()) {
-  // The directory's maintained eta rank keys must be built with the
-  // policy's load weight for the scheduler to stream decisions from the
-  // rank index (it falls back to the merged-list path on a mismatch).
-  mds_.set_rank_load_weight(config_.scheduler.load_weight);
   // The scheduler reads the ledger on every rank_estimate call; the term
   // is inert until scheduler.fair_share_weight is raised above zero.
   scheduler_.set_fair_share(&fair_share_ledger_);

@@ -17,15 +17,12 @@
 // rank orders (MdsDirectory::best_ranked) in ascending (rank key, name)
 // order, taking the first entry that passes the job-dependent filters —
 // the per-decision work is the rejected prefix plus one entry, not the
-// whole eligible set. choose_linear() retains the pre-index full scan as
-// the reference implementation; both rank with the shared
-// MdsDirectory::rank_key_* functions and the same tie-break, so the two
-// are decision-identical by construction (tests/test_sched_index.cpp).
-// Round-robin keeps the merged eligible list (its cursor indexes into
-// it), as does any eta-ranked decision whose policy load weight differs
-// from the weight the directory's keys were maintained with
-// (MdsDirectory::set_rank_load_weight — LatticeSystem wires it at
-// construction).
+// whole eligible set. That stream is the only ranked decision path; the
+// linear full-scan reference it is checked against lives in test code
+// (tests/sched_reference.hpp) and ranks with the same
+// MdsDirectory::rank_key_* functions and (key, name) tie-break.
+// Round-robin is not ranked: it walks its cursor over the name-ordered
+// eligible list from MdsDirectory::match_online.
 //
 // Alternative modes reproduce the baselines the benchmarks compare
 // against: round-robin spreading and load-only ranking, plus an oracle
@@ -62,9 +59,6 @@ struct SchedulerPolicy {
   /// Stability cutoff n (hours of *estimated wall time on the candidate
   /// resource*) above which unstable resources are excluded.
   double stability_cutoff_hours = 10.0;
-  /// Load inflation: expected time is multiplied by (1 + load_weight *
-  /// backlog_per_slot).
-  double load_weight = 1.0;
   /// Assumed staging bandwidth (Mbit/s) for the transfer term of the
   /// stability cutoff: jobs whose data takes long to stage occupy an
   /// unstable host's attempt window just like compute does. Zero disables
@@ -76,10 +70,9 @@ struct SchedulerPolicy {
   /// user's decayed odometer (FairShareLedger, wired by set_fair_share).
   /// Zero disables the term. The inflation is a positive per-decision
   /// constant — the same factor at every candidate — so the (rank key,
-  /// name) argmin is untouched and choose()/choose_linear() stay
-  /// bit-identical with fair-share on (tests/test_sched_index.cpp); the
-  /// term bites through the advisory stability cutoff, which both decision
-  /// sites apply with the identical inflated estimate (DESIGN.md §15).
+  /// name) argmin is untouched and choose() stays bit-identical to the
+  /// test reference with fair-share on (tests/test_sched_index.cpp); the
+  /// term bites through the advisory stability cutoff (DESIGN.md §15).
   double fair_share_weight = 0.0;
 };
 
@@ -94,19 +87,11 @@ class MetaScheduler {
   /// from the MDS capability index.
   std::optional<std::string> choose(const grid::GridJob& job);
 
-  /// The pre-index reference: full linear scan over the directory with
-  /// the monolithic matches() predicate. Retained so the property test
-  /// can assert decision-identity with choose(); both advance the same
-  /// round-robin cursor, so compare separate instances, not interleaved
-  /// calls on one.
-  std::optional<std::string> choose_linear(const grid::GridJob& job);
-
   /// The runtime estimate the current mode is allowed to rank with
   /// (reference seconds): true runtime for kOracle, the a priori estimate
   /// for kEstimateAware, nothing otherwise. Inflated by the fair-share
-  /// factor when a ledger is bound — both decision sites call this, so the
-  /// inflation is identical by construction. Public because it is one of
-  /// the decision inputs the grid-level pump keys its deferral memo on.
+  /// factor when a ledger is bound. Public because it is one of the
+  /// decision inputs the grid-level pump keys its deferral memo on.
   std::optional<double> rank_estimate(const grid::GridJob& job) const;
 
   const SchedulerPolicy& policy() const { return policy_; }
@@ -124,27 +109,14 @@ class MetaScheduler {
   /// pointer increment per decision).
   void set_observability(obs::MetricsRegistry& metrics);
 
-  /// Matchmaking predicate, exposed for tests. Equivalent to
-  /// MdsDirectory::class_matches plus the per-entry memory floor.
-  static bool matches(const grid::GridJob& job,
-                      const grid::ResourceInfo& info);
-
  private:
-  /// Steps 3–4 over an eligible candidate list (name-ordered), preceded by
-  /// the hard stable-only filter for demoted jobs (job.require_stable).
-  std::optional<std::string> pick(
-      const grid::GridJob& job,
-      const std::vector<const grid::MdsEntry*>& all_eligible);
-
   const grid::MdsDirectory& mds_;
   const SpeedCalibrator& speeds_;
   SchedulerPolicy policy_;
   const FairShareLedger* fair_share_ = nullptr;
   std::size_t round_robin_next_ = 0;
-  /// Scratch reused across choose() calls (allocation-lean hot path).
+  /// Round-robin's eligible list, reused across choose() calls.
   std::vector<const grid::MdsEntry*> eligible_scratch_;
-  std::vector<const grid::MdsEntry*> stable_scratch_;
-  std::vector<const grid::MdsEntry*> require_stable_scratch_;
 
   // Observability (bound to the null registry until set_observability).
   obs::Counter* decisions_ = nullptr;

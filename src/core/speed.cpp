@@ -1,5 +1,6 @@
 #include "core/speed.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/stats.hpp"
@@ -19,8 +20,11 @@ void SpeedCalibrator::calibrate(const std::string& resource,
     throw std::invalid_argument("speed: no benchmark runtimes");
   }
   for (double runtime : machine_runtimes) {
-    if (runtime <= 0.0) {
-      throw std::invalid_argument("speed: non-positive benchmark runtime");
+    // NaN passes a plain `<= 0.0` test, and a non-finite speed would
+    // poison the MDS eta rank keys (whose order needs a strict weak order).
+    if (!std::isfinite(runtime) || runtime <= 0.0) {
+      throw std::invalid_argument(
+          "speed: non-positive or non-finite benchmark runtime");
     }
   }
   const double average = util::mean(machine_runtimes);

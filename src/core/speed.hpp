@@ -21,7 +21,8 @@ class SpeedCalibrator {
 
   /// Record benchmark runtimes observed on the individual machines of a
   /// resource; the resource speed uses their average. Throws
-  /// std::invalid_argument on empty or non-positive runtimes.
+  /// std::invalid_argument on empty, non-positive or non-finite (NaN, inf)
+  /// runtimes.
   void calibrate(const std::string& resource,
                  std::span<const double> machine_runtimes);
 

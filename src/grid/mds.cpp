@@ -43,15 +43,14 @@ double MdsDirectory::rank_key_load(const ResourceInfo& info) {
   return backlog - 1e-3 * static_cast<double>(info.free_slots);
 }
 
-double MdsDirectory::rank_key_eta(const ResourceInfo& info, double speed,
-                                  double load_weight) {
+double MdsDirectory::rank_key_eta(const ResourceInfo& info, double speed) {
   const double slots = std::max<double>(info.total_slots, 1.0);
   const double busy =
       static_cast<double>(info.total_slots - info.free_slots);
   const double backlog =
       (static_cast<double>(info.queued_jobs) + busy) / slots;
   const double inv_speed = 1.0 / speed;
-  double key = inv_speed * (1.0 + load_weight * backlog);
+  double key = inv_speed * (1.0 + backlog);
   if (info.free_slots == 0) {
     // Must wait for a slot; penalize by the mean wall time of what is
     // ahead in line (approximated by this job's own wall time — which is
@@ -64,8 +63,7 @@ double MdsDirectory::rank_key_eta(const ResourceInfo& info, double speed,
 void MdsDirectory::rank(Entry& entry) {
   CapabilityClass& cls = classes_.find(entry.class_key)->second;
   entry.load_key = rank_key_load(entry.data.info);
-  entry.eta_key =
-      rank_key_eta(entry.data.info, entry.data.speed, rank_load_weight_);
+  entry.eta_key = rank_key_eta(entry.data.info, entry.data.speed);
   cls.by_load.emplace(RankKey{entry.load_key, &entry.data.info.name},
                       &entry);
   cls.by_eta.emplace(RankKey{entry.eta_key, &entry.data.info.name}, &entry);
@@ -78,19 +76,6 @@ void MdsDirectory::unrank(Entry& entry) {
   cls.by_load.erase(RankKey{entry.load_key, &entry.data.info.name});
   cls.by_eta.erase(RankKey{entry.eta_key, &entry.data.info.name});
   entry.ranked = false;
-}
-
-void MdsDirectory::set_rank_load_weight(double load_weight) {
-  if (load_weight == rank_load_weight_) return;
-  rank_load_weight_ = load_weight;
-  // Rare (scheduler-policy setup): re-file every entry's eta key under the
-  // new weight. unrank/rank re-file both orders; the load keys re-insert
-  // at their old positions.
-  for (auto& [name, entry] : entries_) {
-    if (!entry.ranked) continue;
-    unrank(entry);
-    rank(entry);
-  }
 }
 
 void MdsDirectory::file_under_class(Entry& entry, std::string key) {
@@ -153,8 +138,7 @@ void MdsDirectory::report(const ResourceInfo& info) {
   // Lazy rank maintenance: re-file only when the load fields moved the
   // rank keys — an idle resource's steady heartbeats touch nothing.
   if (rank_key_load(dst) != entry.load_key ||
-      rank_key_eta(dst, entry.data.speed, rank_load_weight_) !=
-          entry.eta_key) {
+      rank_key_eta(dst, entry.data.speed) != entry.eta_key) {
     unrank(entry);
     rank(entry);
   }
@@ -259,10 +243,9 @@ void MdsDirectory::match_online(const JobRequirements& req,
   }
   // K-way merge over the (already name-ordered) member maps of the
   // matching classes: the eligible set is appended directly in the global
-  // name order a linear directory scan produces, so downstream ranking
-  // (and round-robin indexing) is decision-identical to the linear
-  // reference — and nothing, in particular no retained prefix already in
-  // `out`, is ever (re-)sorted.
+  // name order a linear directory scan produces, so round-robin indexing
+  // is decision-identical to the test reference — and nothing, in
+  // particular no retained prefix already in `out`, is ever (re-)sorted.
   while (!member_cursors_.empty()) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < member_cursors_.size(); ++i) {
@@ -281,26 +264,6 @@ void MdsDirectory::match_online(const JobRequirements& req,
     if (sim_.now() - entry->data.last_report > ttl_) continue;  // stale
     if (req.min_memory_gb > entry->data.info.node_memory_gb) continue;
     out.push_back(&entry->data);
-  }
-  local.eligible = out.size() - first;
-  if (stats != nullptr) *stats = local;
-}
-
-void MdsDirectory::match_online_linear(const JobRequirements& req,
-                                       std::vector<const MdsEntry*>& out,
-                                       MdsMatchStats* stats) const {
-  const std::size_t first = out.size();
-  MdsMatchStats local;
-  for (const auto& [name, entry] : entries_) {
-    ++local.candidates_scanned;
-    if (sim_.now() - entry.data.last_report > ttl_) continue;  // stale
-    if (!class_matches(req, entry.data.info.platforms,
-                       entry.data.info.software,
-                       entry.data.info.mpi_capable)) {
-      continue;
-    }
-    if (req.min_memory_gb > entry.data.info.node_memory_gb) continue;
-    out.push_back(&entry.data);
   }
   local.eligible = out.size() - first;
   if (stats != nullptr) *stats = local;

@@ -97,22 +97,13 @@ class MdsDirectory {
 
   /// Indexed matchmaking: append pointers to the online entries that
   /// satisfy `req` (platforms, software, MPI, memory) to `out`, in
-  /// resource-name order — the same order a linear scan over the
-  /// name-keyed directory produces, so ranking and round-robin decisions
-  /// are bit-identical to the retained linear reference
-  /// (MetaScheduler::choose_linear, tests/test_sched_index.cpp). Returned
-  /// pointers are valid until the next report() for that resource.
+  /// resource-name order — the same order a linear scan over online()
+  /// produces, so round-robin decisions match the test-only linear
+  /// reference (tests/sched_reference.hpp). Returned pointers are valid
+  /// until the next report() for that resource.
   void match_online(const JobRequirements& req,
                     std::vector<const MdsEntry*>& out,
                     MdsMatchStats* stats = nullptr) const;
-
-  /// The pre-index reference: evaluate the full predicate against every
-  /// registered entry (name order). Same contract as match_online and
-  /// guaranteed to select the same entries in the same order; retained
-  /// for MetaScheduler::choose_linear and the property test.
-  void match_online_linear(const JobRequirements& req,
-                           std::vector<const MdsEntry*>& out,
-                           MdsMatchStats* stats = nullptr) const;
 
   /// Capability-class predicate used by the index (platforms, software,
   /// MPI — everything in JobRequirements except the per-entry memory
@@ -123,28 +114,21 @@ class MdsDirectory {
                             bool mpi_capable);
 
   /// Load rank key: backlog per slot minus a free-slot tiebreaker. Lower is
-  /// better. Shared with MetaScheduler's linear oracle so the two paths
-  /// compare bit-identical values.
+  /// better. Public so the test reference ranks with bit-identical values.
   static double rank_key_load(const ResourceInfo& info);
   /// Expected-completion rank key *per unit of runtime estimate*: the
   /// Step-4 score with the (positive, per-decision-constant) estimate
   /// divided out, so the ordering is job-independent and can be maintained
-  /// in the directory. Lower is better.
-  static double rank_key_eta(const ResourceInfo& info, double speed,
-                             double load_weight);
-
-  /// Load weight baked into the maintained eta keys. Callers ranking with
-  /// a different weight must fall back to the linear oracle (the
-  /// MetaScheduler does exactly that); changing it re-files every entry.
-  void set_rank_load_weight(double load_weight);
-  double rank_load_weight() const { return rank_load_weight_; }
+  /// in the directory: (1 + backlog per slot) / speed, plus a slot-wait
+  /// term when no slot is free. Lower is better.
+  static double rank_key_eta(const ResourceInfo& info, double speed);
 
   /// Stream the online entries matching `req` in ascending
   /// (rank key, name) order and return the first one `accept` takes (or
   /// nullptr). TTL and memory-floor rejects are skipped before `accept`
   /// sees the entry. The (key, name) order makes the result identical to
   /// "linear scan in name order keeping the first strict improvement" —
-  /// the retained oracle's tie-break (tests/test_sched_index.cpp).
+  /// the test reference's tie-break (tests/sched_reference.hpp).
   template <typename Accept>
   const MdsEntry* best_ranked(const JobRequirements& req, RankOrder order,
                               Accept&& accept,
@@ -247,7 +231,6 @@ class MdsDirectory {
   /// Resources whose heartbeats are currently suppressed.
   std::set<std::string> blackout_;
   std::map<std::string, CapabilityClass> classes_;
-  double rank_load_weight_ = 1.0;
   std::vector<std::unique_ptr<sim::PeriodicTask>> providers_;
   /// Reused by provider heartbeats (see attach_provider).
   ResourceInfo scratch_info_;

@@ -175,13 +175,6 @@ class Rng {
     return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
   }
 
-  /// Pick a uniformly random element of a non-empty container.
-  template <typename Container>
-  auto& pick(Container& c) {
-    assert(!c.empty());
-    return c[below(c.size())];
-  }
-
   /// Fisher–Yates shuffle.
   template <typename Container>
   void shuffle(Container& c) {

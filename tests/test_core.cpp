@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/deadline.hpp"
@@ -278,6 +280,22 @@ TEST(Speed, ErrorsAndDefaults) {
   EXPECT_DOUBLE_EQ(calibrator.speed_or_default("unknown"), 1.0);
 }
 
+TEST(Speed, RejectsNonFiniteRuntimes) {
+  // NaN slips through a plain `<= 0.0` check; a NaN or infinite speed
+  // would reach the MDS eta rank keys, whose ordered index needs a strict
+  // weak order.
+  SpeedCalibrator calibrator(100.0);
+  EXPECT_THROW(calibrator.calibrate(
+                   "x", std::vector<double>{
+                            std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
+  EXPECT_THROW(calibrator.calibrate(
+                   "x", std::vector<double>{
+                            50.0, std::numeric_limits<double>::infinity()}),
+               std::invalid_argument);
+  EXPECT_FALSE(calibrator.speed("x").has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Deadline policy
 
@@ -349,33 +367,42 @@ TEST(Scheduler, FiltersOfflineResources) {
 }
 
 TEST(Scheduler, MatchmakingFilters) {
+  // Drives the shipped matchmaking path: the resource is (re-)reported
+  // into a one-entry directory and must come back from match_online.
   SchedulerFixture fx;
   grid::ResourceInfo info = fx.cluster("hpc", 10, 0);
   grid::GridJob job;
+  const auto matches = [&] {
+    fx.mds.report(info);
+    std::vector<const grid::MdsEntry*> eligible;
+    fx.mds.match_online(job.requirements, eligible);
+    return eligible.size() == 1;
+  };
 
   // Platform mismatch.
   job.requirements.platforms = {
       grid::PlatformSpec{grid::OsType::kWindows, grid::Arch::kX86}};
-  EXPECT_FALSE(MetaScheduler::matches(job, info));
+  EXPECT_FALSE(matches());
   job.requirements.platforms.clear();
 
   // Memory.
   job.requirements.min_memory_gb = 64.0;
-  EXPECT_FALSE(MetaScheduler::matches(job, info));
+  EXPECT_FALSE(matches());
   job.requirements.min_memory_gb = 1.0;
 
   // MPI.
   job.requirements.needs_mpi = true;
   info.mpi_capable = false;
-  EXPECT_FALSE(MetaScheduler::matches(job, info));
+  EXPECT_FALSE(matches());
   info.mpi_capable = true;
-  EXPECT_TRUE(MetaScheduler::matches(job, info));
+  EXPECT_TRUE(matches());
 
   // Software dependency.
   job.requirements.software = {"java"};
-  EXPECT_FALSE(MetaScheduler::matches(job, info));
+  EXPECT_FALSE(matches());
   info.software = {"java"};
-  EXPECT_TRUE(MetaScheduler::matches(job, info));
+  EXPECT_TRUE(matches());
+  EXPECT_EQ(fx.mds.all().size(), 1u);
 }
 
 TEST(Scheduler, StabilityRoutesLongJobsToClusters) {

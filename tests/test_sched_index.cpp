@@ -3,17 +3,18 @@
 // decisions.
 //
 //   1. MDS capability index vs linear directory scan — identical eligible
-//      sets in identical order, and MetaScheduler::choose vs choose_linear
-//      make identical placements over randomized inventories and job
-//      streams in every scheduling mode (including round-robin, whose
-//      cursor makes decisions order-sensitive).
+//      sets in identical order, and MetaScheduler::choose vs the linear
+//      reference (tests/sched_reference.hpp) make identical placements
+//      over randomized inventories and job streams in every scheduling
+//      mode (including round-robin, whose cursor makes decisions
+//      order-sensitive), with and without a charged fair-share ledger.
 //   2. Deadline min-heap transitioner vs the retained full-sweep oracle —
 //      twin identically-seeded BOINC scenarios, one per path, must produce
 //      bit-identical workunit/result histories and counters, including
 //      under host churn, errors, and synchronous reissue dispatches.
 //   3. FeederQueue — FIFO take/skip/drop semantics matching the seed's
 //      mid-deque scan.
-//   4. MDS rank index (ISSUE 6) — best_ranked streams vs a linear
+//   4. MDS rank index — best_ranked streams vs a linear
 //      (rank key, name)-argmin reference under randomized speed updates,
 //      host churn (TTL staleness), and capability re-filing.
 //   5. Pool churn calendar — a churny BOINC scenario whose idle-host
@@ -32,6 +33,8 @@
 #include "core/speed.hpp"
 #include "grid/job.hpp"
 #include "grid/mds.hpp"
+#include "obs/metrics.hpp"
+#include "sched_reference.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -182,55 +185,75 @@ TEST(MdsIndex, MatchesLinearScanOverRandomInventories) {
     grid::MdsDirectory mds(sim);
     build_directory(sim, mds, rng, 30 + trial);
     ASSERT_GT(mds.capability_classes(), 1u);
+    const std::size_t registered = mds.all().size();
 
     for (int q = 0; q < 50; ++q) {
       const grid::GridJob job = random_job(rng, static_cast<std::uint64_t>(q));
       std::vector<const grid::MdsEntry*> indexed;
-      std::vector<const grid::MdsEntry*> linear;
       grid::MdsMatchStats indexed_stats;
-      grid::MdsMatchStats linear_stats;
       mds.match_online(job.requirements, indexed, &indexed_stats);
-      mds.match_online_linear(job.requirements, linear, &linear_stats);
+      const std::vector<grid::MdsEntry> linear =
+          sched_reference::eligible(mds, job.requirements);
       ASSERT_EQ(indexed.size(), linear.size());
       for (std::size_t i = 0; i < indexed.size(); ++i) {
-        EXPECT_EQ(indexed[i], linear[i]) << "entry order diverged at " << i;
+        EXPECT_EQ(indexed[i]->info.name, linear[i].info.name)
+            << "entry order diverged at " << i;
       }
-      EXPECT_EQ(indexed_stats.eligible, linear_stats.eligible);
-      // The point of the index: never examine more entries than the scan.
-      EXPECT_LE(indexed_stats.candidates_scanned,
-                linear_stats.candidates_scanned);
+      EXPECT_EQ(indexed_stats.eligible, linear.size());
+      // The point of the index: never examine more entries than a scan
+      // over every registered entry would.
+      EXPECT_LE(indexed_stats.candidates_scanned, registered);
     }
   }
 }
 
+/// Calibrate every third resource of a build_directory() inventory and
+/// publish the speeds into the directory.
+void calibrate_some(util::Rng& rng, grid::MdsDirectory& mds,
+                    core::SpeedCalibrator& speeds, std::size_t resources) {
+  for (std::size_t i = 0; i < resources; i += 3) {
+    const double runtime = rng.uniform(1200.0, 7200.0);
+    const std::string name = "res" + std::to_string(i);
+    speeds.calibrate(name, {{runtime}});
+    mds.set_speed(name, speeds.speed_or_default(name));
+  }
+}
+
+/// random_job plus the decision inputs only the scheduler reads: demotion
+/// to stable-only resources and staged data volume.
+grid::GridJob random_scheduled_job(util::Rng& rng, std::uint64_t id) {
+  grid::GridJob job = random_job(rng, id);
+  job.require_stable = rng.bernoulli(0.2);
+  job.input_mb = rng.uniform(0.0, 2000.0);
+  job.output_mb = rng.uniform(0.0, 200.0);
+  return job;
+}
+
+const core::SchedulingMode kAllModes[] = {
+    core::SchedulingMode::kRoundRobin, core::SchedulingMode::kLoadOnly,
+    core::SchedulingMode::kEstimateAware, core::SchedulingMode::kOracle};
+
 TEST(MetaScheduler, IndexedAndLinearChooseIdenticallyInEveryMode) {
-  const core::SchedulingMode modes[] = {
-      core::SchedulingMode::kRoundRobin, core::SchedulingMode::kLoadOnly,
-      core::SchedulingMode::kEstimateAware, core::SchedulingMode::kOracle};
-  for (const core::SchedulingMode mode : modes) {
+  for (const core::SchedulingMode mode : kAllModes) {
     for (std::uint64_t trial = 0; trial < 5; ++trial) {
       util::Rng rng(7000 + trial);
       sim::Simulation sim;
       grid::MdsDirectory mds(sim);
       build_directory(sim, mds, rng, 25);
       core::SpeedCalibrator speeds(3600.0);
-      for (std::size_t i = 0; i < 25; i += 3) {
-        const double runtime = rng.uniform(1200.0, 7200.0);
-        const std::string name = "res" + std::to_string(i);
-        speeds.calibrate(name, {{runtime}});
-        mds.set_speed(name, speeds.speed_or_default(name));
-      }
+      calibrate_some(rng, mds, speeds, 25);
       core::SchedulerPolicy policy;
       policy.mode = mode;
-      // Separate instances: both paths advance their own round-robin
-      // cursor, so interleaving calls on one scheduler would trivially
-      // diverge.
+      // Odd trials charge staging time against the stability cutoff.
+      if (trial % 2 == 1) policy.staging_mbps = rng.uniform(1.0, 100.0);
+      // The reference keeps its own round-robin cursor and sees the same
+      // job sequence, so the two cursors stay in step.
       core::MetaScheduler indexed(mds, speeds, policy);
-      core::MetaScheduler linear(mds, speeds, policy);
+      sched_reference::Scheduler linear(mds, policy);
       for (std::uint64_t j = 0; j < 100; ++j) {
-        const grid::GridJob job = random_job(rng, j);
+        const grid::GridJob job = random_scheduled_job(rng, j);
         const std::optional<std::string> via_index = indexed.choose(job);
-        const std::optional<std::string> via_scan = linear.choose_linear(job);
+        const std::optional<std::string> via_scan = linear.choose(job);
         ASSERT_EQ(via_index, via_scan)
             << "mode " << scheduling_mode_name(mode) << " trial " << trial
             << " job " << j;
@@ -241,24 +264,17 @@ TEST(MetaScheduler, IndexedAndLinearChooseIdenticallyInEveryMode) {
 
 TEST(MetaScheduler, FairShareKeepsIndexedAndLinearChoiceIdentical) {
   // Fair-share inflates the runtime estimate by a per-decision-constant
-  // factor before either decision path ranks with it, so the indexed
-  // stream and the linear oracle must still agree bit-for-bit — with
-  // random usage odometers, random user ids, and the weight turned up.
-  const core::SchedulingMode modes[] = {core::SchedulingMode::kEstimateAware,
-                                        core::SchedulingMode::kOracle};
-  for (const core::SchedulingMode mode : modes) {
+  // factor before the indexed stream ranks with it, so it must still agree
+  // bit-for-bit with the linear reference — with random usage odometers,
+  // random user ids, and the weight turned up.
+  for (const core::SchedulingMode mode : kAllModes) {
     for (std::uint64_t trial = 0; trial < 5; ++trial) {
       util::Rng rng(9100 + trial);
       sim::Simulation sim;
       grid::MdsDirectory mds(sim);
       build_directory(sim, mds, rng, 25);
       core::SpeedCalibrator speeds(3600.0);
-      for (std::size_t i = 0; i < 25; i += 3) {
-        const double runtime = rng.uniform(1200.0, 7200.0);
-        const std::string name = "res" + std::to_string(i);
-        speeds.calibrate(name, {{runtime}});
-        mds.set_speed(name, speeds.speed_or_default(name));
-      }
+      calibrate_some(rng, mds, speeds, 25);
       core::FairShareLedger ledger{core::FairShareConfig{}};
       for (core::UserId user = 1; user <= 8; ++user) {
         ledger.charge(user, rng.uniform(0.0, 400.0 * 3600.0));
@@ -267,14 +283,13 @@ TEST(MetaScheduler, FairShareKeepsIndexedAndLinearChoiceIdentical) {
       policy.mode = mode;
       policy.fair_share_weight = rng.uniform(0.01, 2.0);
       core::MetaScheduler indexed(mds, speeds, policy);
-      core::MetaScheduler linear(mds, speeds, policy);
       indexed.set_fair_share(&ledger);
-      linear.set_fair_share(&ledger);
+      sched_reference::Scheduler linear(mds, policy, &ledger);
       for (std::uint64_t j = 0; j < 100; ++j) {
-        grid::GridJob job = random_job(rng, j);
+        grid::GridJob job = random_scheduled_job(rng, j);
         job.user_id = rng.below(9);  // 0 (unattributed) through 8
         const std::optional<std::string> via_index = indexed.choose(job);
-        const std::optional<std::string> via_scan = linear.choose_linear(job);
+        const std::optional<std::string> via_scan = linear.choose(job);
         ASSERT_EQ(via_index, via_scan)
             << "mode " << scheduling_mode_name(mode) << " trial " << trial
             << " job " << j << " user " << job.user_id;
@@ -283,37 +298,61 @@ TEST(MetaScheduler, FairShareKeepsIndexedAndLinearChoiceIdentical) {
   }
 }
 
+TEST(MetaScheduler, StabilityFallthroughStreamsOnce) {
+  // Every resource is unstable and the job is far above the cutoff, so
+  // nothing passes the advisory filter and the decision falls through to
+  // the best unrestricted entry. That entry is recorded during the one
+  // (key, name) stream: each candidate is scanned exactly once.
+  sim::Simulation sim;
+  grid::MdsDirectory mds(sim);
+  const std::size_t queued[] = {40, 0, 12};  // "pool-b" ranks first
+  for (std::size_t i = 0; i < 3; ++i) {
+    grid::ResourceInfo info;
+    info.name = std::string("pool-") + static_cast<char>('a' + i);
+    info.kind = grid::ResourceKind::kCondorPool;
+    info.total_slots = 8;
+    info.free_slots = queued[i] == 0 ? 8 : 0;
+    info.queued_jobs = queued[i];
+    info.node_memory_gb = 4.0;
+    info.platforms = {grid::PlatformSpec{}};
+    info.stable = false;
+    mds.report(info);
+  }
+  core::SpeedCalibrator speeds(3600.0);
+  core::SchedulerPolicy policy;
+  policy.mode = core::SchedulingMode::kEstimateAware;
+  policy.stability_cutoff_hours = 10.0;
+  obs::MetricsRegistry metrics;
+  core::MetaScheduler scheduler(mds, speeds, policy);
+  scheduler.set_observability(metrics);
+  sched_reference::Scheduler reference(mds, policy);
+
+  grid::GridJob job;
+  job.id = 1;
+  job.estimated_reference_runtime = 48.0 * 3600.0;
+  const std::optional<std::string> placed = scheduler.choose(job);
+  EXPECT_EQ(placed, reference.choose(job));
+  EXPECT_EQ(placed.value_or(""), "pool-b");
+  EXPECT_EQ(metrics.counter_total("sched.match_candidates_scanned"), 3u);
+  EXPECT_EQ(metrics.counter_total("sched.match_eligible"), 3u);
+  EXPECT_EQ(metrics.counter_total("sched.route_unstable"), 1u);
+
+  // A demoted job has no stable resource to go to: the hard filter does
+  // not fall through.
+  job.id = 2;
+  job.require_stable = true;
+  const std::uint64_t no_eligible_before =
+      metrics.counter_total("sched.no_eligible");
+  EXPECT_FALSE(scheduler.choose(job).has_value());
+  EXPECT_FALSE(reference.choose(job).has_value());
+  EXPECT_EQ(metrics.counter_total("sched.no_eligible"),
+            no_eligible_before + 1);
+  EXPECT_EQ(metrics.counter_total("sched.match_candidates_scanned"), 6u);
+}
+
 // ---------------------------------------------------------------------
 // Rank index (best_ranked) vs linear argmin reference
 // ---------------------------------------------------------------------
-
-/// Linear reference for best_ranked: the eligible set in name order (via
-/// the retained linear-scan oracle), filtered by `accept`, then the strict
-/// (rank key, name) argmin — strict `<` over the name-ordered list keeps
-/// the first minimum, which IS the (key, name) lexicographic minimum.
-template <typename Accept>
-const grid::MdsEntry* best_ranked_linear(const grid::MdsDirectory& mds,
-                                         const grid::JobRequirements& req,
-                                         grid::RankOrder order,
-                                         Accept&& accept) {
-  std::vector<const grid::MdsEntry*> eligible;
-  mds.match_online_linear(req, eligible);
-  const grid::MdsEntry* best = nullptr;
-  double best_key = 0.0;
-  for (const grid::MdsEntry* entry : eligible) {
-    if (!accept(*entry)) continue;
-    const double key =
-        order == grid::RankOrder::kLoad
-            ? grid::MdsDirectory::rank_key_load(entry->info)
-            : grid::MdsDirectory::rank_key_eta(entry->info, entry->speed,
-                                               mds.rank_load_weight());
-    if (best == nullptr || key < best_key) {
-      best = entry;
-      best_key = key;
-    }
-  }
-  return best;
-}
 
 TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
   for (std::uint64_t trial = 0; trial < 10; ++trial) {
@@ -380,12 +419,13 @@ TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
         };
         for (const grid::RankOrder order :
              {grid::RankOrder::kLoad, grid::RankOrder::kEta}) {
-          const grid::MdsEntry* expected =
-              best_ranked_linear(mds, job.requirements, order, accept);
+          const std::optional<grid::MdsEntry> expected =
+              sched_reference::best_ranked(mds, job.requirements, order,
+                                           accept);
           grid::MdsMatchStats stats;
           const grid::MdsEntry* got =
               mds.best_ranked(job.requirements, order, accept, &stats);
-          ASSERT_EQ(got == nullptr, expected == nullptr)
+          ASSERT_EQ(got == nullptr, !expected.has_value())
               << "trial " << trial << " round " << round << " q " << q;
           if (got != nullptr) {
             EXPECT_EQ(got->info.name, expected->info.name)
