@@ -29,12 +29,13 @@
 //   --smoke       miniature sweep (10^3 and 10^4 users, small pool) as a
 //                 tier-1 ctest lane; writes portal_scale_smoke JSON so the
 //                 frozen artifact is never clobbered;
-//   --users CSV   replace the sweep with explicit population sizes.
+//   --users CSV   replace the sweep with explicit population sizes; a
+//                 malformed list is a usage error.
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -101,13 +102,16 @@ RowResult run_once(std::size_t users, std::size_t n_batches,
   pop.guests.users = users * 90 / 100;
   pop.registered.users = users * 9 / 100;
   pop.power.users = users - pop.guests.users - pop.registered.users;
-  pop.guests.batches_per_user_day =
-      0.30 * total_batches_per_day / static_cast<double>(pop.guests.users);
-  pop.registered.batches_per_user_day =
-      0.50 * total_batches_per_day /
-      static_cast<double>(pop.registered.users);
-  pop.power.batches_per_user_day =
-      0.20 * total_batches_per_day / static_cast<double>(pop.power.users);
+  // A class too small to hold a user (10 users has no registered one)
+  // gets rate 0 rather than share / 0 = inf.
+  const auto per_user = [&](double share, std::size_t class_users) {
+    return class_users == 0 ? 0.0
+                            : share * total_batches_per_day /
+                                  static_cast<double>(class_users);
+  };
+  pop.guests.batches_per_user_day = per_user(0.30, pop.guests.users);
+  pop.registered.batches_per_user_day = per_user(0.50, pop.registered.users);
+  pop.power.batches_per_user_day = per_user(0.20, pop.power.users);
   pop.guests = {pop.guests.users, pop.guests.batches_per_user_day, 1.4, 1};
   pop.registered = {pop.registered.users,
                     pop.registered.batches_per_user_day, 1.3, 4};
@@ -150,18 +154,20 @@ RowResult run_once(std::size_t users, std::size_t n_batches,
   return result;
 }
 
-std::vector<std::size_t> parse_users_csv(const char* text) {
+/// Parse a `--users` comma-separated size list ("10000,100000"). Empty
+/// when any entry is not a plain decimal count.
+std::vector<std::size_t> parse_users_csv(std::string_view text) {
   std::vector<std::size_t> sizes;
-  const char* cursor = text;
-  while (*cursor != '\0') {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(cursor, &end, 10);
-    if (end == cursor) break;
-    sizes.push_back(static_cast<std::size_t>(value));
-    cursor = (*end == ',') ? end + 1 : end;
-    if (end == cursor && *end != '\0') break;
+  for (;;) {
+    const std::string_view item = text.substr(0, text.find(','));
+    std::size_t users = 0;
+    const char* end = item.data() + item.size();
+    const auto [ptr, error] = std::from_chars(item.data(), end, users);
+    if (error != std::errc{} || ptr != end) return {};
+    sizes.push_back(users);
+    if (item.size() == text.size()) return sizes;
+    text.remove_prefix(item.size() + 1);
   }
-  return sizes;
 }
 
 }  // namespace
@@ -170,17 +176,22 @@ int main(int argc, char** argv) {
   using namespace lattice;
   bool smoke = false;
   std::vector<std::size_t> user_list;
+  const auto usage = [] {
+    std::cerr << "usage: bench_portal_scale [--smoke] [--users N1,N2,...]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--users" && i + 1 < argc) {
       user_list = parse_users_csv(argv[++i]);
+      if (user_list.empty()) return usage();
     } else if (arg.rfind("--users=", 0) == 0) {
-      user_list = parse_users_csv(argv[i] + std::strlen("--users="));
+      user_list = parse_users_csv(arg.substr(8));
+      if (user_list.empty()) return usage();
     } else {
-      std::cerr << "usage: bench_portal_scale [--smoke] [--users N1,N2,...]\n";
-      return 2;
+      return usage();
     }
   }
 

@@ -1,786 +1,505 @@
-// Desktop-grid scenario: a batch of phylogenetic jobs on a pure volunteer
-// pool (the paper's BOINC side: 23,192 public desktop computers, churn,
-// departures, checkpointing, deadlines, quorum validation). Shows the
-// workunit lifecycle statistics a project operator watches.
+// Scenario runner for the simulated Lattice grid. One INI file describes a
+// federated inventory (clusters, Condor pools, BOINC volunteer pools), the
+// jobs and portal traffic it serves, and the faults and slow links it runs
+// under. The runner builds it on core::LatticeSystem, drains it, and exits
+// 1 unless the run-end audit (core::audit), the checks its inputs imply and
+// its [expect] section all hold. scenarios/*.ini is the corpus: one ctest
+// per file, and scripts/determinism.sh runs each twice.
 //
-// Flags: --metrics-out=FILE writes a metrics snapshot (.csv or .json),
-//        --trace-out=FILE writes a Chrome trace_event JSON for Perfetto,
-//        --pool-threads=N additionally runs the pooled-likelihood
-//        determinism self-test on an N-thread pool (N=0: serial engine).
-//        The self-test's log-likelihood and phylo.* counters must be
-//        bit-identical for every N — scripts/determinism.sh asserts this
-//        at the binary level (ctest test determinism_e2e).
-//        --fault-plan=FILE instead runs the fault-injection recovery
-//        scenario (docs/RESILIENCE.md): a small multi-resource grid under
-//        the declarative fault plan, verified to recover end to end (all
-//        jobs complete, zero corrupted canonical results under quorum).
-//        --net-profile=FILE instead runs the transfer-aware scenario
-//        (docs/NETWORKING.md): the volunteer pool stages workunit data
-//        over per-host link classes from the INI profile, and the run
-//        self-verifies the transfer contract — all jobs complete, every
-//        dispatch staged real transfers (zero free staging), and
-//        transfer-bound jobs were kept off volunteer hosts by the
-//        staging-aware stability filter.
-//        --portal-users=N instead runs the multi-tenant portal scenario
-//        (DESIGN.md §15): a heavy-tailed workload from an N-user
-//        guest/registered/power population flows through admission
-//        control, per-user quotas, and fair-share queue ordering, and the
-//        run self-verifies the admission ledger — every submission is
-//        accounted (accepted + quota-denied + shed + rejected), every
-//        accepted batch drains, and the fair-share odometer was charged.
-// See docs/OBSERVABILITY.md for the metric catalog and trace schema.
+// Usage: volunteer_grid --scenario=FILE [--metrics-out=FILE]
+//                       [--trace-out=FILE] [--pool-threads=N]
+// writes a metrics snapshot (.csv or .json) and a Chrome trace for Perfetto
+// (docs/OBSERVABILITY.md); --pool-threads=N also runs the pooled-likelihood
+// self-test on N threads (0: serial), whose output must not depend on N.
+//
+// Scenario schema; every key is optional unless noted. An unknown section
+// or key, a bad kind or an unparsable value exits 2 naming file and line.
+//   [lattice]  core::LatticeConfig: seed, max_attempts, scheduler_period,
+//              stability_cutoff_hours, staging_mbps, typical_mbps,
+//              backoff_base_seconds, backoff_cap_seconds,
+//              demote_after_failures, fair_share_weight, fair_share_order,
+//              backlog_per_slot; and train_corpus, the synthetic corpus
+//              the estimator is first trained on (0: left untrained).
+//   [resource.<name>]  a core::ResourceSpec of the required kind:
+//              kind = cluster: nodes, cores_per_node, node_speed
+//              kind = condor:  machines (a preemption-prone campus pool)
+//              kind = boinc:   hosts, min_quorum (= target_nresults)
+//   [jobs.<cohort>]  count jobs of the default GARLI features, staging
+//              data_mb input MB (default: the cost model's), with a fixed
+//              true runtime of runtime_hours (default: sampled).
+//   [portal]   users (90/9/1% guest/registered/power), batches (drawn at
+//              ~600 a day), <class>_batches and <class>_replicates quotas
+//              per class, shed_watermark (core::PortalConfig, 0: no limit).
+//   [expect]   stable = <cohort>: every job of it ran on a stable resource;
+//              volunteer = <cohort>: some job of it ran on a BOINC pool.
+//   The fault-plan sections (fault::fault_plan_from_ini, docs/RESILIENCE.md)
+//   apply to every BOINC pool, and [net] with its [class.<name>] sections
+//   (net::net_profile_from_ini, docs/NETWORKING.md) is their link profile.
+// Values every scenario shares stay constants here: volunteer and Condor
+// host behaviour, the pool seed, the population shape, the drain horizon.
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "boinc/server.hpp"
-#include "core/cost_model.hpp"
-#include "core/deadline.hpp"
+#include "core/audit.hpp"
+#include "core/inventory.hpp"
 #include "core/lattice.hpp"
-#include "core/metascheduler.hpp"
 #include "core/portal.hpp"
-#include "core/speed.hpp"
 #include "core/workload.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
-#include "core/inventory.hpp"
-#include "grid/mds.hpp"
 #include "net/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phylo/likelihood.hpp"
 #include "phylo/simulate.hpp"
-#include "sim/simulation.hpp"
 #include "util/fmt.hpp"
+#include "util/ini.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
 namespace {
 
-// The fault-injection recovery scenario: a stable cluster, a
-// preemption-prone Condor pool, and a quorum-2 volunteer pool, all under
-// the declarative plan from --fault-plan=FILE. The run self-verifies the
-// recovery contract and exits nonzero when it is violated, so it doubles
-// as the fault_smoke ctest; scripts/determinism.sh additionally asserts
-// two identical invocations are bit-identical.
-int run_fault_scenario(const std::string& plan_path,
-                       const std::string& metrics_out,
-                       const std::string& trace_out) {
-  using namespace lattice;
+using namespace lattice;
 
-  fault::FaultPlan plan;
-  try {
-    plan = fault::load_fault_plan(plan_path);
-  } catch (const std::exception& error) {
-    std::cerr << "fault plan: " << error.what() << "\n";
-    return 2;
-  }
-  std::cout << "fault plan (" << plan_path << "):\n"
-            << fault::fault_plan_summary(plan);
+struct Cohort {
+  std::string name;
+  std::size_t count = 0;
+  std::optional<double> data_mb;
+  std::optional<double> runtime_hours;
+};
 
+struct PortalSpec {
+  std::size_t users = 0;
+  std::size_t batches = 0;
+  core::PortalConfig config;
+};
+
+struct Scenario {
   core::LatticeConfig config;
-  config.seed = plan.seed;
-  config.max_attempts = 24;
-  config.retry.backoff_base_seconds = 30.0;
-  config.retry.backoff_cap_seconds = 1800.0;
-  config.retry.backoff_jitter = 0.25;
-  config.retry.demote_after_failures = 3;
-  core::LatticeSystem system(config);
+  std::size_t train_corpus = 0;
+  fault::FaultPlan plan;
+  bool net = false;
+  std::vector<core::ResourceSpec> resources;
+  std::vector<Cohort> cohorts;
+  std::optional<PortalSpec> portal;
+  std::string expect_stable;  // cohort names; empty: no such check
+  std::string expect_volunteer;
+};
 
+std::size_t count(const util::IniFile& ini, const std::string& section,
+                  const std::string& key, std::size_t fallback) {
+  const long long value =
+      ini.get_int(section, key, static_cast<long long>(fallback));
+  if (value < 0) ini.fail(section, key, "must be >= 0");
+  return static_cast<std::size_t>(value);
+}
+
+/// Parse and validate a scenario file; throws std::runtime_error naming
+/// the file and line of the first problem.
+Scenario load_scenario(const std::string& path) {
+  const util::IniFile ini = util::IniFile::load(path);
+  Scenario s;
+  core::LatticeConfig& c = s.config;
+  c.seed = count(ini, "lattice", "seed", c.seed);
+  c.max_attempts = static_cast<int>(
+      count(ini, "lattice", "max_attempts", c.max_attempts));
+  c.retry.demote_after_failures = static_cast<int>(count(
+      ini, "lattice", "demote_after_failures", c.retry.demote_after_failures));
+  const auto real = [&ini](const char* key, double& field) {
+    field = ini.get_double("lattice", key, field);
+  };
+  real("scheduler_period", c.scheduler_period);
+  real("stability_cutoff_hours", c.scheduler.stability_cutoff_hours);
+  real("staging_mbps", c.scheduler.staging_mbps);
+  real("typical_mbps", c.deadline.typical_mbps);
+  real("backoff_base_seconds", c.retry.backoff_base_seconds);
+  real("backoff_cap_seconds", c.retry.backoff_cap_seconds);
+  real("fair_share_weight", c.scheduler.fair_share_weight);
+  real("backlog_per_slot", c.fair_share.backlog_per_slot);
+  c.fair_share.order_queue = ini.get_bool("lattice", "fair_share_order",
+                                          c.fair_share.order_queue);
+  s.train_corpus = count(ini, "lattice", "train_corpus", 0);
+
+  s.plan = fault::fault_plan_from_ini(ini);
+  net::NetConfig profile;
+  if (ini.has_section("net")) {
+    profile = net::net_profile_from_ini(ini);
+    s.net = profile.enabled;
+  }
+
+  for (const std::string& section : ini.section_names()) {
+    if (section.rfind("resource.", 0) == 0) {
+      const std::string name = section.substr(9);
+      const std::string kind = ini.get_or(section, "kind", "");
+      if (kind == "cluster") {
+        grid::BatchQueueResource::Config cluster;
+        cluster.nodes = count(ini, section, "nodes", cluster.nodes);
+        cluster.cores_per_node =
+            count(ini, section, "cores_per_node", cluster.cores_per_node);
+        cluster.node_speed =
+            ini.get_double(section, "node_speed", cluster.node_speed);
+        s.resources.push_back(core::ResourceSpec::cluster(name, cluster));
+      } else if (kind == "condor") {
+        grid::CondorPool::Config condor;
+        condor.machines = count(ini, section, "machines", condor.machines);
+        condor.mean_idle_hours = 0.5;  // owners return often
+        condor.mean_busy_hours = 6.0;
+        s.resources.push_back(core::ResourceSpec::condor(name, condor));
+      } else if (kind == "boinc") {
+        boinc::BoincPoolConfig pool;
+        pool.hosts = count(ini, section, "hosts", pool.hosts);
+        pool.min_quorum =
+            static_cast<int>(count(ini, section, "min_quorum", 1));
+        if (pool.min_quorum < 1) {
+          ini.fail(section, "min_quorum", "must be >= 1");
+        }
+        pool.target_nresults = pool.min_quorum;
+        pool.mean_speed = 0.8;  // volunteer PCs trail the reference cluster
+        pool.speed_sigma = 0.6;  // and vary widely
+        pool.seed = 99;
+        pool.network = profile;
+        fault::apply_fault_plan(s.plan, pool);
+        s.resources.push_back(core::ResourceSpec::boinc_pool(name, pool));
+      } else {
+        ini.fail(section, "kind", "must be cluster, condor or boinc");
+      }
+    } else if (section.rfind("jobs.", 0) == 0) {
+      Cohort& cohort = s.cohorts.emplace_back();
+      cohort.name = section.substr(5);
+      cohort.count = count(ini, section, "count", 0);
+      if (ini.has_key(section, "data_mb")) {
+        cohort.data_mb = ini.get_double(section, "data_mb", 0.0);
+      }
+      if (ini.has_key(section, "runtime_hours")) {
+        cohort.runtime_hours = ini.get_double(section, "runtime_hours", 0.0);
+      }
+    }
+  }
+
+  if (ini.has_section("portal")) {
+    PortalSpec portal;
+    portal.users = count(ini, "portal", "users", 0);
+    portal.batches = count(ini, "portal", "batches", 0);
+    if (portal.users == 0 || portal.batches == 0) {
+      ini.fail("portal", "users", "a portal needs users > 0 and batches > 0");
+    }
+    const auto quota = [&ini](const std::string& user_class) {
+      return core::UserQuota{
+          count(ini, "portal", user_class + "_batches", 0),
+          count(ini, "portal", user_class + "_replicates", 0)};
+    };
+    portal.config.quota_guest = quota("guest");
+    portal.config.quota_registered = quota("registered");
+    portal.config.quota_power = quota("power");
+    portal.config.shed_backlog_watermark =
+        count(ini, "portal", "shed_watermark", 0);
+    s.portal = portal;
+  }
+
+  for (auto [key, cohort] : {std::pair{"stable", &s.expect_stable},
+                             std::pair{"volunteer", &s.expect_volunteer}}) {
+    *cohort = ini.get_or("expect", key, "");
+    const bool known = std::any_of(
+        s.cohorts.begin(), s.cohorts.end(),
+        [&](const Cohort& candidate) { return candidate.name == *cohort; });
+    if (!cohort->empty() && !known) {
+      ini.fail("expect", key, "names no [jobs.<cohort>] section");
+    }
+  }
+  ini.check_all_read();
+  return s;
+}
+
+/// The portal's traffic: a 90/9/1% guest/registered/power population with
+/// per-class heavy-tailed batch sizes and ~600 batches a day in aggregate
+/// (30/50/20% by class), however large the population.
+std::vector<core::WorkloadEntry> portal_traffic(const PortalSpec& spec,
+                                                const core::GarliCostModel&
+                                                    model) {
+  core::UserPopulationConfig pop;
+  pop.guests = {spec.users * 90 / 100, 0.0, 1.2, 1};
+  pop.registered = {spec.users * 9 / 100, 0.0, 1.4, 2};
+  pop.power = {spec.users - pop.guests.users - pop.registered.users, 0.0,
+               1.8, 8};
+  for (auto [mix, share] : {std::pair{&pop.guests, 0.30},
+                            std::pair{&pop.registered, 0.50},
+                            std::pair{&pop.power, 0.20}}) {
+    if (mix->users > 0) {
+      mix->batches_per_user_day =
+          share * 600.0 / static_cast<double>(mix->users);
+    }
+  }
+  pop.max_replicates = 30;
+  pop.max_expected_hours = 8.0;
+  util::Rng rng(29);
+  return core::UserPopulation(pop).generate(spec.batches, model, rng);
+}
+
+/// The pooled-likelihood self-test: one seeded dataset on a pool of
+/// `threads` workers, with branch-length perturbations to drive the
+/// dirty-partial path. Its output and phylo.* counters cannot depend on
+/// the pool size (DESIGN.md §7: disjoint tiles, serial reduction).
+void likelihood_self_test(int threads, obs::MetricsRegistry& metrics,
+                          obs::Tracer& tracer) {
+  util::Rng rng(20260806);
+  phylo::ModelSpec spec;
+  spec.rate_het = phylo::RateHet::kGamma;
+  spec.n_rate_categories = 4;
+  const auto dataset = phylo::simulate_dataset(12, 240, spec, rng, 0.1);
+  const phylo::PatternizedAlignment patterns(dataset.alignment);
+  const phylo::SubstitutionModel model(spec);
+  phylo::LikelihoodEngine engine(patterns);
+  engine.enable_matrix_cache();
+  engine.set_observability(metrics, tracer);
+  util::ThreadPool pool(threads > 0 ? static_cast<std::size_t>(threads) : 1);
+  if (threads > 0) engine.set_thread_pool(&pool);
+
+  phylo::Tree tree = dataset.tree;
+  double sum = engine.log_likelihood(tree, model);
+  for (int step = 0; step < 8; ++step) {
+    const int node = static_cast<int>(
+        (static_cast<std::size_t>(step) * 5) % tree.n_nodes());
+    if (node != tree.root()) {
+      tree.set_branch_length(
+          node, std::clamp(tree.branch_length(node) * 1.1, 1e-8, 10.0));
+    }
+    sum += engine.log_likelihood(tree, model);
+  }
+  std::cout << util::format(
+      "likelihood self-test: sum logL = {:.10f} ({} evaluations, {} "
+      "partials recomputed)\n",
+      sum, engine.evaluations(), engine.partials_recomputed());
+}
+
+struct Options {
+  std::string scenario;
+  std::string metrics_out;
+  std::string trace_out;
+  int pool_threads = -1;  // -1: self-test off
+};
+
+int run(const Scenario& s, const Options& options) {
+  core::LatticeSystem system(s.config);
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
-  const bool observe = !metrics_out.empty() || !trace_out.empty();
-  if (observe) {
-    system.enable_observability(
-        metrics, trace_out.empty() ? obs::Tracer::null() : tracer);
+  obs::Tracer& bound_tracer =
+      options.trace_out.empty() ? obs::Tracer::null() : tracer;
+  // Always observed: the audit reads counters, and observation never
+  // changes a decision or an event time (tests/test_obs.cpp).
+  system.enable_observability(metrics, bound_tracer);
+  if (s.train_corpus > 0) {
+    util::Rng corpus_rng(4242);
+    system.estimator().train(core::generate_corpus(
+        s.train_corpus, system.cost_model(), corpus_rng));
   }
-
-  // Host-level faults rewrite the volunteer-pool config before the pool is
-  // built; outage windows are armed on the running system below.
-  grid::BatchQueueResource::Config cluster;
-  cluster.nodes = 4;
-  cluster.cores_per_node = 4;
-  cluster.node_speed = 1.2;
-  grid::CondorPool::Config condor;
-  condor.machines = 16;
-  condor.mean_idle_hours = 0.5;  // owners return often: preemption-prone
-  condor.mean_busy_hours = 6.0;
-  boinc::BoincPoolConfig volunteers;
-  volunteers.hosts = 120;
-  volunteers.mean_speed = 0.8;
-  volunteers.speed_sigma = 0.6;
-  volunteers.min_quorum = 2;  // cross-validation catches corruption
-  volunteers.target_nresults = 2;
-  volunteers.seed = 99;
-  fault::apply_fault_plan(plan, volunteers);
-
-  std::vector<core::ResourceSpec> specs;
-  specs.push_back(core::ResourceSpec::cluster("stable-cluster", cluster));
-  specs.push_back(core::ResourceSpec::condor("campus-condor", condor));
-  specs.push_back(
-      core::ResourceSpec::boinc_pool("lattice-boinc", volunteers));
-  core::build_inventory(system, specs);
+  core::build_inventory(system, s.resources);
   system.calibrate_speeds();
 
-  fault::FaultInjector injector(system, plan);
-  if (observe) injector.set_observability(metrics);
+  if (s.plan.active()) std::cout << fault::fault_plan_summary(s.plan);
+  fault::FaultInjector injector(system, s.plan);
+  if (s.plan.active()) injector.set_observability(metrics);
   try {
     injector.arm();
   } catch (const std::exception& error) {
-    std::cerr << "fault plan: " << error.what() << "\n";
+    std::cerr << options.scenario << ": " << error.what() << "\n";
     return 2;
   }
 
-  constexpr std::size_t kJobs = 40;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    system.submit_job_with_runtime(core::GarliFeatures{}, 2.0 * 3600.0);
+  std::unique_ptr<core::Portal> portal;
+  std::vector<core::WorkloadEntry> traffic;
+  if (s.portal) {
+    portal = std::make_unique<core::Portal>(system, s.portal->config);
+    portal->set_observability(metrics);
+    traffic = portal_traffic(*s.portal, system.cost_model());
+    core::submit_portal_workload(*portal, traffic);
   }
-  std::cout << util::format(
-      "submitted {} jobs of 2.0 reference-hours across {} resources\n",
-      kJobs, system.resource_names().size());
-
-  system.run_until_drained(120.0 * 86400.0);
-
-  const auto& m = system.metrics();
-  auto* server =
-      dynamic_cast<boinc::BoincServer*>(system.resource("lattice-boinc"));
-  std::cout << util::format(
-      "drained at {:.1f} days: {}/{} completed, {} abandoned, {} failed "
-      "attempts\n",
-      system.simulation().now() / 86400.0, m.completed, kJobs, m.abandoned,
-      m.failed_attempts);
-  std::cout << util::format(
-      "volunteer pool: {} reissues, {} timeouts, {} corrupted canonical "
-      "results; {} outage windows\n",
-      server->reissued_results(), server->timed_out_results(),
-      server->corrupted_validations(), injector.outages_begun());
-
-  // The recovery contract this scenario exists to demonstrate.
-  bool ok = true;
-  if (m.completed != kJobs) {
-    std::cerr << "FAIL: not every job recovered to completion\n";
-    ok = false;
-  }
-  if (server->corrupted_validations() != 0) {
-    std::cerr << "FAIL: a corrupted result became canonical under quorum\n";
-    ok = false;
-  }
-  if (plan.active() && m.failed_attempts == 0) {
-    std::cerr << "FAIL: active plan injected no failures to recover from\n";
-    ok = false;
-  }
-  if (!plan.outages.empty() && injector.outages_begun() == 0) {
-    std::cerr << "FAIL: planned outage windows never fired\n";
-    ok = false;
-  }
-
-  if (!metrics_out.empty()) {
-    if (!obs::write_metrics(metrics, metrics_out)) {
-      std::cerr << "failed to write " << metrics_out << "\n";
-      return 1;
-    }
-    std::cout << util::format(
-        "metrics snapshot -> {} ({} retries scheduled, {} unstable->stable "
-        "demotions)\n",
-        metrics_out, metrics.counter_total("sched.retry_scheduled"),
-        metrics.counter_total("sched.demote_unstable_stable"));
-  }
-  if (!trace_out.empty()) {
-    if (!obs::write_trace(tracer, trace_out)) {
-      std::cerr << "failed to write " << trace_out << "\n";
-      return 1;
-    }
-    std::cout << util::format("chrome trace -> {} ({} events)\n", trace_out,
-                              tracer.events());
-  }
-  std::cout << (ok ? "recovery contract holds\n"
-                   : "recovery contract VIOLATED\n");
-  return ok ? 0 : 1;
-}
-
-// The transfer-aware scenario: a small stable cluster plus a net-enabled
-// volunteer pool whose hosts stage workunit data over the link classes in
-// --net-profile=FILE. Two cohorts are submitted — ordinary jobs, and
-// bulk-data jobs whose staging time alone exceeds the stability cutoff —
-// and the run self-verifies the transfer contract, so it doubles as the
-// slow_link_smoke ctest; scripts/determinism.sh additionally asserts two
-// identical invocations are bit-identical.
-int run_net_scenario(const std::string& profile_path,
-                     const std::string& metrics_out,
-                     const std::string& trace_out) {
-  using namespace lattice;
-
-  net::NetConfig profile;
-  try {
-    profile = net::load_net_profile(profile_path);
-  } catch (const std::exception& error) {
-    std::cerr << "net profile: " << error.what() << "\n";
-    return 2;
-  }
-  std::cout << util::format("net profile ({}): {} link classes, uplink "
-                            "{:.0f}/{:.0f} Mbps down/up\n",
-                            profile_path, profile.classes.size(),
-                            profile.server_down_mbps, profile.server_up_mbps);
-  for (const net::LinkClassSpec& spec : profile.classes) {
-    std::cout << util::format(
-        "  class {}: {:.3f}/{:.3f} Mbps, {:.2f}s latency, fraction {:.2f}\n",
-        spec.name, spec.down_mbps, spec.up_mbps, spec.latency_s,
-        spec.fraction);
-  }
-
-  core::LatticeConfig config;
-  config.seed = 20260808;
-  config.max_attempts = 24;
-  // The transfer-aware knobs under test: deadlines budget staging wall
-  // time, and the stability filter charges staging against the cutoff.
-  // The cutoff is widened so ordinary jobs stay volunteer-eligible on the
-  // slow (availability-discounted) pool; bulk staging at 0.1 Mbps adds
-  // ~56 h, which no cutoff survives.
-  config.scheduler.stability_cutoff_hours = 48.0;
-  config.deadline.typical_mbps = 0.5;
-  config.scheduler.staging_mbps = 0.1;
-  core::LatticeSystem system(config);
-
-  obs::MetricsRegistry metrics;
-  obs::Tracer tracer;
-  // Always observe: the contract below reads boinc.results_sent, and
-  // observation never changes decisions or timing (tests/test_obs.cpp).
-  system.enable_observability(
-      metrics, trace_out.empty() ? obs::Tracer::null() : tracer);
-
-  // Estimates drive both transfer-aware paths (deadline + stability), so
-  // train the estimator up front from the cost model's synthetic corpus.
-  {
-    util::Rng corpus_rng(4242);
-    system.estimator().train(
-        core::generate_corpus(80, system.cost_model(), corpus_rng));
-  }
-
-  // Deliberately small and slow: once a handful of jobs back up on it,
-  // the eta rank sends the rest to the (slower but wide) volunteer pool —
-  // except the bulk cohort, which the staging-aware filter pins here.
-  grid::BatchQueueResource::Config cluster;
-  cluster.nodes = 1;
-  cluster.cores_per_node = 2;
-  cluster.node_speed = 0.6;
-  boinc::BoincPoolConfig volunteers;
-  volunteers.hosts = 150;
-  volunteers.mean_speed = 0.8;
-  volunteers.speed_sigma = 0.6;
-  volunteers.seed = 99;
-  volunteers.network = profile;
-
-  std::vector<core::ResourceSpec> specs;
-  specs.push_back(core::ResourceSpec::cluster("stable-cluster", cluster));
-  specs.push_back(
-      core::ResourceSpec::boinc_pool("lattice-boinc", volunteers));
-  core::build_inventory(system, specs);
-  system.calibrate_speeds();
-
-  // Cohorts: ordinary jobs stage under a megabyte; bulk jobs carry a
-  // supermatrix whose staging alone (2505 MB at the policy's 0.1 Mbps,
-  // ~56 h) exceeds the 48 h stability cutoff, so the scheduler must keep
-  // them on the stable cluster no matter how the volunteer pool ranks.
-  constexpr std::size_t kNormalJobs = 24;
-  constexpr std::size_t kBulkJobs = 4;
   const core::GarliFeatures features;  // ~0.45 reference-hours
-  const core::GarliCostModel::DataSizes sizes =
-      system.cost_model().data_sizes(features);
-  std::vector<std::uint64_t> normal_ids;
-  std::vector<std::uint64_t> bulk_ids;
-  for (std::size_t i = 0; i < kNormalJobs; ++i) {
-    normal_ids.push_back(system.submit_garli_job(
-        features, {}, 0, core::JobData{sizes.input_mb, sizes.output_mb}));
-  }
-  for (std::size_t i = 0; i < kBulkJobs; ++i) {
-    bulk_ids.push_back(system.submit_garli_job(
-        features, {}, 0, core::JobData{2500.0, 5.0}));
-  }
-  std::cout << util::format(
-      "submitted {} ordinary jobs ({:.1f} MB staged) and {} bulk jobs "
-      "(2505.0 MB staged)\n",
-      kNormalJobs, sizes.input_mb + sizes.output_mb, kBulkJobs);
-
-  system.run_until_drained(120.0 * 86400.0);
-
-  const auto& m = system.metrics();
-  auto* server =
-      dynamic_cast<boinc::BoincServer*>(system.resource("lattice-boinc"));
-  const net::NetworkModel* network = server->network();
-  const double results_sent = metrics.counter_total("boinc.results_sent");
-  std::cout << util::format(
-      "drained at {:.1f} days: {}/{} completed, {} failed attempts\n",
-      system.simulation().now() / 86400.0, m.completed,
-      kNormalJobs + kBulkJobs, m.failed_attempts);
-  std::cout << util::format(
-      "volunteer pool: {} results sent, {} transfers started / {} "
-      "completed / {} cancelled, {:.1f} MB down, {:.1f} MB up\n",
-      static_cast<std::uint64_t>(results_sent),
-      network->transfers_started(), network->transfers_completed(),
-      network->transfers_cancelled(),
-      network->megabytes_moved(net::Direction::kDown),
-      network->megabytes_moved(net::Direction::kUp));
-
-  // The transfer contract this scenario exists to demonstrate.
-  bool ok = true;
-  if (m.completed != kNormalJobs + kBulkJobs) {
-    std::cerr << "FAIL: not every job completed under the slow links\n";
-    ok = false;
-  }
-  // Zero free staging: every volunteer dispatch must stage a real download
-  // (uploads only follow successful computes, so started >= sent).
-  if (results_sent <= 0.0 ||
-      network->transfers_started() <
-          static_cast<std::uint64_t>(results_sent)) {
-    std::cerr << "FAIL: a volunteer dispatch skipped transfer staging\n";
-    ok = false;
-  }
-  if (network->megabytes_moved(net::Direction::kDown) <= 0.0 ||
-      network->megabytes_moved(net::Direction::kUp) <= 0.0) {
-    std::cerr << "FAIL: no data moved through the link model\n";
-    ok = false;
-  }
-  // Transfer-bound jobs stay off volunteer hosts: the staging-aware
-  // stability filter must route every bulk job to the stable cluster.
-  for (const std::uint64_t id : bulk_ids) {
-    const grid::GridJob* job = system.job(id);
-    if (job == nullptr || job->resource != "stable-cluster") {
-      std::cerr << "FAIL: bulk job " << id
-                << " was placed on volunteer hosts\n";
-      ok = false;
+  const auto sizes = system.cost_model().data_sizes(features);
+  std::vector<std::vector<std::uint64_t>> cohort_ids;
+  for (const Cohort& cohort : s.cohorts) {
+    const core::JobData data{cohort.data_mb.value_or(sizes.input_mb),
+                             sizes.output_mb};
+    std::vector<std::uint64_t>& ids = cohort_ids.emplace_back();
+    for (std::size_t i = 0; i < cohort.count; ++i) {
+      ids.push_back(cohort.runtime_hours
+                        ? system.submit_job_with_runtime(
+                              features, *cohort.runtime_hours * 3600.0, {},
+                              0, data)
+                        : system.submit_garli_job(features, {}, 0, data));
     }
   }
-  bool any_normal_on_volunteers = false;
-  for (const std::uint64_t id : normal_ids) {
-    const grid::GridJob* job = system.job(id);
-    if (job != nullptr && job->resource == "lattice-boinc") {
-      any_normal_on_volunteers = true;
-    }
-  }
-  if (!any_normal_on_volunteers) {
-    std::cerr << "FAIL: no ordinary job ran on the volunteer pool\n";
-    ok = false;
-  }
-  // Transfer-aware deadlines: the policy must extend a bulk job's report
-  // deadline beyond the data-free value.
-  const double est = 0.45 * 3600.0;
-  if (config.deadline.deadline_seconds(est, 2505.0) <=
-      config.deadline.deadline_seconds(est, 0.0)) {
-    std::cerr << "FAIL: deadline policy ignored the staged data\n";
-    ok = false;
-  }
 
-  if (!metrics_out.empty()) {
-    if (!obs::write_metrics(metrics, metrics_out)) {
-      std::cerr << "failed to write " << metrics_out << "\n";
-      return 1;
-    }
-    std::cout << util::format(
-        "metrics snapshot -> {} ({:.0f} MB through net.bytes_down)\n",
-        metrics_out, metrics.counter_total("net.bytes_down") / 1e6);
-  }
-  if (!trace_out.empty()) {
-    if (!obs::write_trace(tracer, trace_out)) {
-      std::cerr << "failed to write " << trace_out << "\n";
-      return 1;
-    }
-    std::cout << util::format("chrome trace -> {} ({} events)\n", trace_out,
-                              tracer.events());
-  }
-  std::cout << (ok ? "transfer contract holds\n"
-                   : "transfer contract VIOLATED\n");
-  return ok ? 0 : 1;
-}
-
-// The multi-tenant portal scenario: a heavy-tailed batch workload drawn
-// from an N-user guest/registered/power population (core::UserPopulation)
-// flows through the portal's admission control (per-user quotas, guest
-// shedding) and the fair-share-ordered meta-scheduler queue. The run
-// self-verifies the admission ledger and exits nonzero when it is
-// violated; scripts/determinism.sh additionally asserts two identical
-// invocations are bit-identical and that the portal.admit_* counters
-// appear in the metrics snapshot.
-int run_portal_scenario(std::size_t users, const std::string& metrics_out,
-                        const std::string& trace_out) {
-  using namespace lattice;
-
-  core::LatticeConfig config;
-  config.seed = 20260808;
-  config.scheduler.mode = core::SchedulingMode::kEstimateAware;
-  config.scheduler_period = 300.0;
-  config.scheduler.fair_share_weight = 0.5;
-  config.fair_share.order_queue = true;
-  config.fair_share.backlog_per_slot = 2.0;
-  core::LatticeSystem system(config);
-
-  obs::MetricsRegistry metrics;
-  obs::Tracer tracer;
-  // Always observe: the ledger contract below reads the portal.admit_*
-  // counters, and observation never changes decisions or timing.
-  system.enable_observability(
-      metrics, trace_out.empty() ? obs::Tracer::null() : tracer);
-
-  // Admission quotes and fair-share ordering both consume runtime
-  // estimates, so train the estimator from the cost model's corpus.
-  {
-    util::Rng corpus_rng(4242);
-    system.estimator().train(
-        core::generate_corpus(80, system.cost_model(), corpus_rng));
-  }
-
-  grid::BatchQueueResource::Config cluster;
-  cluster.nodes = 16;
-  cluster.cores_per_node = 4;
-  cluster.node_speed = 1.0;
-  std::vector<core::ResourceSpec> specs;
-  specs.push_back(core::ResourceSpec::cluster("hpc-cluster", cluster));
-  core::build_inventory(system, specs);
-  system.calibrate_speeds();
-
-  core::PortalConfig portal_config;
-  portal_config.quota_guest = {2, 50};
-  portal_config.quota_registered = {8, 400};
-  portal_config.quota_power = {16, 2000};
-  portal_config.shed_backlog_watermark = 2000;
-  core::Portal portal(system, portal_config);
-  portal.set_observability(metrics);
-
-  // 90/9/1% population split with per-class heavy-tailed batch sizes;
-  // per-user rates are set for ~600 batches/day in aggregate no matter
-  // how large the population is, mirroring bench_portal_scale.
-  core::UserPopulationConfig pop;
-  pop.guests = {users * 90 / 100, 0.0, 1.2, 1};
-  pop.registered = {users * 9 / 100, 0.0, 1.4, 2};
-  pop.power = {users - pop.guests.users - pop.registered.users, 0.0, 1.8,
-               8};
-  pop.guests.batches_per_user_day =
-      0.30 * 600.0 / static_cast<double>(pop.guests.users);
-  pop.registered.batches_per_user_day =
-      0.50 * 600.0 / static_cast<double>(pop.registered.users);
-  pop.power.batches_per_user_day =
-      0.20 * 600.0 / static_cast<double>(pop.power.users);
-  pop.max_replicates = 30;
-  pop.max_expected_hours = 8.0;
-  core::UserPopulation population(pop);
-
-  constexpr std::size_t kBatches = 80;
-  util::Rng workload_rng(29);
-  const auto trace =
-      population.generate(kBatches, system.cost_model(), workload_rng);
-  std::size_t trace_replicates = 0;
-  for (const auto& entry : trace) trace_replicates += entry.replicates;
-  std::cout << util::format(
-      "portal population: {} users ({} guests / {} registered / {} "
-      "power), {} batches over {:.1f} days, {} replicates total\n",
-      population.total_users(), pop.guests.users, pop.registered.users,
-      pop.power.users, trace.size(), trace.back().arrival_seconds / 86400.0,
-      trace_replicates);
-
-  core::submit_portal_workload(portal, trace);
-  system.run(trace.back().arrival_seconds + 1.0);
+  // Portal arrivals are future events; fire them all before draining.
+  if (!traffic.empty()) system.run(traffic.back().arrival_seconds + 1.0);
   system.run_until_drained(400.0 * 86400.0);
 
-  const double accepted = metrics.counter_total("portal.admit_accepted");
-  const double rejected = metrics.counter_total("portal.admit_rejected");
-  const double quota_denied =
-      metrics.counter_total("portal.admit_quota_denied");
-  const double shed = metrics.counter_total("portal.shed_guest");
-  const double charges = metrics.counter_total("sched.fair_share_charges");
-  std::size_t done_batches = 0;
-  double total_turnaround_h = 0.0;
-  for (const auto& [id, record] : portal.batches()) {
-    if (record.done) {
-      ++done_batches;
-      total_turnaround_h += (record.finished - record.submitted) / 3600.0;
-    }
-  }
+  const core::LatticeMetrics& m = system.metrics();
   std::cout << util::format(
-      "admission ledger: {:.0f} accepted, {:.0f} quota-denied, {:.0f} "
-      "guest-shed, {:.0f} rejected\n",
-      accepted, quota_denied, shed, rejected);
-  std::cout << util::format(
-      "drained at {:.1f} days: {} batches done, {} grid jobs completed, "
-      "{:.0f} fair-share charges, mean turnaround {:.2f} h\n",
-      system.simulation().now() / 86400.0, done_batches,
-      system.metrics().completed, charges,
-      done_batches > 0
-          ? total_turnaround_h / static_cast<double>(done_batches)
-          : 0.0);
-
-  // The admission-ledger contract this scenario exists to demonstrate.
-  bool ok = true;
-  if (accepted + rejected + quota_denied + shed !=
-      static_cast<double>(trace.size())) {
-    std::cerr << "FAIL: admission counters do not account for every "
-                 "submission\n";
-    ok = false;
-  }
-  if (accepted <= 0.0) {
-    std::cerr << "FAIL: no submission was accepted\n";
-    ok = false;
-  }
-  if (done_batches != static_cast<std::size_t>(accepted)) {
-    std::cerr << "FAIL: an accepted batch never drained\n";
-    ok = false;
-  }
-  if (charges <= 0.0) {
-    std::cerr << "FAIL: the fair-share odometer was never charged\n";
-    ok = false;
-  }
-
-  if (!metrics_out.empty()) {
-    if (!obs::write_metrics(metrics, metrics_out)) {
-      std::cerr << "failed to write " << metrics_out << "\n";
-      return 1;
-    }
+      "drained at {:.1f} days: {}/{} jobs completed, {} abandoned, {} "
+      "failed attempts on {} resources\n",
+      system.simulation().now() / 86400.0, m.completed, m.submitted,
+      m.abandoned, m.failed_attempts, system.resource_names().size());
+  for (const std::string& name : system.resource_names()) {
+    const auto* pool =
+        dynamic_cast<boinc::BoincServer*>(system.resource(name));
+    if (pool == nullptr) continue;
     std::cout << util::format(
-        "metrics snapshot -> {} ({} fair-share queue reorders)\n",
-        metrics_out, metrics.counter_total("sched.fair_share_reorders"));
-  }
-  if (!trace_out.empty()) {
-    if (!obs::write_trace(tracer, trace_out)) {
-      std::cerr << "failed to write " << trace_out << "\n";
-      return 1;
+        "pool {}: {} reissues, {} timeouts, {} corrupted canonical results",
+        name, pool->reissued_results(), pool->timed_out_results(),
+        pool->corrupted_validations());
+    if (const net::NetworkModel* network = pool->network()) {
+      std::cout << util::format("; {} transfers, {:.1f} MB down, {:.1f} MB up",
+                                network->transfers_started(),
+                                network->megabytes_moved(net::Direction::kDown),
+                                network->megabytes_moved(net::Direction::kUp));
     }
-    std::cout << util::format("chrome trace -> {} ({} events)\n", trace_out,
-                              tracer.events());
+    std::cout << "\n";
   }
-  std::cout << (ok ? "admission ledger holds\n"
-                   : "admission ledger VIOLATED\n");
-  return ok ? 0 : 1;
-}
+  const std::uint64_t accepted = metrics.counter_total("portal.admit_accepted");
+  if (portal != nullptr) {
+    std::cout << util::format(
+        "portal: {} users, {} submissions: {} accepted, {} quota-denied, "
+        "{} guest-shed, {} rejected\n",
+        s.portal->users, traffic.size(), accepted,
+        metrics.counter_total("portal.admit_quota_denied"),
+        metrics.counter_total("portal.shed_guest"),
+        metrics.counter_total("portal.admit_rejected"));
+  }
 
-/// Parse a whole decimal flag value into `out`. False for anything else
-/// ("abc", "4x", "", out of range), which main turns into the usage line.
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, error] = std::from_chars(text.data(), end, out);
-  return error == std::errc{} && ptr == end;
+  // The shared audit, then what this scenario's own inputs promise.
+  std::vector<std::string> failures =
+      core::audit(system, metrics, portal.get(), traffic.size());
+  const auto require = [&failures](bool ok, std::string what) {
+    if (!ok) failures.push_back(std::move(what));
+  };
+  require(m.completed == m.submitted, "not every submitted job completed");
+  require(!s.plan.active() || m.failed_attempts > 0,
+          "the active fault plan injected no failures to recover from");
+  for (auto [counter, planned] :
+       {std::pair{"fault.outages_begun", s.plan.outages.size()},
+        std::pair{"fault.link_windows_begun", s.plan.link_faults.size()},
+        std::pair{"fault.uplink_outages_begun",
+                  s.plan.uplink_outages.size()}}) {
+    require(metrics.counter_total(counter) >= planned,
+            util::format("{} planned windows but {} = {}", planned, counter,
+                         metrics.counter_total(counter)));
+  }
+  // Silent corruption is only caught by cross-validation: keep the audit's
+  // quorum >= 2 check from going vacuous on a pool the plan corrupts.
+  const bool corrupts = s.plan.normal_hosts.corruption_probability > 0.0 ||
+                        s.plan.flaky_hosts.corruption_probability > 0.0;
+  for (const core::ResourceSpec& spec : s.resources) {
+    const auto* pool = std::get_if<boinc::BoincPoolConfig>(&spec.config);
+    require(!corrupts || pool == nullptr || pool->min_quorum >= 2,
+            util::format("the fault plan corrupts results on {} but its "
+                         "quorum cannot catch them",
+                         spec.name));
+  }
+  std::vector<std::string> layers = {"sched.match_candidates_scanned",
+                                     "sched.match_eligible"};
+  if (s.plan.active()) layers.push_back("fault.outages_begun");
+  if (s.net) layers.insert(layers.end(), {"net.bytes_down", "net.bytes_up"});
+  if (portal != nullptr) layers.push_back("portal.admit_quota_denied");
+  const std::string snapshot = metrics.snapshot_csv();
+  for (const std::string& name : layers) {
+    require(snapshot.find(name) != std::string::npos,
+            util::format("metric {} missing from the snapshot", name));
+  }
+  require(portal == nullptr || accepted > 0, "the portal accepted nothing");
+  for (std::size_t i = 0; i < s.cohorts.size(); ++i) {
+    bool all_stable = true;
+    bool any_volunteer = false;
+    for (const std::uint64_t id : cohort_ids[i]) {
+      grid::LocalResource* where = system.resource(system.job(id)->resource);
+      if (where == nullptr) {
+        all_stable = false;
+        continue;
+      }
+      const grid::ResourceInfo info = where->info();
+      all_stable = all_stable && info.stable;
+      any_volunteer = any_volunteer ||
+                      info.kind == grid::ResourceKind::kBoincPool;
+    }
+    const std::string& name = s.cohorts[i].name;
+    require(name != s.expect_stable || all_stable,
+            util::format("expect: a {} job ran off the stable resources",
+                         name));
+    require(name != s.expect_volunteer || any_volunteer,
+            util::format("expect: no {} job ran on a volunteer pool", name));
+  }
+
+  if (options.pool_threads >= 0) {
+    likelihood_self_test(options.pool_threads, metrics, bound_tracer);
+  }
+  require(options.metrics_out.empty() ||
+              obs::write_metrics(metrics, options.metrics_out),
+          "cannot write " + options.metrics_out);
+  require(options.trace_out.empty() ||
+              obs::write_trace(tracer, options.trace_out),
+          "cannot write " + options.trace_out);
+  for (const std::string& failure : failures) {
+    std::cerr << "FAIL: " << failure << "\n";
+  }
+  std::cout << (failures.empty() ? "audit holds\n" : "audit VIOLATED\n");
+  return failures.empty() ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace lattice;
-
-  std::string metrics_out;
-  std::string trace_out;
-  std::string fault_plan;
-  std::string net_profile;
-  std::size_t portal_users = 0;  // 0: portal scenario off
-  int pool_threads = -1;  // -1: self-test off
+  Options options;
+  std::string pool_threads;
   const auto usage = [] {
-    std::cerr << "usage: volunteer_grid [--metrics-out=FILE] "
-                 "[--trace-out=FILE] [--pool-threads=N] "
-                 "[--fault-plan=FILE] [--net-profile=FILE] "
-                 "[--portal-users=N]\n";
+    std::cerr << "usage: volunteer_grid --scenario=FILE [--metrics-out=FILE] "
+                 "[--trace-out=FILE] [--pool-threads=N]\n";
     return 2;
   };
+  const std::pair<std::string_view, std::string*> flags[] = {
+      {"--scenario", &options.scenario},
+      {"--metrics-out", &options.metrics_out},
+      {"--trace-out", &options.trace_out},
+      {"--pool-threads", &pool_threads}};
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(14);
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(12);
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (arg.rfind("--pool-threads=", 0) == 0) {
-      if (!parse_number(arg.substr(15), pool_threads) || pool_threads < 0) {
-        return usage();
-      }
-    } else if (arg.rfind("--fault-plan=", 0) == 0) {
-      fault_plan = arg.substr(13);
-    } else if (arg == "--fault-plan" && i + 1 < argc) {
-      fault_plan = argv[++i];
-    } else if (arg.rfind("--net-profile=", 0) == 0) {
-      net_profile = arg.substr(14);
-    } else if (arg == "--net-profile" && i + 1 < argc) {
-      net_profile = argv[++i];
-    } else if (arg.rfind("--portal-users=", 0) == 0) {
-      if (!parse_number(arg.substr(15), portal_users)) return usage();
-    } else {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const auto* flag = std::find_if(
+        std::begin(flags), std::end(flags), [&](const auto& candidate) {
+          return candidate.first == arg.substr(0, eq);
+        });
+    if (flag == std::end(flags) || eq == std::string_view::npos ||
+        eq + 1 == arg.size()) {
+      return usage();
+    }
+    *flag->second = arg.substr(eq + 1);
+  }
+  if (!pool_threads.empty()) {
+    const char* end = pool_threads.data() + pool_threads.size();
+    const auto [ptr, error] =
+        std::from_chars(pool_threads.data(), end, options.pool_threads);
+    if (error != std::errc{} || ptr != end || options.pool_threads < 0) {
       return usage();
     }
   }
+  if (options.scenario.empty()) return usage();
 
-  if (!fault_plan.empty()) {
-    return run_fault_scenario(fault_plan, metrics_out, trace_out);
+  Scenario scenario;
+  try {
+    scenario = load_scenario(options.scenario);
+  } catch (const std::exception& error) {
+    std::cerr << "volunteer_grid: " << error.what() << "\n";
+    return 2;
   }
-  if (!net_profile.empty()) {
-    return run_net_scenario(net_profile, metrics_out, trace_out);
-  }
-  if (portal_users > 0) {
-    return run_portal_scenario(portal_users, metrics_out, trace_out);
-  }
-
-  sim::Simulation sim;
-  obs::MetricsRegistry metrics;
-  obs::Tracer tracer;
-  obs::Tracer& bound_tracer =
-      trace_out.empty() ? obs::Tracer::null() : tracer;
-  const bool observe = !metrics_out.empty() || !trace_out.empty();
-  if (observe) {
-    sim.set_observability(&metrics,
-                          trace_out.empty() ? nullptr : &tracer);
-  }
-  boinc::BoincPoolConfig config;
-  config.hosts = 400;
-  config.mean_speed = 0.8;      // volunteer PCs trail the reference cluster
-  config.speed_sigma = 0.6;     // and vary widely
-  config.mean_on_hours = 6.0;
-  config.mean_off_hours = 18.0;
-  config.mean_lifetime_days = 45.0;  // volunteers drift away for good
-  config.host_error_probability = 0.02;
-  config.min_quorum = 2;             // cross-validate results
-  config.target_nresults = 2;
-  config.seed = 99;
-  boinc::BoincServer server(sim, "lattice-boinc", config);
-  if (observe) server.set_observability(metrics, bound_tracer);
-
-  std::size_t completed = 0;
-  std::size_t failed = 0;
-  server.set_completion_callback(
-      [&](grid::GridJob&, const grid::JobOutcome& outcome) {
-        if (outcome.completed()) {
-          ++completed;
-        } else {
-          ++failed;
-        }
-      });
-
-  // Placement goes through the grid layer's matchmaking (MDS capability
-  // index + meta-scheduler) rather than straight to the server, so the
-  // determinism check covers the indexed scheduling path end to end. The
-  // directory holds only the BOINC server, so every decision must land
-  // there.
-  grid::MdsDirectory mds(sim);
-  mds.report(server.info());
-  core::SpeedCalibrator speeds(3600.0);
-  core::MetaScheduler scheduler(mds, speeds);
-  if (observe) scheduler.set_observability(metrics);
-
-  // 200 jobs of ~6 reference-hours each, with estimate-derived deadlines.
-  core::DeadlinePolicy deadline_policy;
-  std::vector<grid::GridJob> jobs(200);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].id = i + 1;
-    jobs[i].true_reference_runtime = 6.0 * 3600.0;
-    jobs[i].estimated_reference_runtime = 6.3 * 3600.0;  // RF estimate
-    const auto placement = scheduler.choose(jobs[i]);
-    if (placement.value_or("") != "lattice-boinc") {
-      std::cerr << "matchmaking did not place on lattice-boinc!\n";
-      return 1;
-    }
-    server.set_delay_bound(
-        jobs[i].id,
-        deadline_policy.deadline_seconds(*jobs[i].estimated_reference_runtime));
-    server.submit(jobs[i]);
-  }
-  std::cout << util::format(
-      "matchmaking: {} placements via the capability index, all on "
-      "lattice-boinc\n",
-      jobs.size());
-
-  std::cout << util::format("submitted {} workunits to {} volunteer hosts\n",
-                            jobs.size(), config.hosts);
-  std::cout << util::format(
-      "deadline policy: {:.1f} days per result (slack {:.0f}x over a "
-      "typical host)\n",
-      deadline_policy.deadline_seconds(6.3 * 3600.0) / 86400.0,
-      deadline_policy.slack);
-
-  // Observe the pool weekly until the batch drains.
-  for (int week = 1; week <= 12 && completed + failed < jobs.size();
-       ++week) {
-    sim.run(week * 7.0 * 86400.0);
-    std::cout << util::format(
-        "week {:2d}: {:3d} validated, {} online hosts, {} timeouts, "
-        "{} reissues, {:.0f} wasted duplicate CPU-h\n",
-        week, completed, server.online_hosts(), server.timed_out_results(),
-        server.reissued_results(),
-        server.wasted_duplicate_cpu_seconds() / 3600.0);
-  }
-
-  std::cout << util::format(
-      "\nfinal: {}/{} validated ({} failed), total volunteer CPU: {:.0f} h\n",
-      completed, jobs.size(), failed, server.total_cpu_seconds() / 3600.0);
-  std::size_t results_issued = 0;
-  for (const auto& [id, wu] : server.workunits()) {
-    results_issued += wu.results.size();
-  }
-  std::cout << util::format(
-      "workunits: {}, result instances issued: {} ({:.2f} per workunit "
-      "with quorum {})\n",
-      server.workunits().size(), results_issued,
-      static_cast<double>(results_issued) /
-          static_cast<double>(server.workunits().size()),
-      config.min_quorum);
-
-  // Pooled-likelihood determinism self-test: the same seeded dataset is
-  // evaluated on a pool of the requested size, with a few incremental
-  // branch-length perturbations to drive the dirty-partial path. Every
-  // number printed here — and every phylo.* counter folded into the
-  // metrics snapshot below — is independent of the pool size by
-  // construction (DESIGN.md §7: tiles are disjoint, the reduction is
-  // serial), which scripts/determinism.sh verifies end to end.
-  if (pool_threads >= 0) {
-    util::Rng rng(20260806);
-    phylo::ModelSpec spec;
-    spec.rate_het = phylo::RateHet::kGamma;
-    spec.n_rate_categories = 4;
-    const auto dataset = phylo::simulate_dataset(12, 240, spec, rng, 0.1);
-    const phylo::PatternizedAlignment patterns(dataset.alignment);
-    const phylo::SubstitutionModel model(spec);
-    phylo::LikelihoodEngine engine(patterns);
-    engine.enable_matrix_cache();
-    if (observe) engine.set_observability(metrics, bound_tracer);
-    util::ThreadPool pool(
-        pool_threads > 0 ? static_cast<std::size_t>(pool_threads) : 1);
-    if (pool_threads > 0) engine.set_thread_pool(&pool);
-
-    phylo::Tree tree = dataset.tree;
-    double sum = engine.log_likelihood(tree, model);
-    for (int step = 0; step < 8; ++step) {
-      const int node = static_cast<int>(
-          (static_cast<std::size_t>(step) * 5) % tree.n_nodes());
-      if (node != tree.root()) {
-        tree.set_branch_length(
-            node, std::clamp(tree.branch_length(node) * 1.1, 1e-8, 10.0));
-      }
-      sum += engine.log_likelihood(tree, model);
-    }
-    std::cout << util::format(
-        "likelihood self-test: sum logL = {:.10f} ({} evaluations, {} "
-        "partials recomputed)\n",
-        sum, engine.evaluations(), engine.partials_recomputed());
-  }
-
-  if (!metrics_out.empty()) {
-    if (!obs::write_metrics(metrics, metrics_out)) {
-      std::cerr << "failed to write " << metrics_out << "\n";
-      return 1;
-    }
-    std::cout << util::format(
-        "metrics snapshot -> {} ({} deadline misses, {} results reissued)\n",
-        metrics_out, metrics.counter_total("boinc.deadline_misses"),
-        metrics.counter_total("boinc.results_reissued"));
-  }
-  if (!trace_out.empty()) {
-    if (!obs::write_trace(tracer, trace_out)) {
-      std::cerr << "failed to write " << trace_out << "\n";
-      return 1;
-    }
-    std::cout << util::format(
-        "chrome trace -> {} ({} events; open in Perfetto or "
-        "chrome://tracing)\n",
-        trace_out, tracer.events());
-  }
-  return 0;
+  std::cout << "scenario " << options.scenario << "\n";
+  return run(scenario, options);
 }

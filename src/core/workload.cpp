@@ -53,6 +53,12 @@ UserPopulation::UserPopulation(UserPopulationConfig config)
       throw std::invalid_argument(util::format(
           "workload: {} pareto_alpha must be > 0", name));
     }
+    // A NaN or inf rate would turn the aggregate rate (users * rate, even
+    // for an empty class: 0 * inf) into NaN arrival times.
+    if (!std::isfinite(mix.batches_per_user_day)) {
+      throw std::invalid_argument(util::format(
+          "workload: {} batches_per_user_day must be finite", name));
+    }
     if (mix.users > 0 && mix.batches_per_user_day < 0.0) {
       throw std::invalid_argument(util::format(
           "workload: {} batches_per_user_day must be >= 0", name));

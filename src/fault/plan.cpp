@@ -1,6 +1,5 @@
 #include "fault/plan.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -136,14 +135,7 @@ FaultPlan fault_plan_from_ini(const util::IniFile& ini) {
 }
 
 FaultPlan load_fault_plan(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error(
-        util::format("fault plan: cannot read {}", path));
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return fault_plan_from_ini(util::IniFile::parse(text.str()));
+  return fault_plan_from_ini(util::IniFile::load(path));
 }
 
 std::string fault_plan_summary(const FaultPlan& plan) {

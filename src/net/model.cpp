@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -332,8 +330,7 @@ double NetworkModel::expected_staging_seconds(double input_mb,
   return expected;
 }
 
-NetConfig net_profile_from_ini(const std::string& text) {
-  const util::IniFile ini = util::IniFile::parse(text);
+NetConfig net_profile_from_ini(const util::IniFile& ini) {
   NetConfig config;
   config.enabled = ini.get_bool("net", "enabled", true);
   config.server_down_mbps =
@@ -370,16 +367,6 @@ NetConfig net_profile_from_ini(const std::string& text) {
         "net profile: enabled profile defines no [class.<name>] sections");
   }
   return config;
-}
-
-NetConfig load_net_profile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("net profile: cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return net_profile_from_ini(buffer.str());
 }
 
 }  // namespace lattice::net

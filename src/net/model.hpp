@@ -19,6 +19,10 @@
 #include "sim/event_fn.hpp"
 #include "sim/simulation.hpp"
 
+namespace lattice::util {
+class IniFile;
+}  // namespace lattice::util
+
 namespace lattice::net {
 
 /// Transfer direction relative to the project server: kDown stages
@@ -150,9 +154,6 @@ class NetworkModel {
 /// a `[net]` section (enabled, server_down_mbps, server_up_mbps) plus one
 /// `[class.<name>]` section per link class (down_mbps, up_mbps, latency_s,
 /// fraction). Throws std::runtime_error on invalid values.
-NetConfig net_profile_from_ini(const std::string& text);
-
-/// Load a profile from a file path (throws on I/O or parse errors).
-NetConfig load_net_profile(const std::string& path);
+NetConfig net_profile_from_ini(const util::IniFile& ini);
 
 }  // namespace lattice::net

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -48,7 +50,15 @@ void Simulation::release_slot(std::uint32_t slot) {
 
 EventHandle Simulation::at(SimTime when, EventFn fn) {
   assert(fn);
-  when = std::max(when, now_);
+  // One compare on the common path; only a time in the past (or NaN, which
+  // compares false) takes the clamp branch, where a non-finite time would
+  // otherwise reach the queue as a garbage slot index.
+  if (!(when >= now_)) {
+    if (!std::isfinite(when)) {
+      throw std::invalid_argument("sim: event time is not finite");
+    }
+    when = now_;
+  }
   const std::uint32_t slot = acquire_slot();
   slots_[slot].fn = std::move(fn);
   const std::uint32_t generation = slots_[slot].generation;

@@ -59,8 +59,9 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedule fn at absolute time `when` (>= now). Events in the past are
-  /// clamped to now. Accepts any callable; captures up to
-  /// EventFn::kInlineBytes are stored without allocating.
+  /// clamped to now; a NaN or -inf `when` throws std::invalid_argument.
+  /// Accepts any callable; captures up to EventFn::kInlineBytes are stored
+  /// without allocating.
   EventHandle at(SimTime when, EventFn fn);
 
   /// Schedule fn `delay` seconds from now (negative clamps to 0).

@@ -1,10 +1,13 @@
 #include "util/ini.hpp"
 
 #include <cctype>
-#include "util/fmt.hpp"
+#include <cmath>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "util/fmt.hpp"
 
 namespace lattice::util {
 
@@ -22,49 +25,51 @@ std::string trim(std::string_view text) {
   return std::string(text.substr(begin, end - begin));
 }
 
-IniFile IniFile::parse(std::string_view text) {
+IniFile IniFile::parse(std::string_view text, std::string source) {
   IniFile file;
+  file.source_ = std::move(source);
   std::string current_section;
   bool in_section = false;
   std::size_t line_number = 0;
   std::istringstream stream{std::string(text)};
   std::string raw;
+  const auto error = [&](std::string_view what) {
+    return std::runtime_error(
+        format("{}: line {}: {}", file.source_, line_number, what));
+  };
   while (std::getline(stream, raw)) {
     ++line_number;
     std::string line = trim(raw);
     if (line.empty() || line[0] == '#' || line[0] == ';') continue;
     if (line.front() == '[') {
-      if (line.back() != ']') {
-        throw std::runtime_error(
-            format("ini: line {}: unterminated section header",
-                        line_number));
-      }
+      if (line.back() != ']') throw error("unterminated section header");
       current_section = trim(std::string_view(line).substr(1, line.size() - 2));
       in_section = true;
       if (file.find_section(current_section) == nullptr) {
         file.sections_.emplace_back(current_section, Section{});
+        file.sections_.back().second.line = line_number;
       }
       continue;
     }
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error(
-          format("ini: line {}: expected 'key = value'", line_number));
-    }
-    if (!in_section) {
-      throw std::runtime_error(
-          format("ini: line {}: key outside any [section]",
-                      line_number));
-    }
+    if (eq == std::string::npos) throw error("expected 'key = value'");
+    if (!in_section) throw error("key outside any [section]");
     std::string key = trim(std::string_view(line).substr(0, eq));
     std::string value = trim(std::string_view(line).substr(eq + 1));
-    if (key.empty()) {
-      throw std::runtime_error(
-          format("ini: line {}: empty key", line_number));
-    }
-    file.set(current_section, key, std::move(value));
+    if (key.empty()) throw error("empty key");
+    Entry& entry = file.entry_for(current_section, key);
+    entry.value = std::move(value);
+    entry.line = line_number;
   }
   return file;
+}
+
+IniFile IniFile::load(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error(format("ini: cannot read {}", path));
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse(text.str(), path);
 }
 
 IniFile::Section* IniFile::find_section(const std::string& name) {
@@ -82,7 +87,9 @@ const IniFile::Section* IniFile::find_section(const std::string& name) const {
 }
 
 bool IniFile::has_section(const std::string& section) const {
-  return find_section(section) != nullptr;
+  const Section* s = find_section(section);
+  if (s != nullptr) s->read = true;
+  return s != nullptr;
 }
 
 bool IniFile::has_key(const std::string& section,
@@ -90,14 +97,25 @@ bool IniFile::has_key(const std::string& section,
   return get(section, key).has_value();
 }
 
+const IniFile::Entry* IniFile::find_entry(const std::string& section,
+                                          const std::string& key) const {
+  const Section* s = find_section(section);
+  if (s == nullptr) return nullptr;
+  s->read = true;
+  for (const Entry& entry : s->pairs) {
+    if (entry.key == key) {
+      entry.read = true;
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
 std::optional<std::string> IniFile::get(const std::string& section,
                                         const std::string& key) const {
-  const Section* s = find_section(section);
-  if (s == nullptr) return std::nullopt;
-  for (const auto& [k, v] : s->pairs) {
-    if (k == key) return v;
-  }
-  return std::nullopt;
+  const Entry* entry = find_entry(section, key);
+  if (entry == nullptr) return std::nullopt;
+  return entry->value;
 }
 
 std::string IniFile::get_or(const std::string& section, const std::string& key,
@@ -113,11 +131,14 @@ double IniFile::get_double(const std::string& section, const std::string& key,
   try {
     std::size_t used = 0;
     const double parsed = std::stod(*value, &used);
-    if (trim(std::string_view(*value).substr(used)).empty()) return parsed;
+    // stod also accepts "nan" and "inf", which no setting means.
+    if (trim(std::string_view(*value).substr(used)).empty() &&
+        std::isfinite(parsed)) {
+      return parsed;
+    }
   } catch (const std::exception&) {
   }
-  throw std::runtime_error(format(
-      "ini: [{}] {} = '{}' is not a number", section, key, *value));
+  fail(section, key, format("'{}' is not a finite number", *value));
 }
 
 long long IniFile::get_int(const std::string& section, const std::string& key,
@@ -130,8 +151,7 @@ long long IniFile::get_int(const std::string& section, const std::string& key,
     if (trim(std::string_view(*value).substr(used)).empty()) return parsed;
   } catch (const std::exception&) {
   }
-  throw std::runtime_error(format(
-      "ini: [{}] {} = '{}' is not an integer", section, key, *value));
+  fail(section, key, format("'{}' is not an integer", *value));
 }
 
 bool IniFile::get_bool(const std::string& section, const std::string& key,
@@ -143,24 +163,54 @@ bool IniFile::get_bool(const std::string& section, const std::string& key,
       static_cast<unsigned char>(ch)));
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::runtime_error(format(
-      "ini: [{}] {} = '{}' is not a boolean", section, key, *value));
+  fail(section, key, format("'{}' is not a boolean", *value));
 }
 
-void IniFile::set(const std::string& section, const std::string& key,
-                  std::string value) {
+IniFile::Entry& IniFile::entry_for(const std::string& section,
+                                  const std::string& key) {
   Section* s = find_section(section);
   if (s == nullptr) {
     sections_.emplace_back(section, Section{});
     s = &sections_.back().second;
   }
-  for (auto& [k, v] : s->pairs) {
-    if (k == key) {
-      v = std::move(value);
-      return;
+  for (Entry& entry : s->pairs) {
+    if (entry.key == key) return entry;
+  }
+  Entry& entry = s->pairs.emplace_back();
+  entry.key = key;
+  return entry;
+}
+
+void IniFile::set(const std::string& section, const std::string& key,
+                  std::string value) {
+  entry_for(section, key).value = std::move(value);
+}
+
+void IniFile::fail(const std::string& section, const std::string& key,
+                   std::string_view message) const {
+  // An absent key is blamed on its section's header line.
+  const Entry* entry = find_entry(section, key);
+  const Section* s = find_section(section);
+  const std::size_t line =
+      entry != nullptr ? entry->line : (s != nullptr ? s->line : 0);
+  throw std::runtime_error(format("{}: line {}: [{}] {}: {}", source_, line,
+                                  section, key, message));
+}
+
+void IniFile::check_all_read() const {
+  for (const auto& [name, section] : sections_) {
+    if (!section.read) {
+      throw std::runtime_error(format("{}: line {}: unknown section [{}]",
+                                      source_, section.line, name));
+    }
+    for (const Entry& entry : section.pairs) {
+      if (!entry.read) {
+        throw std::runtime_error(
+            format("{}: line {}: unknown key '{}' in [{}]", source_,
+                   entry.line, entry.key, name));
+      }
     }
   }
-  s->pairs.emplace_back(key, std::move(value));
 }
 
 std::vector<std::string> IniFile::section_names() const {
@@ -177,8 +227,8 @@ std::string IniFile::to_string() const {
     if (!first) out << '\n';
     first = false;
     out << '[' << name << "]\n";
-    for (const auto& [k, v] : section.pairs) {
-      out << k << " = " << v << '\n';
+    for (const Entry& entry : section.pairs) {
+      out << entry.key << " = " << entry.value << '\n';
     }
   }
   return out.str();

@@ -320,6 +320,32 @@ TEST(Deadline, MoreSlackMeansLaterDeadline) {
             loose.deadline_seconds(estimate));
 }
 
+TEST(Deadline, StagedDataExtendsTheDeadline) {
+  const double estimate = 0.45 * 3600.0;
+  const double bulk_mb = 2505.0;
+  DeadlinePolicy policy;
+  policy.typical_mbps = 0.5;
+  // Staging wall time at link speed joins the duty-cycled compute time
+  // before the slack multiplier; both values sit inside the clamp here.
+  const double compute = estimate / (policy.typical_host_speed *
+                                     policy.typical_availability);
+  EXPECT_DOUBLE_EQ(policy.deadline_seconds(estimate, bulk_mb),
+                   policy.slack * (compute + bulk_mb * 8.0 / 0.5));
+  EXPECT_GT(policy.deadline_seconds(estimate, bulk_mb),
+            policy.deadline_seconds(estimate, 0.0));
+
+  // typical_mbps == 0 is free staging: the data term is ignored.
+  DeadlinePolicy free_staging;
+  EXPECT_DOUBLE_EQ(free_staging.deadline_seconds(estimate, bulk_mb),
+                   free_staging.deadline_seconds(estimate, 0.0));
+
+  // The clamp bounds the transfer term too.
+  EXPECT_DOUBLE_EQ(policy.deadline_seconds(estimate, 1e9),
+                   policy.max_deadline_seconds);
+  EXPECT_DOUBLE_EQ(policy.deadline_seconds(60.0, 0.01),
+                   policy.min_deadline_seconds);
+}
+
 // ---------------------------------------------------------------------------
 // Meta-scheduler
 

@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/appspec.hpp"
+#include "core/audit.hpp"
 #include "core/cost_model.hpp"
 #include "core/lattice.hpp"
 #include "core/portal.hpp"
+#include "core/workload.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "phylo/garli.hpp"
 #include "phylo/simulate.hpp"
 #include "util/stats.hpp"
@@ -77,6 +83,35 @@ TEST(Integration, FormToFinishedBatch) {
   for (const std::string& entry : record->result_manifest) {
     EXPECT_NE(entry.find("best_tree"), std::string::npos);
   }
+}
+
+TEST(Integration, AuditBalancesADrainedRunAndCatchesBrokenLedgers) {
+  LatticeSystem system(quick_config());
+  obs::MetricsRegistry metrics;
+  system.enable_observability(metrics, obs::Tracer::null());
+  grid::BatchQueueResource::Config cluster;
+  cluster.nodes = 4;
+  system.add_cluster("hpc", cluster);
+  system.calibrate_speeds();
+  train(system);
+  Portal portal(system);
+  portal.set_observability(metrics);
+  WorkloadEntry batch;
+  batch.user_id = 7;
+  batch.replicates = 6;
+  submit_portal_workload(portal, {batch});
+  ASSERT_TRUE(system.cancel_job(system.submit_garli_job(GarliFeatures{})));
+  system.run(1.0);
+  system.run_until_drained(30.0 * 86400.0);
+  ASSERT_EQ(portal.batches().size(), 1u);
+
+  EXPECT_EQ(audit(system, metrics, &portal, 1), std::vector<std::string>{});
+  // A submission the admission ledger never saw.
+  EXPECT_EQ(audit(system, metrics, &portal, 2).size(), 1u);
+  // A completion the counters missed breaks conservation and disagrees
+  // with the job states.
+  --system.metrics().completed;
+  EXPECT_EQ(audit(system, metrics, &portal, 1).size(), 2u);
 }
 
 TEST(Integration, CancelPendingJob) {

@@ -14,6 +14,7 @@
 #include "boinc/server.hpp"
 #include "net/model.hpp"
 #include "sim/simulation.hpp"
+#include "util/ini.hpp"
 
 namespace lattice::net {
 namespace {
@@ -245,26 +246,27 @@ TEST(Net, ProfileParsingValidates) {
       "[net]\nenabled = true\nserver_down_mbps = 100\n"
       "[class.dsl]\ndown_mbps = 8\nup_mbps = 1\nlatency_s = 0.05\n"
       "fraction = 1.0\n";
-  const NetConfig config = net_profile_from_ini(good);
+  const NetConfig config = net_profile_from_ini(util::IniFile::parse(good));
   EXPECT_TRUE(config.enabled);
   ASSERT_EQ(config.classes.size(), 1u);
   EXPECT_EQ(config.classes[0].name, "dsl");
   EXPECT_DOUBLE_EQ(config.classes[0].down_mbps, 8.0);
 
-  EXPECT_THROW(net_profile_from_ini("[net]\nenabled = true\n"),
+  EXPECT_THROW(net_profile_from_ini(
+                   util::IniFile::parse("[net]\nenabled = true\n")),
                std::runtime_error);  // enabled but classless
-  EXPECT_THROW(
-      net_profile_from_ini("[net]\nenabled = true\n"
-                           "[class.x]\ndown_mbps = -1\n"),
-      std::runtime_error);
-  EXPECT_THROW(
-      net_profile_from_ini("[net]\nenabled = true\n"
-                           "[class.x]\nfraction = 0\n"),
-      std::runtime_error);
-  EXPECT_THROW(
-      net_profile_from_ini("[net]\nenabled = true\n"
-                           "[class.x]\nlatency_s = -0.1\n"),
-      std::runtime_error);
+  EXPECT_THROW(net_profile_from_ini(util::IniFile::parse(
+                   "[net]\nenabled = true\n"
+                   "[class.x]\ndown_mbps = -1\n")),
+               std::runtime_error);
+  EXPECT_THROW(net_profile_from_ini(util::IniFile::parse(
+                   "[net]\nenabled = true\n"
+                   "[class.x]\nfraction = 0\n")),
+               std::runtime_error);
+  EXPECT_THROW(net_profile_from_ini(util::IniFile::parse(
+                   "[net]\nenabled = true\n"
+                   "[class.x]\nlatency_s = -0.1\n")),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------

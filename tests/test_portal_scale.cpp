@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -231,6 +233,18 @@ TEST(UserPopulation, PartitionsIdsAndRespectsReplicateCap) {
   }
   // The heavy tail must actually reach the web cap now and then.
   EXPECT_TRUE(saw_capped);
+}
+
+TEST(UserPopulation, RejectsNonFiniteRates) {
+  // An empty class priced at 600/0 batches per user-day: 0 users * inf
+  // would make the aggregate rate, and every arrival time, NaN.
+  UserPopulationConfig config;
+  config.registered = {0, std::numeric_limits<double>::infinity(), 1.3, 4};
+  EXPECT_THROW(UserPopulation{config}, std::invalid_argument);
+  config.registered = {90, std::nan(""), 1.3, 4};
+  EXPECT_THROW(UserPopulation{config}, std::invalid_argument);
+  config.registered = {0, 0.0, 1.3, 4};
+  EXPECT_NO_THROW(UserPopulation{config});
 }
 
 TEST(UserPopulation, CsvRoundTripsUserColumns) {

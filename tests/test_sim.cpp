@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -50,6 +52,20 @@ TEST(Simulation, PastEventsClampToNow) {
   });
   sim.run();
   EXPECT_DOUBLE_EQ(fired_at, 10.0);
+}
+
+TEST(Sim, RejectsNonFiniteEventTime) {
+  Simulation sim;
+  sim.at(10.0, [] {});
+  sim.run();
+  EXPECT_THROW(sim.at(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.at(-std::numeric_limits<double>::infinity(), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.after(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_EQ(sim.pending(), 0u);
+  // A finite past time still clamps to now.
+  sim.at(5.0, [] {});
+  EXPECT_EQ(sim.pending(), 1u);
 }
 
 TEST(Simulation, RunUntilStopsAtHorizon) {

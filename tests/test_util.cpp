@@ -354,9 +354,12 @@ TEST(Ini, MalformedInputThrows) {
 }
 
 TEST(Ini, TypedGetterErrors) {
-  const auto ini = IniFile::parse("[s]\nn = abc\nb = maybe\n");
+  const auto ini =
+      IniFile::parse("[s]\nn = abc\nb = maybe\nx = nan\ny = -inf\n");
   EXPECT_THROW((void)ini.get_int("s", "n", 0), std::runtime_error);
   EXPECT_THROW((void)ini.get_double("s", "n", 0.0), std::runtime_error);
+  EXPECT_THROW((void)ini.get_double("s", "x", 0.0), std::runtime_error);
+  EXPECT_THROW((void)ini.get_double("s", "y", 0.0), std::runtime_error);
   EXPECT_THROW((void)ini.get_bool("s", "b", false), std::runtime_error);
 }
 
@@ -369,6 +372,43 @@ TEST(Ini, RoundTrip) {
   EXPECT_EQ(reparsed.get_or("a", "k1", ""), "v1");
   EXPECT_EQ(reparsed.get_or("a", "k2", ""), "v2");
   EXPECT_EQ(reparsed.get_int("b", "k", 0), 3);
+}
+
+TEST(Ini, ErrorsNameSourceAndLine) {
+  const auto ini = IniFile::parse("[s]\n\nn = abc\n", "plan.ini");
+  try {
+    (void)ini.get_int("s", "n", 0);
+    FAIL() << "unparsable value accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("plan.ini: line 3: [s] n"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(IniFile::load("no/such/file.ini"), std::runtime_error);
+}
+
+TEST(Ini, CheckAllReadFlagsWhatNoLookupTouched) {
+  const auto ini =
+      IniFile::parse("[used]\na = 1\ntypo = 2\n[unused]\nb = 3\n", "x.ini");
+  (void)ini.get_int("used", "a", 0);
+  (void)ini.has_section("unused");
+  try {
+    ini.check_all_read();
+    FAIL() << "unread key accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "x.ini: line 3: unknown key 'typo' in [used]");
+  }
+  (void)ini.get("used", "typo");
+  try {
+    ini.check_all_read();
+    FAIL() << "unread key accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "x.ini: line 5: unknown key 'b' in [unused]");
+  }
+  (void)ini.get("unused", "b");
+  EXPECT_NO_THROW(ini.check_all_read());
+  EXPECT_THROW(IniFile::parse("[never]\n").check_all_read(),
+               std::runtime_error);
 }
 
 TEST(Ini, SetOverwrites) {
