@@ -233,7 +233,9 @@ std::uint64_t LatticeSystem::submit_job_with_runtime(
   job.output_mb = data.output_mb;
   job.submit_time = sim_.now();
   job.estimated_reference_runtime = estimate_runtime(features);
-  pending_.push_back(id);
+  job.decision_class = intern_decision_class(job);
+  ++pending_count_;
+  enqueue(id, 1);
   ++metrics_.submitted;
   ++outstanding_;
   obs_jobs_submitted_->inc();
@@ -273,9 +275,8 @@ bool LatticeSystem::cancel_job(std::uint64_t id) {
     case grid::JobState::kCancelled:
       return false;
     case grid::JobState::kPending: {
-      const auto pending_it =
-          std::find(pending_.begin(), pending_.end(), id);
-      if (pending_it != pending_.end()) pending_.erase(pending_it);
+      // Not queued while it waits out a retry backoff.
+      if (unqueue(id)) --pending_count_;
       job.state = grid::JobState::kCancelled;
       --outstanding_;
       if (obs_tracer_->enabled()) {
@@ -299,7 +300,7 @@ bool LatticeSystem::cancel_job(std::uint64_t id) {
 }
 
 std::size_t LatticeSystem::grid_backlog() const {
-  std::size_t backlog = pending_.size();
+  std::size_t backlog = pending_count_;
   for (const auto& [name, resource] : resources_) {
     if (const auto* pool =
             dynamic_cast<const boinc::BoincServer*>(resource.get())) {
@@ -309,21 +310,85 @@ std::size_t LatticeSystem::grid_backlog() const {
   return backlog;
 }
 
+std::uint32_t LatticeSystem::intern_decision_class(
+    const grid::GridJob& job) {
+  const double data_mb = job.input_mb + job.output_mb;
+  if (last_class_ != nullptr && last_class_->data_mb == data_mb &&
+      last_class_->require_stable == job.require_stable &&
+      last_class_->requirements == job.requirements) {
+    return last_class_id_;
+  }
+  const auto it =
+      decision_classes_
+          .try_emplace(
+              DecisionClass{job.requirements, job.require_stable, data_mb},
+              static_cast<std::uint32_t>(decision_classes_.size()))
+          .first;
+  last_class_ = &it->first;
+  last_class_id_ = it->second;
+  return last_class_id_;
+}
+
+void LatticeSystem::enqueue(std::uint64_t first, std::uint64_t count) {
+  // A pass must not grow a run it has yet to visit: the members would be
+  // visited twice.
+  if (pending_.size() > unvisited_) {
+    PendingRun& back = pending_.back();
+    const grid::GridJob& run = jobs_[back.first - 1].job;
+    const grid::GridJob& next = jobs_[first - 1].job;
+    if (back.first + back.count == first && run.user_id == next.user_id &&
+        run.decision_class == next.decision_class &&
+        scheduler_.base_estimate(run) == scheduler_.base_estimate(next)) {
+      back.count += count;
+      return;
+    }
+  }
+  pending_.push_back({first, count});
+}
+
+bool LatticeSystem::unqueue(std::uint64_t id) {
+  const auto holds = [id](const PendingRun& run) {
+    return id >= run.first && id - run.first < run.count;
+  };
+  if (holds(visiting_)) {
+    // Cancelled from inside a dispatch: the members after it become the
+    // next run the pass visits.
+    const PendingRun rest{id + 1, visiting_.first + visiting_.count - id - 1};
+    visiting_.count = id - visiting_.first;
+    if (rest.count > 0) {
+      pending_.push_front(rest);
+      ++unvisited_;
+    }
+    return true;
+  }
+  const auto it = std::find_if(pending_.begin(), pending_.end(), holds);
+  if (it == pending_.end()) return false;
+  const bool unvisited =
+      static_cast<std::size_t>(it - pending_.begin()) < unvisited_;
+  const PendingRun rest{id + 1, it->first + it->count - id - 1};
+  it->count = id - it->first;
+  if (it->count > 0 && rest.count > 0) {
+    pending_.insert(it + 1, rest);
+    if (unvisited) ++unvisited_;
+  } else if (rest.count > 0) {
+    *it = rest;
+  } else if (it->count == 0) {
+    pending_.erase(it);
+    if (unvisited) --unvisited_;
+  }
+  return true;
+}
+
 namespace {
 
-/// Everything choose() and the backpressure test read from a job. The
-/// requirements are compared by value through the pointer; the job outlives
-/// the pump pass and a pending job's requirements never change during it.
+/// Everything choose() and the backpressure test read from a job.
 struct DecisionKey {
-  const grid::JobRequirements* requirements;
-  bool require_stable;
+  std::uint32_t decision_class;
   std::optional<double> estimate;  // MetaScheduler::rank_estimate
-  double data_mb;                  // input_mb + output_mb
 
   bool operator<(const DecisionKey& other) const {
-    return std::tie(require_stable, estimate, data_mb, *requirements) <
-           std::tie(other.require_stable, other.estimate, other.data_mb,
-                    *other.requirements);
+    return std::tie(decision_class, estimate) <
+           std::tie(other.decision_class, other.estimate);
   }
 };
 
@@ -332,30 +397,38 @@ enum class Deferral : std::uint8_t { kNoEligible, kBackpressure };
 }  // namespace
 
 void LatticeSystem::order_pending_by_usage() {
-  // Decorate, sort, undecorate: one ledger read per run of same-user jobs
-  // (a batch's members sit together) instead of two per comparison. The
-  // (usage, job id) key is a strict total order, so the result is the one
-  // a stable sort on usage alone would give.
-  std::vector<std::pair<double, std::uint64_t>> keys;
+  // Decorate, sort, undecorate: one ledger read per stretch of same-user
+  // runs instead of two per comparison. Runs are disjoint id ranges of one
+  // user each, so the (usage, first id) order of the runs expands to the
+  // (usage, job id) order of their members. Re-appending joins runs the
+  // sort made adjacent.
+  struct Keyed {
+    double usage;
+    PendingRun run;
+  };
+  std::vector<Keyed> keys;
   keys.reserve(pending_.size());
   UserId user = 0;
   double usage = fair_share_ledger_.usage(user);
-  for (const std::uint64_t id : pending_) {
-    const UserId job_user = jobs_[id - 1].job.user_id;
-    if (job_user != user) {
-      user = job_user;
+  for (const PendingRun& run : pending_) {
+    const UserId run_user = jobs_[run.first - 1].job.user_id;
+    if (run_user != user) {
+      user = run_user;
       usage = fair_share_ledger_.usage(user);
     }
-    keys.emplace_back(usage, id);
+    keys.push_back({usage, run});
   }
-  // lattice-lint: allow(decision-sort) — once-per-period pending-queue maintenance keyed on (decayed usage, job id); no placement decision ranks with it
-  std::sort(keys.begin(), keys.end());
-  for (std::size_t i = 0; i < keys.size(); ++i) pending_[i] = keys[i].second;
+  // lattice-lint: allow(decision-sort) — once-per-period pending-queue maintenance keyed on (decayed usage, first job id) over runs; no placement decision ranks with it
+  std::sort(keys.begin(), keys.end(), [](const Keyed& a, const Keyed& b) {
+    return std::tie(a.usage, a.run.first) < std::tie(b.usage, b.run.first);
+  });
+  pending_.clear();
+  for (const Keyed& key : keys) enqueue(key.run.first, key.run.count);
 }
 
 void LatticeSystem::pump() {
   fair_share_ledger_.settle(sim_.now());
-  if (config_.fair_share.order_queue && pending_.size() > 1) {
+  if (config_.fair_share.order_queue && pending_count_ > 1) {
     // Fair-share ordering: light users' jobs drain ahead of a heavy
     // user's backlog. Runs once per scheduler period over the grid-level
     // queue — queue maintenance, not a per-placement decision — and keys
@@ -370,7 +443,9 @@ void LatticeSystem::pump() {
   // and the resource queues, so within an epoch choose() and the
   // backpressure test are pure functions of the job's DecisionKey: a job
   // whose key was already deferred this epoch would be deferred again, and
-  // skips both. Round-robin is exempt — every choose() advances its cursor.
+  // skips both. The members of a run share their key, so once one is
+  // deferred the rest of the run is too, as one run. Round-robin is exempt
+  // — every choose() advances its cursor, so each member gets its own.
   const bool memoize =
       scheduler_.policy().mode != SchedulingMode::kRoundRobin;
   std::map<DecisionKey, Deferral> deferred_keys;
@@ -391,44 +466,50 @@ void LatticeSystem::pump() {
 
   std::size_t no_eligible = 0;
   std::size_t backpressure = 0;
-  const auto defer = [&](std::uint64_t id, Deferral cause) {
-    pending_.push_back(id);
-    ++(cause == Deferral::kNoEligible ? no_eligible : backpressure);
-  };
-  const std::size_t to_place = pending_.size();
-  for (std::size_t i = 0; i < to_place; ++i) {
-    const std::uint64_t id = pending_.front();
+  for (unvisited_ = pending_.size(); unvisited_ > 0;) {
+    visiting_ = pending_.front();
     pending_.pop_front();
-    grid::GridJob& job = jobs_[id - 1].job;
-    const DecisionKey key{&job.requirements, job.require_stable,
-                          scheduler_.rank_estimate(job),
-                          job.input_mb + job.output_mb};
-    if (memoize) {
-      const auto memo = deferred_keys.find(key);
-      if (memo != deferred_keys.end()) {
-        defer(id, memo->second);
-        continue;
+    --unvisited_;
+    while (visiting_.count > 0) {
+      grid::GridJob& job = jobs_[visiting_.first - 1].job;
+      const DecisionKey key{job.decision_class, scheduler_.rank_estimate(job)};
+      std::optional<Deferral> cause;
+      if (memoize) {
+        const auto memo = deferred_keys.find(key);
+        if (memo != deferred_keys.end()) cause = memo->second;
       }
+      if (!cause) {
+        const auto choice = scheduler_.choose(job);
+        if (!choice) {
+          cause = Deferral::kNoEligible;
+        } else if (config_.fair_share.backlog_per_slot > 0.0 &&
+                   is_saturated(*choice)) {
+          // Backpressure: past the per-slot backlog cap the job stays in
+          // the grid-level queue (where fair-share ordering applies)
+          // instead of sinking into the resource's own FIFO queue.
+          cause = Deferral::kBackpressure;
+        } else {
+          // Off the run before dispatch(): a terminal hook fired inside it
+          // may cancel a later member (unqueue).
+          ++visiting_.first;
+          --visiting_.count;
+          --pending_count_;
+          dispatch(job, *choice);
+          deferred_keys.clear();
+          saturated.clear();
+          continue;
+        }
+        if (memoize) deferred_keys.emplace(key, *cause);
+      }
+      // No dispatch comes between here and the end of the run, so the rest
+      // of it would hit the memo: defer it as one run.
+      const std::uint64_t deferred = memoize ? visiting_.count : 1;
+      enqueue(visiting_.first, deferred);
+      visiting_.first += deferred;
+      visiting_.count -= deferred;
+      (*cause == Deferral::kNoEligible ? no_eligible : backpressure) +=
+          deferred;
     }
-    const auto choice = scheduler_.choose(job);
-    std::optional<Deferral> cause;
-    if (!choice) {
-      cause = Deferral::kNoEligible;
-    } else if (config_.fair_share.backlog_per_slot > 0.0 &&
-               is_saturated(*choice)) {
-      // Backpressure: past the per-slot backlog cap the job stays in the
-      // grid-level queue (where fair-share ordering applies) instead of
-      // sinking into the resource's own FIFO queue.
-      cause = Deferral::kBackpressure;
-    }
-    if (cause) {
-      defer(id, *cause);
-      if (memoize) deferred_keys.emplace(key, *cause);
-      continue;
-    }
-    dispatch(job, *choice);
-    deferred_keys.clear();
-    saturated.clear();
   }
   if (no_eligible + backpressure > 0) {
     util::log_debug("lattice",
@@ -549,6 +630,7 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
       ++job.unstable_failures;
       if (job.unstable_failures >= config_.retry.demote_after_failures) {
         job.require_stable = true;
+        job.decision_class = intern_decision_class(job);
         obs_demotions_->inc();
         util::log_debug("lattice",
                         "job {} demoted to stable-only after {} unstable "
@@ -571,10 +653,12 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
     sim_.after(delay, [this, id] {
       // The job may have been cancelled while waiting out the backoff.
       if (jobs_[id - 1].job.state != grid::JobState::kPending) return;
-      pending_.push_back(id);
+      ++pending_count_;
+      enqueue(id, 1);
     });
   } else {
-    pending_.push_back(job.id);
+    ++pending_count_;
+    enqueue(job.id, 1);
   }
 }
 

@@ -168,7 +168,7 @@ class LatticeSystem : public InventoryHost {
 
   /// The job with this id; nullptr for ids never handed out.
   const grid::GridJob* job(std::uint64_t id) const;
-  std::size_t pending_jobs() const { return pending_.size(); }
+  std::size_t pending_jobs() const { return pending_count_; }
 
   /// Work queued but not yet running anywhere: the grid-level pending
   /// queue plus every BOINC pool's unsent feeder entries. The portal's
@@ -205,13 +205,26 @@ class LatticeSystem : public InventoryHost {
                             obs::Tracer& tracer);
 
  private:
+  /// The per-job reference pass the run pump is checked against
+  /// (tests/pump_reference.hpp).
+  friend class PumpReference;
+
   void wire_resource(grid::LocalResource& resource,
                      std::unique_ptr<grid::SchedulerAdapter> adapter);
   void bind_observability();
   void pump();
-  /// Sort the pending queue by (decayed usage, job id) — the fair-share
-  /// order (FairShareConfig.order_queue).
+  /// Sort the pending runs by (decayed usage, first id) — the fair-share
+  /// order (FairShareConfig.order_queue). Runs are disjoint id ranges of
+  /// one user each, so this is the (usage, job id) order of their members.
   void order_pending_by_usage();
+  /// The dense id of the job's decision class, interned on first sight.
+  std::uint32_t intern_decision_class(const grid::GridJob& job);
+  /// Append the run [first, first + count) to the pending queue, extending
+  /// the last run when it ends at `first` and holds the same kind of job.
+  /// During a pass only runs queued by that pass are extended.
+  void enqueue(std::uint64_t first, std::uint64_t count);
+  /// Remove a queued job, splitting its run; false when it is not queued.
+  bool unqueue(std::uint64_t id);
   void on_outcome(grid::GridJob& job, const grid::JobOutcome& outcome);
   void dispatch(grid::GridJob& job, const std::string& resource_name);
 
@@ -239,7 +252,39 @@ class LatticeSystem : public InventoryHost {
   /// densely from 1 and never erased. A deque, because resources and
   /// workunits hold GridJob pointers and push_back never moves elements.
   std::deque<JobRecord> jobs_;
-  std::deque<std::uint64_t> pending_;
+
+  /// Everything choose() and the backpressure test read from a job besides
+  /// its rank estimate. Interned to a dense id (GridJob::decision_class)
+  /// at submit and on demotion, so the pump compares classes as integers.
+  struct DecisionClass {
+    grid::JobRequirements requirements;
+    bool require_stable = false;
+    double data_mb = 0.0;  // input_mb + output_mb
+    auto operator<=>(const DecisionClass&) const = default;
+  };
+  std::map<DecisionClass, std::uint32_t> decision_classes_;
+  /// The class interned last: a batch's jobs share one, so most lookups
+  /// stop here.
+  const DecisionClass* last_class_ = nullptr;
+  std::uint32_t last_class_id_ = 0;
+
+  /// `count` consecutive job ids from `first`, all with the same user,
+  /// decision class and base estimate, so all present the same decision
+  /// inputs to the pump.
+  struct PendingRun {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+  };
+  /// The grid-level queue, in drain order.
+  std::deque<PendingRun> pending_;
+  /// Jobs waiting for a pump pass: the members of pending_ plus those of
+  /// visiting_.
+  std::size_t pending_count_ = 0;
+  /// Pump-pass state: the first unvisited_ runs of pending_ are still to
+  /// be visited, and visiting_ holds the undecided members of the run the
+  /// pass has taken off the front. Both are empty between passes.
+  std::size_t unvisited_ = 0;
+  PendingRun visiting_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t outstanding_ = 0;  // submitted minus terminal
 

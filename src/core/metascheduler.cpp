@@ -109,14 +109,20 @@ std::optional<std::string> MetaScheduler::choose(const grid::GridJob& job) {
   return best->info.name;
 }
 
+std::optional<double> MetaScheduler::base_estimate(
+    const grid::GridJob& job) const {
+  if (policy_.mode == SchedulingMode::kOracle) {
+    return job.true_reference_runtime;
+  }
+  if (policy_.mode == SchedulingMode::kEstimateAware) {
+    return job.estimated_reference_runtime;
+  }
+  return std::nullopt;
+}
+
 std::optional<double> MetaScheduler::rank_estimate(
     const grid::GridJob& job) const {
-  std::optional<double> estimate;
-  if (policy_.mode == SchedulingMode::kOracle) {
-    estimate = job.true_reference_runtime;
-  } else if (policy_.mode == SchedulingMode::kEstimateAware) {
-    estimate = job.estimated_reference_runtime;
-  }
+  std::optional<double> estimate = base_estimate(job);
   // Fair-share inflation: a heavy user's jobs look longer, which tightens
   // the advisory stability cutoff against them. The factor depends only on
   // the job's user (not on any candidate), so the rank argmin — which

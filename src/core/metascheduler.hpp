@@ -89,13 +89,18 @@ class MetaScheduler {
 
   /// The runtime estimate the current mode is allowed to rank with
   /// (reference seconds): true runtime for kOracle, the a priori estimate
-  /// for kEstimateAware, nothing otherwise. Inflated by the fair-share
-  /// factor when a ledger is bound. Public because it is one of the
-  /// decision inputs the grid-level pump keys its deferral memo on.
+  /// for kEstimateAware, nothing otherwise. The grid-level pump queues
+  /// consecutive jobs of one user as a run only when this matches.
+  std::optional<double> base_estimate(const grid::GridJob& job) const;
+
+  /// base_estimate() inflated by the fair-share factor when a ledger is
+  /// bound. Public because it is one of the decision inputs the grid-level
+  /// pump keys its deferral memo on.
   std::optional<double> rank_estimate(const grid::GridJob& job) const;
 
+  /// The policy is fixed at construction: the pump's run queue groups jobs
+  /// by the mode's base estimate.
   const SchedulerPolicy& policy() const { return policy_; }
-  void set_policy(const SchedulerPolicy& policy) { policy_ = policy; }
 
   /// Bind the per-user usage ledger the fair-share term reads (nullptr
   /// disables it). The ledger must be settled to sim-now by its owner; the

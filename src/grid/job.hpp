@@ -37,7 +37,9 @@ struct JobRequirements {
   /// Software dependencies that must be present on the resource ("java").
   std::vector<std::string> software;
 
-  /// Member-wise order; the grid-level pump keys its deferral memo on it.
+  /// Member-wise order. The grid level interns each distinct decision
+  /// class with it once, at submit or demotion; the pump then compares
+  /// class ids, never requirements.
   auto operator<=>(const JobRequirements&) const = default;
 };
 
@@ -110,6 +112,11 @@ struct GridJob {
   /// Set by the demotion policy: the meta-scheduler must place this job on
   /// a stable resource only.
   bool require_stable = false;
+  /// Dense id of the job's decision class (requirements, require_stable,
+  /// input + output MB), interned by the grid level at submit and on
+  /// demotion: jobs with equal ids present the same static inputs to the
+  /// meta-scheduler. (Fits the struct's tail padding.)
+  std::uint32_t decision_class = 0;
 };
 
 }  // namespace lattice::grid
