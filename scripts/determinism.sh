@@ -9,20 +9,37 @@
 # sim.handler_wall_us histogram and the trace's pid-2 ("wall-clock")
 # process, which are filtered before comparing.
 #
-# Usage: determinism.sh <volunteer_grid-binary> [workdir]
+# With --reference=<volunteer_grid> each scenario also runs once through
+# the reference binary (e.g. a build of the parent commit), and its stdout,
+# metrics and trace must match the tested binary's under the same filter:
+# the cross-build check for changes that claim bit-identical behaviour.
+#
+# Usage: determinism.sh [--reference=<volunteer_grid>]
+#                       <volunteer_grid-binary> [workdir]
 set -euo pipefail
 
-bin=${1:?usage: determinism.sh <volunteer_grid-binary> [workdir]}
+reference=""
+args=()
+for arg in "$@"; do
+  case $arg in
+    --reference=*) reference=${arg#--reference=} ;;
+    *) args+=("$arg") ;;
+  esac
+done
+set -- ${args[@]+"${args[@]}"}
+
+usage="usage: determinism.sh [--reference=<volunteer_grid>] <volunteer_grid-binary> [workdir]"
+bin=${1:?$usage}
 work=${2:-$(mktemp -d)}
 mkdir -p "$work"
 scenarios="$(cd "$(dirname "$0")/../scenarios" && pwd)"
 
 runs=0
-run() {  # run <tag> <scenario-file> [volunteer_grid flags...]
+run() {  # [exe=<binary>] run <tag> <scenario-file> [volunteer_grid flags...]
   local tag=$1 file=$2
   shift 2
   runs=$((runs + 1))
-  "$bin" --scenario="$file" "$@" \
+  "${exe:-$bin}" --scenario="$file" "$@" \
          --metrics-out="$work/m-$tag.json" \
          --trace-out="$work/t-$tag.json" > "$work/out-$tag.raw"
   # stdout echoes the per-run output paths; normalize them so the
@@ -54,6 +71,10 @@ for file in "$scenarios"/*.ini; do
   run "$name-a" "$file"
   run "$name-b" "$file"
   check "$name-a" "$name-b" "$name across identical runs"
+  if [ -n "$reference" ]; then
+    exe=$reference run "$name-ref" "$file"
+    check "$name-a" "$name-ref" "$name against the reference binary"
+  fi
 done
 
 volunteer="$scenarios/volunteer_smoke.ini"
@@ -66,5 +87,8 @@ check pool-2 pool-scalar "across ISA tiers (native vs scalar)"
 if [ "$fail" -eq 0 ]; then
   echo "determinism: $runs runs bit-identical" \
        "(sha256 $(sha256sum "$work/m-pool-2.det" | cut -c1-12)…)"
+  if [ -n "$reference" ]; then
+    echo "determinism: every scenario byte-identical to $reference"
+  fi
 fi
 exit "$fail"

@@ -4,7 +4,8 @@
 
 namespace lattice::boinc {
 
-std::string BoincAdapter::translate(const grid::GridJob& job) const {
+std::string workunit_template(const grid::GridJob& job,
+                              const BoincPoolConfig& config) {
   std::string out = "<workunit>\n";
   out += util::format("  <name>{}-{}</name>\n", job.application, job.id);
   out += util::format("  <app_name>{}</app_name>\n", job.application);
@@ -14,18 +15,11 @@ std::string BoincAdapter::translate(const grid::GridJob& job) const {
     out += util::format("  <rsc_fpops_est>{:.0f}e9</rsc_fpops_est>\n",
                         *job.estimated_reference_runtime);
   }
-  out += util::format("  <min_quorum>{}</min_quorum>\n",
-                      server_.config().min_quorum);
+  out += util::format("  <min_quorum>{}</min_quorum>\n", config.min_quorum);
   out += util::format("  <target_nresults>{}</target_nresults>\n",
-                      server_.config().target_nresults);
+                      config.target_nresults);
   out += "</workunit>\n";
   return out;
-}
-
-void BoincAdapter::submit_with_deadline(grid::GridJob& job,
-                                        double delay_bound_seconds) {
-  server_.set_delay_bound(job.id, delay_bound_seconds);
-  server_.submit(job);
 }
 
 }  // namespace lattice::boinc

@@ -1,31 +1,20 @@
-// The BOINC scheduler adapter — the component the paper's group "wrote
-// completely from scratch": it turns a grid-level RSL job into a BOINC
-// workunit submission, carrying the estimate-derived report deadline into
-// the workunit template.
+// The BOINC scheduler adapter's submit descriptor — the component the
+// paper's group "wrote completely from scratch": a grid-level RSL job
+// becomes a BOINC workunit. Submission goes straight to
+// BoincServer::submit, which takes the estimate-derived report deadline;
+// this renders the workunit template a real adapter hands to create_work.
 #pragma once
 
-#include "boinc/server.hpp"
-#include "grid/adapter.hpp"
+#include <string>
+
+#include "boinc/config.hpp"
+#include "grid/job.hpp"
 
 namespace lattice::boinc {
 
-class BoincAdapter final : public grid::SchedulerAdapter {
- public:
-  explicit BoincAdapter(BoincServer& server)
-      : grid::SchedulerAdapter(server), server_(server) {}
-
-  /// Workunit template (the XML-ish <workunit> block a real adapter emits
-  /// for create_work).
-  std::string translate(const grid::GridJob& job) const override;
-
-  /// Submit with an explicit per-result report deadline (seconds). This is
-  /// the integration point for the runtime-estimate deadline policy.
-  void submit_with_deadline(grid::GridJob& job, double delay_bound_seconds);
-
-  BoincServer& server() { return server_; }
-
- private:
-  BoincServer& server_;
-};
+/// Workunit template (the XML-ish <workunit> block) for `job` on a pool
+/// configured as `config`.
+std::string workunit_template(const grid::GridJob& job,
+                              const BoincPoolConfig& config);
 
 }  // namespace lattice::boinc

@@ -17,17 +17,11 @@ namespace lattice::boinc {
 class BoincServer;
 
 struct HostParams {
-  double speed = 1.0;            // relative to the reference machine
-  double mean_on_hours = 8.0;    // powered-on, attached stretch
-  double mean_off_hours = 16.0;  // powered-off stretch
-  double mean_lifetime_days = 90.0;  // until permanent departure
-  double error_probability = 0.0;    // wrong-result chance per task
+  double speed = 1.0;              // relative to the reference machine
+  double error_probability = 0.0;  // wrong-result chance per task
   /// Outright task failure (reported through the error path) per task;
   /// distinct from error_probability, which corrupts silently.
   double compute_error_probability = 0.0;
-  /// Weibull shape of the on/off/lifetime intervals. 1.0 keeps the
-  /// exponential churn model with the identical draw sequence.
-  double churn_weibull_shape = 1.0;
 };
 
 /// Per-host churn state, packed into one cache line and stored densely in

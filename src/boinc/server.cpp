@@ -80,9 +80,6 @@ BoincServer::BoincServer(sim::Simulation& sim, std::string name,
     const double sigma = config_.speed_sigma;
     params.speed =
         config_.mean_speed * rng_.lognormal(-0.5 * sigma * sigma, sigma);
-    params.mean_on_hours = config_.mean_on_hours;
-    params.mean_off_hours = config_.mean_off_hours;
-    params.mean_lifetime_days = config_.mean_lifetime_days;
     // One class draw per host: flaky hosts take both the corruption and
     // the compute-error rate of their class (compute-error rates are 0
     // unless a fault plan sets them, so the baseline draw sequence holds).
@@ -92,7 +89,6 @@ BoincServer::BoincServer(sim::Simulation& sim, std::string name,
     params.compute_error_probability =
         flaky ? config_.flaky_compute_error_probability
               : config_.host_compute_error_probability;
-    params.churn_weibull_shape = config_.churn_weibull_shape;
     // Host ids are assigned densely (h + 1), which is what makes
     // host_by_id a direct vector index and the churn record a direct
     // index by key (id - 1).
@@ -182,12 +178,6 @@ void BoincServer::observe_result_end(const Result& result,
 
 BoincServer::~BoincServer() = default;
 
-grid::ResourceInfo BoincServer::info() const {
-  grid::ResourceInfo info;
-  info_into(info);
-  return info;
-}
-
 void BoincServer::advance_pool() {
   // churn_fire touches exactly one churn record per flip; the prefetch
   // hook pulls upcoming records of the due batch into cache ahead of
@@ -219,9 +209,7 @@ void BoincServer::info_into(grid::ResourceInfo& out) const {
   // hooks (VolunteerHost::sync_census), not a scan of the host table.
   out.total_slots = hosts_.size() - departed_count_;
   out.free_slots = free_count_;
-  std::size_t queued = 0;
-  for (const auto& [platform, feeder] : feeders_) queued += feeder.size();
-  out.queued_jobs = queued;
+  out.queued_jobs = feeder_.size();
   out.node_memory_gb = 2.0;
   out.platforms.assign(1, config_.platform);
   out.mpi_capable = false;
@@ -230,6 +218,20 @@ void BoincServer::info_into(grid::ResourceInfo& out) const {
 }
 
 void BoincServer::submit(grid::GridJob& job) {
+  double delay_bound = config_.default_delay_bound;
+  if (network_ != nullptr) {
+    // Transfer-aware default bound: a deadline that was achievable on a
+    // compute-only pool can be structurally unmeetable for a slow-link
+    // cohort, so the expected (uncontended, population-weighted) staging
+    // time rides on top. Estimate-derived bounds handle this through
+    // DeadlinePolicy::typical_mbps instead.
+    delay_bound +=
+        network_->expected_staging_seconds(job.input_mb, job.output_mb);
+  }
+  submit(job, delay_bound);
+}
+
+void BoincServer::submit(grid::GridJob& job, double delay_bound) {
   job.state = grid::JobState::kQueued;
   job.resource = name();
   job.queued_time = sim_.now();
@@ -244,22 +246,7 @@ void BoincServer::submit(grid::GridJob& job) {
   wu.target_nresults = config_.target_nresults;
   wu.min_quorum = config_.min_quorum;
   wu.max_total_results = config_.max_total_results;
-  const auto override_it = delay_bound_overrides_.find(job.id);
-  if (override_it != delay_bound_overrides_.end()) {
-    wu.delay_bound = override_it->second;
-    delay_bound_overrides_.erase(override_it);
-  } else {
-    wu.delay_bound = config_.default_delay_bound;
-    if (network_ != nullptr) {
-      // Transfer-aware default bound: a deadline that was achievable on a
-      // compute-only pool can be structurally unmeetable for a slow-link
-      // cohort, so the expected (uncontended, population-weighted) staging
-      // time rides on top. Grid-level overrides handle this through
-      // DeadlinePolicy::typical_mbps instead.
-      wu.delay_bound +=
-          network_->expected_staging_seconds(wu.input_mb, wu.output_mb);
-    }
-  }
+  wu.delay_bound = delay_bound;
 
   auto [it, inserted] = workunits_.emplace(wu.id, std::move(wu));
   assert(inserted);
@@ -274,18 +261,6 @@ void BoincServer::submit(grid::GridJob& job) {
   try_dispatch();
 }
 
-void BoincServer::set_delay_bound(std::uint64_t grid_job_id, double seconds) {
-  delay_bound_overrides_[grid_job_id] = seconds;
-}
-
-FeederQueue& BoincServer::feeder_for(const grid::PlatformSpec& platform) {
-  const bool is_default = platform == config_.platform;
-  if (is_default && default_feeder_ != nullptr) return *default_feeder_;
-  FeederQueue& feeder = feeders_[grid::platform_name(platform)];
-  if (is_default) default_feeder_ = &feeder;
-  return feeder;
-}
-
 void BoincServer::issue_result(Workunit& wu) {
   if (static_cast<int>(wu.results.size()) >= wu.max_total_results) return;
   Result result;
@@ -294,9 +269,7 @@ void BoincServer::issue_result(Workunit& wu) {
   wu.results.push_back(result);
   results_index_.push_back(
       {&wu, static_cast<std::uint32_t>(wu.results.size() - 1)});
-  // The pool is platform-homogeneous, so every result feeds the pool
-  // platform's queue.
-  feeder_for(config_.platform).enqueue(result.id);
+  feeder_.enqueue(result.id);
   obs_results_issued_->inc();
 }
 
@@ -304,9 +277,8 @@ void BoincServer::try_dispatch() {
   // Dispatch = cross-pool interaction: apply every idle-host flip due by
   // now before handing out work, so no host is assigned from stale state.
   advance_pool();
-  FeederQueue& feeder = feeder_for(config_.platform);
   dispatch_scratch_.clear();
-  while (!feeder.empty() && !idle_hosts_.empty()) {
+  while (!feeder_.empty() && !idle_hosts_.empty()) {
     const std::uint32_t key = idle_hosts_.back();
     idle_hosts_.pop_back();
     ChurnState& st = churn_state_[key];
@@ -333,7 +305,7 @@ bool BoincServer::request_work(VolunteerHost& host) {
   // encounter and skipping (but retaining) results this host may not take.
   // The verdict sequence is exactly the seed's mid-deque scan; see
   // boinc/feeder.hpp.
-  return feeder_for(config_.platform).scan([&](std::uint64_t result_id) {
+  return feeder_.scan([&](std::uint64_t result_id) {
     Result* result = find_result(result_id);
     if (result == nullptr || result->state != ResultState::kUnsent) {
       return FeederQueue::Probe::kDrop;  // stale (workunit decided)

@@ -9,10 +9,10 @@
 //   assimilator         — reports the canonical result to the grid level.
 //
 // Scalability (the 10⁵-host pass): every per-decision structure is
-// indexed — unsent results live in per-platform feeder queues
-// (FeederQueue, O(1) amortized per scan step), report deadlines live in a
-// lazy-deletion min-heap so the transitioner touches only overdue results
-// instead of sweeping every workunit, hosts are addressed by id through a
+// indexed — unsent results live in one feeder queue (FeederQueue, O(1)
+// amortized per scan step), report deadlines live in a lazy-deletion
+// min-heap so the transitioner touches only overdue results instead of
+// sweeping every workunit, hosts are addressed by id through a
 // dense index instead of linear scans, idle registration is O(1) via a
 // listed flag, and the ResourceInfo census (online/free/departed counts)
 // is maintained incrementally by host state-change hooks so info() is
@@ -47,14 +47,14 @@ class BoincServer final : public grid::LocalResource {
   ~BoincServer() override;
 
   // grid::LocalResource interface -------------------------------------
-  grid::ResourceInfo info() const override;
   void info_into(grid::ResourceInfo& out) const override;
+  /// Submit with the pool's default report deadline (plus the expected
+  /// staging time when the network model is on).
   void submit(grid::GridJob& job) override;
+  /// Submit with an explicit per-result report deadline (seconds), as the
+  /// grid level's estimate-derived deadline policy does (paper §VI.A).
+  void submit(grid::GridJob& job, double delay_bound);
   void cancel(std::uint64_t job_id) override;
-
-  /// Per-job deadline override used by the grid level's deadline policy:
-  /// applies to the next submit() of this grid job id.
-  void set_delay_bound(std::uint64_t grid_job_id, double seconds);
 
   // Host-facing RPC ----------------------------------------------------
   /// A host asks for work. Returns true and assigns a task when one is
@@ -83,22 +83,15 @@ class BoincServer final : public grid::LocalResource {
   /// Online hosts as of now() — advances the host calendar first so the
   /// incremental census is exact at the observation point.
   std::size_t online_hosts() const;
-  std::size_t attached_hosts() const { return hosts_.size(); }
   /// Churn steps processed through the pool calendar (lazy idle-host
   /// flips that never entered the kernel event queue).
   std::uint64_t calendar_steps() const { return calendar_.fired(); }
   std::uint64_t reissued_results() const { return reissued_; }
   std::uint64_t timed_out_results() const { return timeouts_; }
-  /// Unsent results sitting in the per-platform feeder queues — the
-  /// server-side backlog signal the portal's admission control watches
-  /// (load shedding kicks in when this crosses its watermark).
-  std::size_t feeder_backlog() const {
-    std::size_t backlog = 0;
-    for (const auto& [platform, feeder] : feeders_) {
-      backlog += feeder.size();
-    }
-    return backlog;
-  }
+  /// Unsent results sitting in the feeder queue — the server-side backlog
+  /// signal the portal's admission control watches (load shedding kicks in
+  /// when this crosses its watermark).
+  std::size_t feeder_backlog() const { return feeder_.size(); }
   /// Workunits validated with a flawed canonical result (a host error that
   /// slipped past the redundancy policy). Zero output hash marks the
   /// correct computation in this model.
@@ -263,7 +256,6 @@ class BoincServer final : public grid::LocalResource {
   void try_dispatch();
   void validate(Workunit& wu);
   void finish_workunit(Workunit& wu, bool success, const std::string& why);
-  FeederQueue& feeder_for(const grid::PlatformSpec& platform);
   /// Bump `hash`'s tally in votes_scratch_ (≤ max_total_results entries, so
   /// a linear probe beats a per-validation std::map allocation).
   void tally_vote(std::uint64_t hash) {
@@ -310,19 +302,14 @@ class BoincServer final : public grid::LocalResource {
   /// 1, so entry i describes result i + 1): O(1) result lookup on every
   /// report/dispatch/timeout instead of two tree searches.
   std::vector<ResultLoc> results_index_;
-  /// Unsent results awaiting dispatch, one feeder per platform (the pool
-  /// is homogeneous today, so a single feeder is live; the keying is the
-  /// structure BOINC's shared-memory feeder uses per app-platform pair).
-  std::map<std::string, FeederQueue> feeders_;
-  /// Cached feeder for config_.platform (map nodes are stable): every
-  /// request/enqueue targets the pool platform, and rebuilding the
-  /// platform-name key per call was a measurable allocation cost.
-  FeederQueue* default_feeder_ = nullptr;
+  /// Unsent results awaiting dispatch. The pool is platform-homogeneous
+  /// by construction (every host runs config_.platform), so one feeder
+  /// serves every request.
+  FeederQueue feeder_;
   std::vector<std::uint32_t> idle_hosts_;  // keys of online, taskless hosts
   /// Scratch for one try_dispatch round: popped hosts the feeder had no
   /// suitable result for, re-listed after the round.
   std::vector<std::uint32_t> dispatch_scratch_;
-  std::map<std::uint64_t, double> delay_bound_overrides_;
   /// Min-heap over (deadline, result id) of dispatched results; the
   /// transitioner pops only the overdue prefix.
   std::vector<DeadlineEntry> deadline_heap_;

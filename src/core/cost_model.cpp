@@ -113,16 +113,6 @@ GarliCostModel::DataSizes GarliCostModel::data_sizes(
   return sizes;
 }
 
-GarliCostModel::DataSizes GarliCostModel::sample_data_sizes(
-    const GarliFeatures& f, util::Rng& rng) const {
-  DataSizes sizes = data_sizes(f);
-  const double sigma = params_.data_noise_sigma;
-  if (sigma > 0.0) {
-    sizes.input_mb *= rng.lognormal(-0.5 * sigma * sigma, sigma);
-  }
-  return sizes;
-}
-
 GarliFeatures random_features(util::Rng& rng) {
   GarliFeatures f;
   // Taxon and pattern counts follow the clustered sizes of real portal

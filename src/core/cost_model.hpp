@@ -87,9 +87,6 @@ class GarliCostModel {
     double starting_tree_factor = 0.72;
     /// sigma of the lognormal run-to-run noise.
     double noise_sigma = 0.2;
-    /// sigma of the lognormal input-size spread around the alignment's
-    /// nominal bytes (partitioned supermatrices, bundled site data).
-    double data_noise_sigma = 0.35;
 
     /// The pre-vectorization (scalar-client) surface: the constants every
     /// BENCH_grid_scale row before the kernel work was measured against.
@@ -120,11 +117,6 @@ class GarliCostModel {
   /// (~0.5 MB) out. The exact formulas the portal used inline; every
   /// harness now derives sizes from this one place.
   DataSizes data_sizes(const GarliFeatures& features) const;
-
-  /// One stochastic realization: lognormal spread around the expected
-  /// input size, fixed output.
-  DataSizes sample_data_sizes(const GarliFeatures& features,
-                              util::Rng& rng) const;
 
   const Params& params() const { return params_; }
 

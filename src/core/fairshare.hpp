@@ -66,7 +66,6 @@ class FairShareLedger {
     return it == entries_.end() ? 0.0 : decayed(it->second);
   }
 
-  std::size_t tracked_users() const { return entries_.size(); }
   double now() const { return now_; }
   const FairShareConfig& config() const { return config_; }
 

@@ -1,5 +1,7 @@
 #include "core/inventory.hpp"
 
+#include "core/lattice.hpp"
+
 namespace lattice::core {
 
 grid::ResourceKind ResourceSpec::kind() const {
@@ -78,26 +80,26 @@ std::vector<ResourceSpec> lattice_inventory(const InventoryOptions& options) {
   return specs;
 }
 
-void build_inventory(InventoryHost& host,
+void build_inventory(LatticeSystem& system,
                      const std::vector<ResourceSpec>& specs) {
   for (const ResourceSpec& spec : specs) {
     std::visit(
         [&](const auto& config) {
           using Config = std::decay_t<decltype(config)>;
           if constexpr (std::is_same_v<Config, grid::BatchQueueResource::Config>) {
-            host.add_cluster(spec.name, config);
+            system.add_cluster(spec.name, config);
           } else if constexpr (std::is_same_v<Config, grid::CondorPool::Config>) {
-            host.add_condor_pool(spec.name, config);
+            system.add_condor_pool(spec.name, config);
           } else {
-            host.add_boinc_pool(spec.name, config);
+            system.add_boinc_pool(spec.name, config);
           }
         },
         spec.config);
   }
 }
 
-void build_inventory(InventoryHost& host, const InventoryOptions& options) {
-  build_inventory(host, lattice_inventory(options));
+void build_inventory(LatticeSystem& system, const InventoryOptions& options) {
+  build_inventory(system, lattice_inventory(options));
 }
 
 }  // namespace lattice::core

@@ -1,7 +1,7 @@
 // Unified resource construction: a declarative ResourceSpec naming any of
 // the grid's resource kinds (batch cluster, Condor pool, BOINC volunteer
 // pool) plus one build_inventory() that instantiates a list of specs into
-// any InventoryHost. Subsumes the per-example construction boilerplate and
+// a LatticeSystem. Subsumes the per-example construction boilerplate and
 // the benchmark-local inventory builder — the paper's §IV federation is
 // now data (lattice_inventory()), not code repeated per harness.
 //
@@ -10,8 +10,7 @@
 // both in the module DAG (tools/lattice-lint/layering.ini). Its earlier
 // home in src/grid was the tree's one layering back-edge (grid including
 // boinc/config.hpp while boinc includes grid), which lattice-lint's
-// include-graph pass now rejects as a module cycle. The host interface is
-// implemented by core::LatticeSystem.
+// include-graph pass now rejects as a module cycle.
 #pragma once
 
 #include <string>
@@ -21,24 +20,9 @@
 #include "boinc/config.hpp"
 #include "grid/resource.hpp"
 
-namespace lattice::boinc {
-class BoincServer;
-}  // namespace lattice::boinc
-
 namespace lattice::core {
 
-/// Anything that can own the three resource kinds (core::LatticeSystem).
-class InventoryHost {
- public:
-  virtual ~InventoryHost() = default;
-
-  virtual grid::BatchQueueResource& add_cluster(
-      const std::string& name, grid::BatchQueueResource::Config config) = 0;
-  virtual grid::CondorPool& add_condor_pool(
-      const std::string& name, grid::CondorPool::Config config) = 0;
-  virtual boinc::BoincServer& add_boinc_pool(
-      const std::string& name, boinc::BoincPoolConfig config) = 0;
-};
+class LatticeSystem;
 
 /// One declaratively-specified resource: a name plus the kind-specific
 /// config. Specs are plain data — build them, edit them (e.g. a fault plan
@@ -87,11 +71,11 @@ struct InventoryOptions {
 /// and the international BOINC pool.
 std::vector<ResourceSpec> lattice_inventory(const InventoryOptions& options);
 
-/// Instantiate the specs into the host, in list order.
-void build_inventory(InventoryHost& host,
+/// Instantiate the specs into the system, in list order.
+void build_inventory(LatticeSystem& system,
                      const std::vector<ResourceSpec>& specs);
 
 /// Convenience: the canonical paper inventory in one call.
-void build_inventory(InventoryHost& host, const InventoryOptions& options);
+void build_inventory(LatticeSystem& system, const InventoryOptions& options);
 
 }  // namespace lattice::core

@@ -47,17 +47,17 @@ LatticeSystem::LatticeSystem(LatticeConfig config)
 
 LatticeSystem::~LatticeSystem() = default;
 
-void LatticeSystem::wire_resource(
-    grid::LocalResource& resource,
-    std::unique_ptr<grid::SchedulerAdapter> adapter) {
-  names_.push_back(resource.name());
-  resource.set_completion_callback(
+void LatticeSystem::add_resource(
+    std::unique_ptr<grid::LocalResource> resource, boinc::BoincServer* pool) {
+  grid::LocalResource& ref = *resource;
+  resources_[ref.name()] = ResourceEntry{std::move(resource), pool};
+  names_.push_back(ref.name());
+  ref.set_completion_callback(
       [this](grid::GridJob& job, const grid::JobOutcome& outcome) {
         on_outcome(job, outcome);
       });
-  mds_.attach_provider(resource, config_.mds_report_period);
-  adapters_[resource.name()] = std::move(adapter);
-  resource.set_observability(*obs_metrics_, *obs_tracer_);
+  mds_.attach_provider(ref, config_.mds_report_period);
+  ref.set_observability(*obs_metrics_, *obs_tracer_);
 }
 
 void LatticeSystem::enable_observability(obs::MetricsRegistry& metrics,
@@ -66,8 +66,8 @@ void LatticeSystem::enable_observability(obs::MetricsRegistry& metrics,
   obs_tracer_ = &tracer;
   sim_.set_observability(&metrics, &tracer);
   scheduler_.set_observability(metrics);
-  for (auto& [name, resource] : resources_) {
-    resource->set_observability(metrics, tracer);
+  for (auto& [name, entry] : resources_) {
+    entry.resource->set_observability(metrics, tracer);
   }
   bind_observability();
 }
@@ -122,8 +122,7 @@ grid::BatchQueueResource& LatticeSystem::add_cluster(
   auto resource =
       std::make_unique<grid::BatchQueueResource>(sim_, name, config);
   grid::BatchQueueResource& ref = *resource;
-  resources_[name] = std::move(resource);
-  wire_resource(ref, grid::make_adapter(ref, config.kind));
+  add_resource(std::move(resource), nullptr);
   return ref;
 }
 
@@ -131,9 +130,7 @@ grid::CondorPool& LatticeSystem::add_condor_pool(
     const std::string& name, grid::CondorPool::Config config) {
   auto resource = std::make_unique<grid::CondorPool>(sim_, name, config);
   grid::CondorPool& ref = *resource;
-  resources_[name] = std::move(resource);
-  wire_resource(ref,
-                grid::make_adapter(ref, grid::ResourceKind::kCondorPool));
+  add_resource(std::move(resource), nullptr);
   return ref;
 }
 
@@ -141,27 +138,20 @@ boinc::BoincServer& LatticeSystem::add_boinc_pool(
     const std::string& name, boinc::BoincPoolConfig config) {
   auto resource = std::make_unique<boinc::BoincServer>(sim_, name, config);
   boinc::BoincServer& ref = *resource;
-  resources_[name] = std::move(resource);
-  auto adapter = std::make_unique<boinc::BoincAdapter>(ref);
-  boinc_adapters_[name] = adapter.get();
-  wire_resource(ref, std::move(adapter));
+  add_resource(std::move(resource), &ref);
   return ref;
 }
 
 grid::LocalResource* LatticeSystem::resource(const std::string& name) {
   const auto it = resources_.find(name);
-  return it == resources_.end() ? nullptr : it->second.get();
-}
-
-grid::SchedulerAdapter* LatticeSystem::adapter(const std::string& name) {
-  const auto it = adapters_.find(name);
-  return it == adapters_.end() ? nullptr : it->second.get();
+  return it == resources_.end() ? nullptr : it->second.resource.get();
 }
 
 void LatticeSystem::calibrate_speeds(double reference_job_seconds,
                                      double measurement_noise_sigma) {
   speeds_ = SpeedCalibrator(reference_job_seconds);
-  for (const auto& [name, resource] : resources_) {
+  for (const auto& [name, entry] : resources_) {
+    grid::LocalResource* resource = entry.resource.get();
     std::vector<double> runtimes;
     auto noisy = [&](double true_speed) {
       const double wall = reference_job_seconds / true_speed;
@@ -171,20 +161,19 @@ void LatticeSystem::calibrate_speeds(double reference_job_seconds,
                         measurement_noise_sigma);
     };
     if (auto* cluster =
-            dynamic_cast<grid::BatchQueueResource*>(resource.get())) {
+            dynamic_cast<grid::BatchQueueResource*>(resource)) {
       // A short reference job on a handful of (identical) nodes.
       for (int i = 0; i < 4; ++i) {
         runtimes.push_back(noisy(cluster->config().node_speed));
       }
     } else if (auto* pool =
-                   dynamic_cast<grid::CondorPool*>(resource.get())) {
+                   dynamic_cast<grid::CondorPool*>(resource)) {
       // "run a short GARLI job on each unique individual machine ... and
       // average the runtimes".
       for (double speed : pool->machine_speeds()) {
         runtimes.push_back(noisy(speed));
       }
-    } else if (auto* boinc_pool =
-                   dynamic_cast<boinc::BoincServer*>(resource.get())) {
+    } else if (const boinc::BoincServer* boinc_pool = entry.pool) {
       // Volunteer hosts: the reference job's measured *turnaround* on a
       // volunteer PC includes the host's downtime, so the benchmark
       // naturally yields an availability-discounted throughput speed —
@@ -301,11 +290,8 @@ bool LatticeSystem::cancel_job(std::uint64_t id) {
 
 std::size_t LatticeSystem::grid_backlog() const {
   std::size_t backlog = pending_count_;
-  for (const auto& [name, resource] : resources_) {
-    if (const auto* pool =
-            dynamic_cast<const boinc::BoincServer*>(resource.get())) {
-      backlog += pool->feeder_backlog();
-    }
+  for (const auto& [name, entry] : resources_) {
+    if (entry.pool != nullptr) backlog += entry.pool->feeder_backlog();
   }
   return backlog;
 }
@@ -452,7 +438,7 @@ void LatticeSystem::pump() {
   // Backpressure verdict per resource, computed once per epoch.
   std::vector<std::pair<const grid::LocalResource*, bool>> saturated;
   const auto is_saturated = [&](const std::string& name) {
-    const grid::LocalResource* target = resources_.at(name).get();
+    const grid::LocalResource* target = resources_.at(name).resource.get();
     for (const auto& [resource, full] : saturated) {
       if (resource == target) return full;
     }
@@ -521,16 +507,15 @@ void LatticeSystem::pump() {
 
 void LatticeSystem::dispatch(grid::GridJob& job,
                              const std::string& resource_name) {
+  const ResourceEntry& target = resources_.at(resource_name);
   // Refresh the target's MDS entry after handing it work: submission is
   // synchronous, so the directory sees the extra backlog immediately and
   // one scheduling wave does not herd every job onto the same resource.
   struct Refresher {
-    LatticeSystem* system;
-    const std::string& name;
-    ~Refresher() {
-      system->mds_.report(system->resources_.at(name)->info());
-    }
-  } refresher{this, resource_name};
+    grid::MdsDirectory& mds;
+    const grid::LocalResource& resource;
+    ~Refresher() { mds.report(resource.info()); }
+  } refresher{mds_, *target.resource};
 
   if (job.attempts == 0) {
     obs_sched_queue_wait_->observe(sim_.now() - job.submit_time);
@@ -544,20 +529,15 @@ void LatticeSystem::dispatch(grid::GridJob& job,
     fair_share_ledger_.charge(job.user_id, job.true_reference_runtime);
     obs_fair_share_charges_->inc();
   }
-  const auto boinc_it = boinc_adapters_.find(resource_name);
-  if (boinc_it != boinc_adapters_.end()) {
+  if (target.pool != nullptr && job.estimated_reference_runtime) {
     // Estimate-derived report deadline (paper §VI.A). Without an estimate
-    // fall back to the pool's manual default by submitting plainly.
-    if (job.estimated_reference_runtime) {
-      const double deadline = config_.deadline.deadline_seconds(
-          *job.estimated_reference_runtime, job.input_mb + job.output_mb);
-      boinc_it->second->submit_with_deadline(job, deadline);
-    } else {
-      boinc_it->second->submit(job);
-    }
+    // the pool applies its manual default.
+    target.pool->submit(job, config_.deadline.deadline_seconds(
+                                 *job.estimated_reference_runtime,
+                                 job.input_mb + job.output_mb));
     return;
   }
-  adapters_.at(resource_name)->submit(job);
+  target.resource->submit(job);
 }
 
 void LatticeSystem::on_outcome(grid::GridJob& job,

@@ -1,8 +1,8 @@
 // LatticeSystem: the whole grid wired together — the simulation clock, the
-// MDS directory with per-resource provider loops, the local resources and
-// their scheduler adapters, speed calibration, the RF runtime estimator
-// with its online-update loop, the deadline policy for BOINC work, and the
-// meta-scheduler pump that drains the grid-level queue.
+// MDS directory with per-resource provider loops, the local resources,
+// speed calibration, the RF runtime estimator with its online-update loop,
+// the deadline policy for BOINC work, and the meta-scheduler pump that
+// drains the grid-level queue.
 //
 // This is the object the examples and benchmark harnesses instantiate: add
 // resources, submit GARLI work (featurized jobs whose true runtimes come
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "boinc/adapter.hpp"
 #include "boinc/server.hpp"
 #include "core/cost_model.hpp"
 #include "core/deadline.hpp"
@@ -26,7 +25,6 @@
 #include "core/metascheduler.hpp"
 #include "core/speed.hpp"
 #include "core/inventory.hpp"
-#include "grid/adapter.hpp"
 #include "grid/mds.hpp"
 #include "grid/resource.hpp"
 #include "sim/simulation.hpp"
@@ -102,10 +100,10 @@ struct JobData {
   double output_mb = 0.0;
 };
 
-class LatticeSystem : public InventoryHost {
+class LatticeSystem {
  public:
   explicit LatticeSystem(LatticeConfig config = {});
-  ~LatticeSystem() override;
+  ~LatticeSystem();
   LatticeSystem(const LatticeSystem&) = delete;
   LatticeSystem& operator=(const LatticeSystem&) = delete;
 
@@ -120,20 +118,17 @@ class LatticeSystem : public InventoryHost {
   const LatticeConfig& config() const { return config_; }
   LatticeMetrics& metrics() { return metrics_; }
 
-  // Resource building (paper §IV): the core::InventoryHost interface, so
-  // declarative ResourceSpec lists build into this system via
-  // core::build_inventory.
+  // Resource building (paper §IV); declarative ResourceSpec lists build
+  // into this system via core::build_inventory.
   grid::BatchQueueResource& add_cluster(
-      const std::string& name,
-      grid::BatchQueueResource::Config config) override;
+      const std::string& name, grid::BatchQueueResource::Config config);
   grid::CondorPool& add_condor_pool(const std::string& name,
-                                    grid::CondorPool::Config config) override;
+                                    grid::CondorPool::Config config);
   boinc::BoincServer& add_boinc_pool(const std::string& name,
-                                     boinc::BoincPoolConfig config) override;
+                                     boinc::BoincPoolConfig config);
 
   const std::vector<std::string>& resource_names() const { return names_; }
   grid::LocalResource* resource(const std::string& name);
-  grid::SchedulerAdapter* adapter(const std::string& name);
 
   /// Benchmark every resource with a short reference job and record its
   /// speed (paper §V.A). Cluster speeds are exact (homogeneous nodes);
@@ -209,8 +204,11 @@ class LatticeSystem : public InventoryHost {
   /// (tests/pump_reference.hpp).
   friend class PumpReference;
 
-  void wire_resource(grid::LocalResource& resource,
-                     std::unique_ptr<grid::SchedulerAdapter> adapter);
+  /// Take ownership of a resource and wire it into the grid: completion
+  /// callback, MDS provider, observability. `pool` is the resource itself
+  /// when it is a volunteer pool.
+  void add_resource(std::unique_ptr<grid::LocalResource> resource,
+                    boinc::BoincServer* pool);
   void bind_observability();
   void pump();
   /// Sort the pending runs by (decayed usage, first id) — the fair-share
@@ -239,9 +237,13 @@ class LatticeSystem : public InventoryHost {
   util::Rng rng_;
 
   std::vector<std::string> names_;
-  std::map<std::string, std::unique_ptr<grid::LocalResource>> resources_;
-  std::map<std::string, std::unique_ptr<grid::SchedulerAdapter>> adapters_;
-  std::map<std::string, boinc::BoincAdapter*> boinc_adapters_;
+  /// A resource and, for a volunteer pool, the same object as its
+  /// BoincServer (dispatch passes it the estimate-derived deadline).
+  struct ResourceEntry {
+    std::unique_ptr<grid::LocalResource> resource;
+    boinc::BoincServer* pool = nullptr;
+  };
+  std::map<std::string, ResourceEntry> resources_;
 
   /// A job and the features its estimate and §VI.E observation use.
   struct JobRecord {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace lattice::core {
 
@@ -24,15 +23,6 @@ enum class UserClass : std::uint8_t {
   kRegistered = 1,
   kPower = 2,
 };
-
-inline std::string_view user_class_name(UserClass user_class) {
-  switch (user_class) {
-    case UserClass::kGuest: return "guest";
-    case UserClass::kRegistered: return "registered";
-    case UserClass::kPower: return "power";
-  }
-  return "?";
-}
 
 /// Deterministic user id from an email address (FNV-1a 64), so callers that
 /// only know an address get per-user accounting that stays stable across

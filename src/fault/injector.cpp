@@ -36,13 +36,19 @@ void FaultInjector::set_observability(obs::MetricsRegistry& metrics) {
 void FaultInjector::arm() {
   if (armed_) return;
   armed_ = true;
+  // The actions capture references into plan_, which is immutable after
+  // arm(), so they outlive every scheduled window.
   for (const ResourceOutage& outage : plan_.outages) {
     if (system_.resource(outage.resource) == nullptr) {
       throw std::runtime_error(util::format(
           "fault plan: outage names unknown resource '{}'",
           outage.resource));
     }
-    schedule_window(outage, outage.start);
+    const Window& window = windows_.emplace_back(
+        Window{outage.duration, outage.period,
+               [this, &outage] { begin_outage(outage); },
+               [this, &outage] { end_outage(outage); }});
+    schedule_window(window, outage.start);
   }
 
   if (plan_.link_faults.empty() && plan_.uplink_outages.empty()) return;
@@ -54,8 +60,10 @@ void FaultInjector::arm() {
   }
   for (const LinkFault& fault : plan_.link_faults) {
     // Resolve the class name on every net-enabled pool up front: a typo'd
-    // class fails at arm(), not silently mid-run.
-    LinkTargets targets;
+    // class fails at arm(), not silently mid-run. Classes can differ per
+    // pool, so each pool keeps its own index; the resolved targets are
+    // copied into the actions (pools outlive the run).
+    std::vector<std::pair<boinc::BoincServer*, std::uint32_t>> targets;
     for (boinc::BoincServer* pool : pools) {
       const auto index = pool->network()->class_index(fault.link_class);
       if (!index) {
@@ -65,27 +73,57 @@ void FaultInjector::arm() {
       }
       targets.emplace_back(pool, *index);
     }
-    schedule_link_window(fault, targets, fault.start);
+    const Window& window = windows_.emplace_back(Window{
+        fault.duration, fault.period,
+        [this, &fault, targets] {
+          obs_link_begun_->inc();
+          util::log_info("fault", "link class {}: bandwidth x{:.2f}",
+                         fault.link_class, fault.bandwidth_scale);
+          for (const auto& [pool, index] : targets) {
+            pool->network()->set_class_bandwidth_scale(index,
+                                                       fault.bandwidth_scale);
+          }
+        },
+        [this, &fault, targets] {
+          obs_link_ended_->inc();
+          util::log_info("fault", "link class {}: bandwidth restored",
+                         fault.link_class);
+          for (const auto& [pool, index] : targets) {
+            pool->network()->set_class_bandwidth_scale(index, 1.0);
+          }
+        }});
+    schedule_window(window, fault.start);
   }
   for (const UplinkOutage& outage : plan_.uplink_outages) {
-    schedule_uplink_window(outage, outage.start);
+    const Window& window = windows_.emplace_back(Window{
+        outage.duration, outage.period,
+        [this] {
+          obs_uplink_begun_->inc();
+          util::log_info("fault", "server uplink: outage begins");
+          for (boinc::BoincServer* pool : net_pools()) {
+            pool->network()->set_uplink_outage(true);
+          }
+        },
+        [this] {
+          obs_uplink_ended_->inc();
+          util::log_info("fault", "server uplink: outage ends");
+          for (boinc::BoincServer* pool : net_pools()) {
+            pool->network()->set_uplink_outage(false);
+          }
+        }});
+    schedule_window(window, outage.start);
   }
 }
 
-void FaultInjector::schedule_window(const ResourceOutage& outage,
-                                    double start) {
-  // The captured reference points into plan_.outages, which is immutable
-  // after arm(), so it outlives every scheduled window. Periodic windows
-  // chain the next repetition lazily (when this one begins) so a finite
-  // run schedules a bounded number of events.
+void FaultInjector::schedule_window(const Window& window, double start) {
+  // Periodic windows chain the next repetition lazily (when this one
+  // begins) so a finite run schedules a bounded number of events.
   sim::Simulation& sim = system_.simulation();
-  sim.at(start, [this, &outage, start] {
-    begin_outage(outage);
-    if (outage.period > 0.0) {
-      schedule_window(outage, start + outage.period);
-    }
+  sim.at(start, [this, &window, start] {
+    window.begin();
+    if (window.period > 0.0) schedule_window(window, start + window.period);
   });
-  sim.at(start + outage.duration, [this, &outage] { end_outage(outage); });
+  sim.at(start + window.duration, [&window] { window.end(); });
 }
 
 void FaultInjector::begin_outage(const ResourceOutage& outage) {
@@ -123,57 +161,6 @@ std::vector<boinc::BoincServer*> FaultInjector::net_pools() const {
     }
   }
   return pools;
-}
-
-void FaultInjector::schedule_link_window(const LinkFault& fault,
-                                         const LinkTargets& targets,
-                                         double start) {
-  // Same lazy periodic chaining as schedule_window: the captured reference
-  // points into plan_.link_faults (immutable after arm()); the resolved
-  // targets are copied into the closures (pools outlive the run).
-  sim::Simulation& sim = system_.simulation();
-  sim.at(start, [this, &fault, targets, start] {
-    obs_link_begun_->inc();
-    util::log_info("fault", "link class {}: bandwidth x{:.2f}",
-                   fault.link_class, fault.bandwidth_scale);
-    for (const auto& [pool, index] : targets) {
-      pool->network()->set_class_bandwidth_scale(index,
-                                                 fault.bandwidth_scale);
-    }
-    if (fault.period > 0.0) {
-      schedule_link_window(fault, targets, start + fault.period);
-    }
-  });
-  sim.at(start + fault.duration, [this, &fault, targets] {
-    obs_link_ended_->inc();
-    util::log_info("fault", "link class {}: bandwidth restored",
-                   fault.link_class);
-    for (const auto& [pool, index] : targets) {
-      pool->network()->set_class_bandwidth_scale(index, 1.0);
-    }
-  });
-}
-
-void FaultInjector::schedule_uplink_window(const UplinkOutage& outage,
-                                           double start) {
-  sim::Simulation& sim = system_.simulation();
-  sim.at(start, [this, &outage, start] {
-    obs_uplink_begun_->inc();
-    util::log_info("fault", "server uplink: outage begins");
-    for (boinc::BoincServer* pool : net_pools()) {
-      pool->network()->set_uplink_outage(true);
-    }
-    if (outage.period > 0.0) {
-      schedule_uplink_window(outage, start + outage.period);
-    }
-  });
-  sim.at(start + outage.duration, [this] {
-    obs_uplink_ended_->inc();
-    util::log_info("fault", "server uplink: outage ends");
-    for (boinc::BoincServer* pool : net_pools()) {
-      pool->network()->set_uplink_outage(false);
-    }
-  });
 }
 
 }  // namespace lattice::fault

@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -56,23 +58,26 @@ class FaultInjector {
   std::uint64_t outages_begun() const { return begun_; }
 
  private:
-  void schedule_window(const ResourceOutage& outage, double start);
+  /// One plan window: `begin` runs at each repetition's start, `end`
+  /// `duration` seconds later; a positive `period` repeats it.
+  struct Window {
+    double duration;
+    double period;
+    std::function<void()> begin;
+    std::function<void()> end;
+  };
+  /// Schedule the repetition of `window` that starts at `start`.
+  void schedule_window(const Window& window, double start);
   void begin_outage(const ResourceOutage& outage);
   void end_outage(const ResourceOutage& outage);
-
-  /// Net-enabled volunteer pools paired with the fault's class index on
-  /// each (classes can differ per pool, so the index is resolved per pool
-  /// at arm time).
-  using LinkTargets =
-      std::vector<std::pair<boinc::BoincServer*, std::uint32_t>>;
-  void schedule_link_window(const LinkFault& fault,
-                            const LinkTargets& targets, double start);
-  void schedule_uplink_window(const UplinkOutage& outage, double start);
   std::vector<boinc::BoincServer*> net_pools() const;
 
   core::LatticeSystem& system_;
   FaultPlan plan_;
   bool armed_ = false;
+  /// Armed windows; a deque, so the references scheduled events hold stay
+  /// valid as arm() appends.
+  std::deque<Window> windows_;
   std::uint64_t begun_ = 0;
 
   obs::Counter* obs_begun_ = nullptr;

@@ -1,12 +1,11 @@
 #include "grid/adapter.hpp"
 
-#include <stdexcept>
-
+#include "grid/classad.hpp"
 #include "util/fmt.hpp"
 
 namespace lattice::grid {
 
-std::string CondorAdapter::translate(const GridJob& job) const {
+std::string condor_submit_file(const GridJob& job) {
   std::string out;
   out += util::format("universe = vanilla\n");
   out += util::format("executable = {}\n", job.application);
@@ -20,7 +19,7 @@ std::string CondorAdapter::translate(const GridJob& job) const {
   return out;
 }
 
-std::string PbsAdapter::translate(const GridJob& job) const {
+std::string pbs_script(const GridJob& job) {
   std::string out = "#!/bin/sh\n";
   out += util::format("#PBS -N {}-{}\n", job.application, job.id);
   out += "#PBS -l nodes=1:ppn=1";
@@ -41,7 +40,7 @@ std::string PbsAdapter::translate(const GridJob& job) const {
   return out;
 }
 
-std::string SgeAdapter::translate(const GridJob& job) const {
+std::string sge_script(const GridJob& job) {
   std::string out = "#!/bin/sh\n";
   out += util::format("#$ -N {}-{}\n", job.application, job.id);
   out += "#$ -cwd\n";
@@ -54,22 +53,6 @@ std::string SgeAdapter::translate(const GridJob& job) const {
   }
   out += util::format("{}\n", job.application);
   return out;
-}
-
-std::unique_ptr<SchedulerAdapter> make_adapter(LocalResource& resource,
-                                               ResourceKind kind) {
-  switch (kind) {
-    case ResourceKind::kCondorPool:
-      return std::make_unique<CondorAdapter>(resource);
-    case ResourceKind::kPbsCluster:
-      return std::make_unique<PbsAdapter>(resource);
-    case ResourceKind::kSgeCluster:
-      return std::make_unique<SgeAdapter>(resource);
-    case ResourceKind::kBoincPool:
-      throw std::invalid_argument(
-          "make_adapter: BOINC adapters come from boinc::BoincAdapter");
-  }
-  throw std::invalid_argument("make_adapter: unknown resource kind");
 }
 
 }  // namespace lattice::grid

@@ -1,62 +1,25 @@
-// Scheduler adapters: the Globus components that translate a generic RSL
-// job description into a resource-specific submission (a Condor submit
-// file, a PBS script, an SGE script). The paper customized the stock Condor
-// and PBS adapters, assembled an SGE one, and wrote the BOINC adapter from
-// scratch (src/boinc/adapter.hpp).
+// Submit-descriptor rendering: what the Globus scheduler adapters write
+// when they translate a generic RSL job description into a
+// resource-specific submission (a Condor submit file, a PBS script, an SGE
+// script). The paper customized the stock Condor and PBS adapters,
+// assembled an SGE one, and wrote the BOINC one from scratch
+// (src/boinc/adapter.hpp). Submission itself goes straight to the
+// LocalResource; these functions only render the descriptor.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "grid/job.hpp"
-#include "grid/resource.hpp"
 
 namespace lattice::grid {
 
-class SchedulerAdapter {
- public:
-  explicit SchedulerAdapter(LocalResource& resource) : resource_(resource) {}
-  virtual ~SchedulerAdapter() = default;
-
-  LocalResource& resource() { return resource_; }
-  const LocalResource& resource() const { return resource_; }
-
-  /// Render the resource-specific submit descriptor for a job (what the
-  /// real adapter would write to disk before invoking condor_submit/qsub).
-  virtual std::string translate(const GridJob& job) const = 0;
-
-  /// Translate and hand the job to the local resource manager.
-  void submit(GridJob& job) { resource_.submit(job); }
-  void cancel(std::uint64_t job_id) { resource_.cancel(job_id); }
-
- private:
-  LocalResource& resource_;
-};
-
 /// condor_submit description file.
-class CondorAdapter final : public SchedulerAdapter {
- public:
-  using SchedulerAdapter::SchedulerAdapter;
-  std::string translate(const GridJob& job) const override;
-};
+std::string condor_submit_file(const GridJob& job);
 
 /// #PBS batch script.
-class PbsAdapter final : public SchedulerAdapter {
- public:
-  using SchedulerAdapter::SchedulerAdapter;
-  std::string translate(const GridJob& job) const override;
-};
+std::string pbs_script(const GridJob& job);
 
 /// #$ (SGE) batch script.
-class SgeAdapter final : public SchedulerAdapter {
- public:
-  using SchedulerAdapter::SchedulerAdapter;
-  std::string translate(const GridJob& job) const override;
-};
-
-/// Build the adapter matching a resource's LRM kind (BOINC pools get their
-/// adapter from src/boinc).
-std::unique_ptr<SchedulerAdapter> make_adapter(LocalResource& resource,
-                                               ResourceKind kind);
+std::string sge_script(const GridJob& job);
 
 }  // namespace lattice::grid

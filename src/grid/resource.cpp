@@ -72,19 +72,17 @@ void BatchQueueResource::on_observability() {
                    "local-queue wait from acceptance to start", name());
 }
 
-ResourceInfo BatchQueueResource::info() const {
-  ResourceInfo info;
-  info.name = name();
-  info.kind = config_.kind;
-  info.total_slots = config_.nodes * config_.cores_per_node;
-  info.free_slots = info.total_slots - running_.size();
-  info.queued_jobs = queue_.size();
-  info.node_memory_gb = config_.node_memory_gb;
-  info.platforms = {config_.platform};
-  info.mpi_capable = config_.mpi_capable;
-  info.software = config_.software;
-  info.stable = true;
-  return info;
+void BatchQueueResource::info_into(ResourceInfo& out) const {
+  out.name = name();
+  out.kind = config_.kind;
+  out.total_slots = config_.nodes * config_.cores_per_node;
+  out.free_slots = out.total_slots - running_.size();
+  out.queued_jobs = queue_.size();
+  out.node_memory_gb = config_.node_memory_gb;
+  out.platforms.assign(1, config_.platform);
+  out.mpi_capable = config_.mpi_capable;
+  out.software = config_.software;
+  out.stable = true;
 }
 
 void BatchQueueResource::submit(GridJob& job) {
@@ -329,23 +327,21 @@ void CondorPool::owner_leaves(std::size_t machine) {
   try_start();
 }
 
-ResourceInfo CondorPool::info() const {
-  ResourceInfo info;
-  info.name = name();
-  info.kind = ResourceKind::kCondorPool;
-  info.total_slots = machines_.size();
+void CondorPool::info_into(ResourceInfo& out) const {
+  out.name = name();
+  out.kind = ResourceKind::kCondorPool;
+  out.total_slots = machines_.size();
   std::size_t free = 0;
   for (const Machine& m : machines_) {
     if (!m.owner_busy && m.job == nullptr) ++free;
   }
-  info.free_slots = free;
-  info.queued_jobs = queue_.size();
-  info.node_memory_gb = config_.machine_memory_gb;
-  info.platforms = {config_.platform};
-  info.mpi_capable = false;
-  info.software = config_.software;
-  info.stable = false;
-  return info;
+  out.free_slots = free;
+  out.queued_jobs = queue_.size();
+  out.node_memory_gb = config_.machine_memory_gb;
+  out.platforms.assign(1, config_.platform);
+  out.mpi_capable = false;
+  out.software = config_.software;
+  out.stable = false;
 }
 
 void CondorPool::submit(GridJob& job) {

@@ -74,11 +74,15 @@ class LocalResource {
   const std::string& name() const { return name_; }
   sim::Simulation& simulation() { return sim_; }
 
-  virtual ResourceInfo info() const = 0;
-  /// Allocation-lean variant for periodic reporters: fill `out` in place so
-  /// callers reusing one ResourceInfo hit string/vector capacity instead of
-  /// fresh heap blocks on every heartbeat. Default falls back to info().
-  virtual void info_into(ResourceInfo& out) const { out = info(); }
+  /// The resource's current snapshot. Fills every field of `out` in
+  /// place, so periodic reporters reusing one ResourceInfo hit its
+  /// string/vector capacity instead of fresh heap blocks per heartbeat.
+  virtual void info_into(ResourceInfo& out) const = 0;
+  ResourceInfo info() const {
+    ResourceInfo out;
+    info_into(out);
+    return out;
+  }
   /// Accept a grid job into the local queue. The job must stay alive until
   /// the completion callback fires.
   virtual void submit(GridJob& job) = 0;
@@ -92,7 +96,6 @@ class LocalResource {
   /// without an outage model (e.g. the volunteer pool, whose unreliability
   /// is per-host) ignore it.
   virtual void set_outage(bool down) { (void)down; }
-  virtual bool in_outage() const { return false; }
 
   /// Invoked on every attempt outcome (success, preemption, cancel).
   void set_completion_callback(CompletionCallback callback) {
@@ -146,11 +149,10 @@ class BatchQueueResource : public LocalResource {
 
   BatchQueueResource(sim::Simulation& sim, std::string name, Config config);
 
-  ResourceInfo info() const override;
+  void info_into(ResourceInfo& out) const override;
   void submit(GridJob& job) override;
   void cancel(std::uint64_t job_id) override;
   void set_outage(bool down) override;
-  bool in_outage() const override { return outage_; }
 
   const Config& config() const { return config_; }
 
@@ -206,11 +208,10 @@ class CondorPool : public LocalResource {
 
   CondorPool(sim::Simulation& sim, std::string name, Config config);
 
-  ResourceInfo info() const override;
+  void info_into(ResourceInfo& out) const override;
   void submit(GridJob& job) override;
   void cancel(std::uint64_t job_id) override;
   void set_outage(bool down) override;
-  bool in_outage() const override { return outage_; }
 
   /// True machine speeds (exposed for calibration experiments).
   std::vector<double> machine_speeds() const;

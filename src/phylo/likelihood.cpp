@@ -89,11 +89,6 @@ void LikelihoodEngine::enable_matrix_cache(std::size_t capacity) {
   cache_capacity_ = std::max<std::size_t>(1, capacity);
 }
 
-void LikelihoodEngine::disable_matrix_cache() {
-  cache_enabled_ = false;
-  matrix_cache_.clear();
-}
-
 const double* LikelihoodEngine::transition(const SubstitutionModel& model,
                                            double branch_length,
                                            double rate) {

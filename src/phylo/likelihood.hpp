@@ -101,7 +101,6 @@ class LikelihoodEngine {
   /// second-chance sweep evicts entries not referenced since the previous
   /// sweep, keeping the hot working set resident.
   void enable_matrix_cache(std::size_t capacity = 4096);
-  void disable_matrix_cache();
   std::uint64_t cache_hits() const { return cache_hits_; }
   std::uint64_t cache_misses() const { return cache_misses_; }
   std::uint64_t cache_evictions() const { return cache_evictions_; }

@@ -135,7 +135,6 @@ class TwoBandQueue {
 
   /// Total entries held (live + tombstones awaiting lazy removal).
   std::size_t entries() const { return heap_.size() + far_count_; }
-  std::size_t far_entries() const { return far_count_; }
   SimTime far_threshold() const { return far_threshold_; }
 
  private:

@@ -129,7 +129,7 @@ class PumpReference {
   }
 
   static bool saturated(const LatticeSystem& s, const std::string& name) {
-    const grid::ResourceInfo info = s.resources_.at(name)->info();
+    const grid::ResourceInfo info = s.resources_.at(name).resource->info();
     return static_cast<double>(info.queued_jobs) >=
            s.config_.fair_share.backlog_per_slot *
                static_cast<double>(info.total_slots);

@@ -1,7 +1,7 @@
 // Tests for the desktop-grid substrate: workunit/result lifecycle, host
 // churn with checkpoint-preserving downtime, deadline timeout + reissue by
 // the transitioner, quorum validation with flawed hosts, wasted-duplicate
-// accounting, and the BOINC scheduler adapter.
+// accounting, and the BOINC workunit template.
 #include <gtest/gtest.h>
 
 #include "boinc/adapter.hpp"
@@ -205,9 +205,8 @@ TEST(Boinc, PerJobDeadlineOverride) {
   BoincServer server(sim, "boinc", reliable_pool(5));
   server.set_completion_callback(
       [&](grid::GridJob&, const grid::JobOutcome&) {});
-  server.set_delay_bound(1, 12345.0);
   auto job = make_job(1, 600.0);
-  server.submit(job);
+  server.submit(job, 12345.0);
   const auto& workunits = server.workunits();
   ASSERT_EQ(workunits.size(), 1u);
   EXPECT_DOUBLE_EQ(workunits.begin()->second.delay_bound, 12345.0);
@@ -229,26 +228,24 @@ TEST(Boinc, InfoAdvertisesUnstablePool) {
 }
 
 TEST(Boinc, AdapterWorkunitTemplate) {
-  sim::Simulation sim;
-  BoincServer server(sim, "boinc", reliable_pool(5));
-  BoincAdapter adapter(server);
   grid::GridJob job = make_job(9, 100.0);
   job.estimated_reference_runtime = 5000.0;
-  const std::string tmpl = adapter.translate(job);
+  const std::string tmpl = workunit_template(job, reliable_pool(5));
   EXPECT_NE(tmpl.find("<name>garli-9</name>"), std::string::npos);
   EXPECT_NE(tmpl.find("<rsc_fpops_est>5000e9</rsc_fpops_est>"),
             std::string::npos);
   EXPECT_NE(tmpl.find("<min_quorum>1</min_quorum>"), std::string::npos);
 }
 
+// The grid dispatch path hands a BOINC pool its job with an explicit delay
+// bound; the bound must reach the one workunit the submit creates.
 TEST(Boinc, AdapterSubmitWithDeadline) {
   sim::Simulation sim;
   BoincServer server(sim, "boinc", reliable_pool(5));
   server.set_completion_callback(
       [&](grid::GridJob&, const grid::JobOutcome&) {});
-  BoincAdapter adapter(server);
   auto job = make_job(1, 600.0);
-  adapter.submit_with_deadline(job, 9999.0);
+  server.submit(job, 9999.0);
   ASSERT_EQ(server.workunits().size(), 1u);
   EXPECT_DOUBLE_EQ(server.workunits().begin()->second.delay_bound, 9999.0);
   sim.run(86400.0);

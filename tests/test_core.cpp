@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -17,6 +18,7 @@
 #include "core/portal.hpp"
 #include "core/speed.hpp"
 #include "core/status.hpp"
+#include "net/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phylo/simulate.hpp"
@@ -589,6 +591,50 @@ TEST(Lattice, FailedAttemptsAreRescheduled) {
   EXPECT_GT(system.metrics().failed_attempts +
                 system.metrics().completed,
             1u);
+}
+
+TEST(Lattice, BoincDispatchTakesEstimateDeadlineOrPoolDefault) {
+  LatticeConfig config = fast_config(SchedulingMode::kEstimateAware);
+  config.deadline.typical_mbps = 2.0;  // the data term is live
+  LatticeSystem system(config);
+  boinc::BoincPoolConfig pool;
+  pool.hosts = 20;
+  pool.seed = 3;
+  pool.network = net::NetConfig::volunteer_default();
+  boinc::BoincServer& server = system.add_boinc_pool("boinc", pool);
+  system.calibrate_speeds();
+
+  const GarliFeatures features;
+  const JobData data{40.0, 2.0};
+  // Submitted while the estimator is untrained: no estimate.
+  const std::uint64_t plain = system.submit_garli_job(features, {}, 0, data);
+  GarliCostModel model;
+  util::Rng rng(13);
+  RuntimeEstimator::Config est_config;
+  est_config.forest.n_trees = 40;
+  est_config.retrain_every = 0;
+  system.estimator() = RuntimeEstimator(est_config);
+  system.estimator().train(generate_corpus(120, model, rng));
+  const std::uint64_t priced = system.submit_garli_job(features, {}, 0, data);
+  ASSERT_FALSE(system.job(plain)->estimated_reference_runtime.has_value());
+  ASSERT_TRUE(system.job(priced)->estimated_reference_runtime.has_value());
+
+  system.run(config.scheduler_period);  // one pump pass dispatches both
+  std::map<std::uint64_t, double> bound_of_job;
+  for (const auto& [id, wu] : server.workunits()) {
+    bound_of_job[wu.grid_job->id] = wu.delay_bound;
+  }
+  ASSERT_EQ(bound_of_job.size(), 2u);
+  ASSERT_NE(server.network(), nullptr);
+  EXPECT_DOUBLE_EQ(bound_of_job.at(plain),
+                   pool.default_delay_bound +
+                       server.network()->expected_staging_seconds(
+                           data.input_mb, data.output_mb));
+  EXPECT_DOUBLE_EQ(bound_of_job.at(priced),
+                   config.deadline.deadline_seconds(
+                       *system.job(priced)->estimated_reference_runtime,
+                       data.input_mb + data.output_mb));
+  EXPECT_NE(bound_of_job.at(plain), bound_of_job.at(priced));
 }
 
 // ---------------------------------------------------------------------------

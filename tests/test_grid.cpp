@@ -1,6 +1,6 @@
 // Tests for the service-grid substrate: platforms, RSL parsing, batch
 // queue and Condor pool LRM behaviour, MDS TTL/offline semantics, and
-// scheduler-adapter translation.
+// submit-descriptor rendering.
 #include <gtest/gtest.h>
 
 #include "grid/adapter.hpp"
@@ -359,14 +359,10 @@ TEST(Mds, UnknownResourceQueries) {
 // Adapters
 
 TEST(Adapters, CondorSubmitFile) {
-  sim::Simulation sim;
-  CondorPool::Config config;
-  CondorPool pool(sim, "condor", config);
-  CondorAdapter adapter(pool);
   GridJob job = make_job(1, 100.0);
   job.requirements.platforms = {PlatformSpec{OsType::kLinux, Arch::kX86_64}};
   job.requirements.min_memory_gb = 2.0;
-  const std::string submit = adapter.translate(job);
+  const std::string submit = condor_submit_file(job);
   EXPECT_NE(submit.find("universe = vanilla"), std::string::npos);
   EXPECT_NE(submit.find("OpSys == \"LINUX\""), std::string::npos);
   EXPECT_NE(submit.find("Arch == \"X86_64\""), std::string::npos);
@@ -375,42 +371,19 @@ TEST(Adapters, CondorSubmitFile) {
 }
 
 TEST(Adapters, PbsScript) {
-  sim::Simulation sim;
-  BatchQueueResource::Config config;
-  BatchQueueResource cluster(sim, "pbs", config);
-  PbsAdapter adapter(cluster);
   GridJob job = make_job(3, 100.0);
   job.estimated_reference_runtime = 7200.0;
-  const std::string script = adapter.translate(job);
+  const std::string script = pbs_script(job);
   EXPECT_NE(script.find("#PBS -N garli-3"), std::string::npos);
   EXPECT_NE(script.find("walltime="), std::string::npos);
 }
 
 TEST(Adapters, SgeScript) {
-  sim::Simulation sim;
-  BatchQueueResource::Config config;
-  config.kind = ResourceKind::kSgeCluster;
-  BatchQueueResource cluster(sim, "sge", config);
-  SgeAdapter adapter(cluster);
   GridJob job = make_job(4, 100.0);
   job.requirements.needs_mpi = true;
-  const std::string script = adapter.translate(job);
+  const std::string script = sge_script(job);
   EXPECT_NE(script.find("#$ -N garli-4"), std::string::npos);
   EXPECT_NE(script.find("-pe mpi"), std::string::npos);
-}
-
-TEST(Adapters, FactoryMatchesKind) {
-  sim::Simulation sim;
-  BatchQueueResource::Config config;
-  BatchQueueResource cluster(sim, "hpc", config);
-  auto pbs = make_adapter(cluster, ResourceKind::kPbsCluster);
-  EXPECT_NE(dynamic_cast<PbsAdapter*>(pbs.get()), nullptr);
-  auto sge = make_adapter(cluster, ResourceKind::kSgeCluster);
-  EXPECT_NE(dynamic_cast<SgeAdapter*>(sge.get()), nullptr);
-  auto condor = make_adapter(cluster, ResourceKind::kCondorPool);
-  EXPECT_NE(dynamic_cast<CondorAdapter*>(condor.get()), nullptr);
-  EXPECT_THROW(make_adapter(cluster, ResourceKind::kBoincPool),
-               std::invalid_argument);
 }
 
 }  // namespace
