@@ -20,7 +20,9 @@
 // Each sweep point reports the portal's submission wall time next to the
 // drain's, simulator throughput (completed jobs and kernel events per
 // second of drain wall time, best of `reps` runs to damp scheduling noise
-// on shared machines), wall-clock per scheduling decision, the
+// on shared machines), the volunteer pool's churn-calendar flips (idle
+// hosts' on/off transitions, fired outside the kernel and so absent from
+// the event count), wall-clock per scheduling decision, the
 // kernel's peak pending-event depth, and the running peak RSS after the
 // row. The 10k-host row also records the pre-index baseline measured on
 // the seed (linear matchmaking, full-sweep transitioner, O(hosts) census)
@@ -49,6 +51,7 @@
 #include <system_error>
 
 #include "bench_common.hpp"
+#include "boinc/server.hpp"
 #include "core/portal.hpp"
 #include "net/config.hpp"
 #include "util/fmt.hpp"
@@ -61,6 +64,7 @@ struct SweepResult {
   double submit_wall_s = 0.0;
   double wall_s = 0.0;
   std::uint64_t events = 0;
+  std::uint64_t calendar_flips = 0;  // pool-calendar fires, off the kernel
   std::size_t peak_pending = 0;
   std::size_t total_slots = 0;
 };
@@ -143,6 +147,9 @@ SweepResult run_once(std::size_t hosts, int batches,
   result.peak_pending = system.simulation().peak_pending();
   for (const auto& name : system.resource_names()) {
     result.total_slots += system.resource(name)->info().total_slots;
+    if (const boinc::BoincServer* pool = system.pool(name)) {
+      result.calendar_flips += pool->calendar_steps();
+    }
   }
   return result;
 }
@@ -249,7 +256,8 @@ int main(int argc, char** argv) {
                                      corpus, trees, smoke,
                                      /*transfers=*/false);
       if (rep == 0 || r.wall_s < best.wall_s) best = r;
-      if (r.completed != best.completed || r.events != best.events) {
+      if (r.completed != best.completed || r.events != best.events ||
+          r.calendar_flips != best.calendar_flips) {
         std::cout << "nondeterministic rep at " << point.hosts
                   << " hosts!\n";
         return 1;
@@ -304,6 +312,7 @@ int main(int argc, char** argv) {
     json.set(key + "_wall_s", best.wall_s);
     json.set(key + "_jobs_per_wall_s", jobs_per_s);
     json.set_events_per_sec(key, best.events, best.wall_s);
+    json.set(key + "_calendar_flips", best.calendar_flips);
     json.set(key + "_ns_per_decision", ns_per_decision);
     json.set(key + "_peak_pending_events",
              static_cast<std::uint64_t>(best.peak_pending));

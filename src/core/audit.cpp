@@ -56,8 +56,7 @@ std::vector<std::string> audit(LatticeSystem& system,
                      jobs - completed - failed - cancelled));
 
   for (const std::string& name : system.resource_names()) {
-    const auto* pool =
-        dynamic_cast<boinc::BoincServer*>(system.resource(name));
+    const boinc::BoincServer* pool = system.pool(name);
     if (pool == nullptr) continue;
     if (pool->config().min_quorum >= 2) {
       check(pool->corrupted_validations() == 0,

@@ -147,6 +147,11 @@ grid::LocalResource* LatticeSystem::resource(const std::string& name) {
   return it == resources_.end() ? nullptr : it->second.resource.get();
 }
 
+boinc::BoincServer* LatticeSystem::pool(const std::string& name) {
+  const auto it = resources_.find(name);
+  return it == resources_.end() ? nullptr : it->second.pool;
+}
+
 void LatticeSystem::calibrate_speeds(double reference_job_seconds,
                                      double measurement_noise_sigma) {
   speeds_ = SpeedCalibrator(reference_job_seconds);

@@ -129,6 +129,8 @@ class LatticeSystem {
 
   const std::vector<std::string>& resource_names() const { return names_; }
   grid::LocalResource* resource(const std::string& name);
+  /// The named resource when it is a volunteer pool; nullptr otherwise.
+  boinc::BoincServer* pool(const std::string& name);
 
   /// Benchmark every resource with a short reference job and record its
   /// speed (paper §V.A). Cluster speeds are exact (homogeneous nodes);

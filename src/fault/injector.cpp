@@ -154,8 +154,7 @@ std::vector<boinc::BoincServer*> FaultInjector::net_pools() const {
   // resource_names() preserves creation order, so the window's
   // set_class_bandwidth_scale calls land in a deterministic pool order.
   for (const std::string& name : system_.resource_names()) {
-    auto* pool = dynamic_cast<boinc::BoincServer*>(
-        const_cast<core::LatticeSystem&>(system_).resource(name));
+    boinc::BoincServer* pool = system_.pool(name);
     if (pool != nullptr && pool->network() != nullptr) {
       pools.push_back(pool);
     }

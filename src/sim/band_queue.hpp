@@ -1,19 +1,20 @@
 // Banded event storage shared by the kernel (Simulation) and the keyed
-// pool calendar (Calendar): a 4-ary implicit min-heap of POD entries
-// for the near future, a far band of coarse time buckets for entries at or
-// beyond a sliding threshold, and an unsorted overflow band for the rare
-// entry past the bucketed span. The banding keeps the hot heap small — a
-// volunteer host's next power cycle half a day out never pays sift traffic
-// until the near band drains down to it — while a refill touches only the
-// entries of the next bucket, not the whole far band (the flat-vector far
-// band this replaces rescanned every parked entry per refill, which
-// dominated once the far band reached 10⁶ entries).
+// pool calendar (Calendar): a far band of coarse time buckets for entries
+// at or beyond a sliding threshold, an unsorted overflow band for the rare
+// entry past the bucketed span, and a near band below the threshold. The
+// near band is the released bucket as one sorted run, consumed by a
+// cursor, plus a 4-ary implicit min-heap of POD entries holding only the
+// entries pushed below the threshold after the release. A bucket is
+// sorted once, when it comes due (Brown's calendar queue, CACM 1988), so a
+// volunteer host's next power cycle half a day out costs one bucket append
+// and its share of one sort, not a dependent, cache-missing heap sift per
+// level — the heap stays as small as the late pushes.
 //
 // Entry is any POD with `.when` (SimTime) and `.seq` (monotone u64) fields;
-// (when, seq) is a strict total order, so every valid heap over the same
-// entries pops in exactly the same sequence — what lets the structure be
-// rebuilt (compaction) or change arity without affecting firing order
-// (DESIGN.md §10, §11).
+// (when, seq) is a strict total order, so front() — the earlier of the run
+// head and the heap top — pops in exactly the single-heap sequence, and the
+// structure can be rebuilt (compaction) or re-banded without affecting
+// firing order (DESIGN.md §10, §11).
 //
 // Bucket b covers [b·width, (b+1)·width). The width is the construction
 // window rounded down to a power of two, so `when / width` and
@@ -21,17 +22,19 @@
 // and the released thresholds never suffer rounding, which is what keeps
 // the banding invariant exact:
 //
-//   every heap entry < far_threshold() <= every far/overflow entry,
+//   every run/heap entry < far_threshold() <= every far/overflow entry,
 //
 // with the threshold only ever increasing — so the banded pop order equals
 // the single-heap pop order.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace lattice::sim {
@@ -41,9 +44,16 @@ using SimTime = double;
 template <typename Entry>
 class TwoBandQueue {
  public:
-  /// `far_window` is the nominal width of the near band: a push at or
-  /// beyond far_threshold() parks in a far bucket; a drained heap refills
-  /// bucket by bucket, advancing the threshold one bucket width at a time.
+  /// Bucketed span beyond the threshold; entries further out than this
+  /// many buckets wait in overflow_. Sized so every realistic interval
+  /// (days–weeks at any bucket width) lands in a bucket directly and the
+  /// overflow band stays empty outside degenerate configurations.
+  static constexpr std::size_t kBucketSpan = 4096;
+
+  /// `far_window` is the nominal far-band bucket width: a push at or
+  /// beyond far_threshold() parks in a far bucket; a drained near band
+  /// refills bucket by bucket, advancing the threshold one bucket width at
+  /// a time.
   explicit TwoBandQueue(SimTime far_window)
       : bucket_width_(std::exp2(std::floor(std::log2(far_window)))),
         far_threshold_(bucket_width_) {}
@@ -74,75 +84,136 @@ class TwoBandQueue {
     buckets_[idx].push_back(entry);
   }
 
-  bool heap_empty() const { return heap_.empty(); }
-  const Entry& front() const { return heap_.front(); }
+  /// True when neither the released run nor the heap holds an entry.
+  bool near_empty() const { return run_pos_ == run_.size() && heap_.empty(); }
+  /// The earliest near entry (requires !near_empty()).
+  const Entry& front() const {
+    return run_leads() ? run_[run_pos_] : heap_.front();
+  }
 
   void pop_front() {
+    if (run_leads()) {
+      ++run_pos_;
+      return;
+    }
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0);
   }
 
-  /// Migrate the next far bucket(s) into the (drained) heap, advancing the
-  /// threshold. `live(entry)` identifies tombstones to drop during the
-  /// move. Returns true when the heap is non-empty afterwards.
-  /// Correctness: refill only runs with the heap empty, every entry of
-  /// bucket b satisfies b·width <= when < (b+1)·width, and releasing
+  /// Release far buckets into the (drained) near band, advancing the
+  /// threshold, until the near band holds an entry or the next bucket
+  /// starts after `until` — a caller that stops at a horizon never
+  /// releases a bucket it will not pop from, so pushes made before it
+  /// resumes still park instead of landing in the heap. `live(entry)`
+  /// identifies tombstones to drop on release. Returns true when the near
+  /// band is non-empty afterwards.
+  /// Correctness: release only runs with the near band empty, every entry
+  /// of bucket b satisfies b·width <= when < (b+1)·width, and releasing
   /// bucket b advances the threshold to exactly (b+1)·width — so the
   /// admitted set is a (when, seq)-prefix of the parked set and the global
   /// pop order is exactly the single-heap order.
   template <typename Live>
-  bool refill(const Live& live) {
-    while (heap_.empty()) {
-      while (next_bucket_ < buckets_.size() && buckets_[next_bucket_].empty())
-        ++next_bucket_;
+  bool refill(const Live& live, SimTime until) {
+    while (near_empty()) {
       if (next_bucket_ >= buckets_.size()) {
         if (!rebase_overflow(live)) return false;
         continue;
       }
-      // Swap the bucket out (releasing its storage) and admit its live
-      // entries. The threshold advances before the move so the banding
-      // invariant holds at every intermediate state.
-      std::vector<Entry> bucket;
-      bucket.swap(buckets_[next_bucket_]);
-      far_count_ -= bucket.size();
+      if (static_cast<double>(next_bucket_) * bucket_width_ > until) {
+        return false;
+      }
+      // The threshold advances past every bucket walked, empty ones too,
+      // so no later push can land in a bucket already passed; and it does
+      // so before the entries move, so the banding invariant holds at
+      // every intermediate state.
+      std::vector<Entry>& bucket = buckets_[next_bucket_];
       ++next_bucket_;
       far_threshold_ =
           static_cast<double>(next_bucket_) * bucket_width_;  // exact
-      for (const Entry& entry : bucket) {
-        if (live(entry)) heap_.push_back(entry);
-      }
-      heapify();
+      if (bucket.empty()) continue;
+      far_count_ -= bucket.size();
+      std::erase_if(bucket, [&](const Entry& e) { return !live(e); });
+      sort_into_run(bucket,
+                    static_cast<double>(next_bucket_ - 1) * bucket_width_);
+      std::vector<Entry>().swap(bucket);  // the husk keeps no storage
     }
     return true;
   }
 
   /// Erase every non-live entry from all bands and rebuild the heap.
   /// Rebuilding cannot reorder firing: (when, seq) is a strict total
-  /// order, so any valid heap over the surviving entries pops identically.
+  /// order, so any valid heap over the surviving entries pops identically,
+  /// and filtering the run keeps it sorted.
   template <typename Live>
   void compact(const Live& live) {
-    std::erase_if(heap_, [&](const Entry& e) { return !live(e); });
+    const auto dead = [&](const Entry& e) { return !live(e); };
+    std::erase_if(heap_, dead);
+    // The consumed prefix goes too: a popped entry can still test live.
+    const auto unconsumed =
+        run_.begin() + static_cast<std::ptrdiff_t>(run_pos_);
+    run_.erase(std::remove_if(unconsumed, run_.end(), dead), run_.end());
+    run_.erase(run_.begin(), unconsumed);
+    run_pos_ = 0;
     far_count_ = 0;
-    for (std::vector<Entry>& bucket : buckets_) {
-      std::erase_if(bucket, [&](const Entry& e) { return !live(e); });
-      far_count_ += bucket.size();
+    // Buckets below next_bucket_ are released or skipped husks, all empty.
+    for (std::size_t b = next_bucket_; b < buckets_.size(); ++b) {
+      std::erase_if(buckets_[b], dead);
+      far_count_ += buckets_[b].size();
     }
-    std::erase_if(overflow_, [&](const Entry& e) { return !live(e); });
+    std::erase_if(overflow_, dead);
     far_count_ += overflow_.size();
     heapify();
   }
 
   /// Total entries held (live + tombstones awaiting lazy removal).
-  std::size_t entries() const { return heap_.size() + far_count_; }
+  std::size_t entries() const {
+    return heap_.size() + (run_.size() - run_pos_) + far_count_;
+  }
   SimTime far_threshold() const { return far_threshold_; }
 
  private:
-  /// Bucketed span beyond the threshold; entries further out than this
-  /// many buckets wait in overflow_. Sized so every realistic interval
-  /// (days–weeks at any bucket width) lands in a bucket directly and the
-  /// overflow band stays empty outside degenerate configurations.
-  static constexpr std::size_t kBucketSpan = 4096;
+  /// Replace the run with `bucket`'s entries, all in the bucket starting
+  /// at `start`, sorted on (when, seq). One counting pass places the
+  /// entries slice by slice over ~n/2 equal-width time slices of the
+  /// bucket; the slice index is monotone in `when`, so sorting each slice
+  /// on its own sorts the run. Flip times spread over the bucket leave a
+  /// few entries per slice, which makes the pass linear; entries sharing
+  /// one instant share a slice, which costs at most one std::sort of them.
+  void sort_into_run(const std::vector<Entry>& bucket, SimTime start) {
+    const std::size_t n = bucket.size();
+    const std::size_t slices = std::bit_floor(std::max<std::size_t>(n / 2, 1));
+    // start <= when for every entry (bucket_width_ is a power of two), so
+    // the product is >= 0.
+    const double scale = static_cast<double>(slices) / bucket_width_;
+    const auto slice_of = [&](const Entry& e) {
+      return std::min(static_cast<std::size_t>((e.when - start) * scale),
+                      slices - 1);
+    };
+    // 32-bit offsets halve the array both passes index at random; a
+    // bucket holds far fewer than 2^32 entries.
+    std::vector<std::uint32_t> cursor(slices, 0);
+    for (const Entry& e : bucket) ++cursor[slice_of(e)];
+    std::uint32_t begin = 0;
+    for (std::uint32_t& count : cursor) begin += std::exchange(count, begin);
+    run_.resize(n);
+    run_pos_ = 0;
+    for (const Entry& e : bucket) run_[cursor[slice_of(e)]++] = e;
+    // cursor[s] is now slice s's end; slice s begins where s - 1 ends.
+    auto first = run_.begin();
+    for (const std::uint32_t end : cursor) {
+      const auto last = run_.begin() + static_cast<std::ptrdiff_t>(end);
+      std::sort(first, last,
+                [](const Entry& a, const Entry& b) { return earlier(a, b); });
+      first = last;
+    }
+  }
+
+  /// The run head is the near band's earliest entry.
+  bool run_leads() const {
+    return run_pos_ < run_.size() &&
+           (heap_.empty() || earlier(run_[run_pos_], heap_.front()));
+  }
 
   /// The threshold ran past every bucket: re-home the overflow band.
   /// Returns false (nothing left anywhere far) or true after moving at
@@ -229,8 +300,13 @@ class TwoBandQueue {
     }
   }
 
-  /// 4-ary implicit min-heap ordered by earlier(): shallower than a binary
-  /// heap (log₄ levels), so a sift touches half the cache lines.
+  /// Near band, part 1: the last released bucket, live entries sorted on
+  /// (when, seq); run_[run_pos_] is the next unconsumed entry.
+  std::vector<Entry> run_;
+  std::size_t run_pos_ = 0;
+  /// Near band, part 2: 4-ary implicit min-heap ordered by earlier() for
+  /// entries pushed below the threshold after a release — shallower than
+  /// a binary heap (log₄ levels), so a sift touches half the cache lines.
   std::vector<Entry> heap_;
   /// Far band: bucket b holds entries with when in [b·width, (b+1)·width),
   /// for b in [next_bucket_, horizon_bucket_). Released buckets keep empty

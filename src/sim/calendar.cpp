@@ -10,10 +10,7 @@ constexpr std::size_t kCompactMinEntries = 64;
 }  // namespace
 
 void Calendar::ensure_keys(std::size_t n) {
-  if (epoch_.size() < n) {
-    epoch_.resize(n, 0);
-    pending_.resize(n, 0);
-  }
+  if (keys_.size() < n) keys_.resize(n);
 }
 
 void Calendar::maybe_compact() {
@@ -25,7 +22,7 @@ void Calendar::maybe_compact() {
 void Calendar::pop_due(SimTime now) {
   due_.clear();
   const auto live = [this](const Entry& e) { return entry_live(e); };
-  while (!queue_.heap_empty() || queue_.refill(live)) {
+  while (!queue_.near_empty() || queue_.refill(live, now)) {
     const Entry entry = queue_.front();
     if (!live(entry)) {
       queue_.pop_front();  // tombstone
@@ -33,7 +30,7 @@ void Calendar::pop_due(SimTime now) {
     }
     if (entry.when > now) break;  // lookahead barrier
     queue_.pop_front();
-    pending_[entry.key] = 0;
+    keys_[entry.key].word &= ~KeySlot::kPending;
     --live_;
     due_.push_back(entry);
   }

@@ -1,10 +1,14 @@
 // Keyed pool calendar: bulk per-entity timers (volunteer-host churn at
 // 10⁵–10⁶ hosts) kept out of the kernel event queue. One two-band queue
-// (4-ary POD heap + far-band parking, sim/band_queue.hpp) holds at most one
-// live entry per key. Callers advance it to a conservative lookahead
-// barrier — the `now` passed to advance(), placed at the next cross-pool
-// interaction (dispatch, census read, transitioner tick) — and the due
-// entries fire sequentially in strict (when, seq) order.
+// (sim/band_queue.hpp) holds at most one live entry per key: most entries
+// park in far buckets, and a bucket is sorted into a run only once the
+// barrier reaches its start, so the hand-off from far band to firing is one
+// sort per bucket rather than a heap sift per entry. Callers advance it to
+// a conservative lookahead barrier — the `now` passed to advance(), placed
+// at the next cross-pool interaction (dispatch, census read, transitioner
+// tick) — and the due entries fire sequentially in strict (when, seq)
+// order. Releasing no bucket past the barrier also keeps the handlers'
+// re-arms parking in buckets rather than landing in the near heap.
 //
 // Handler contract (the lookahead-barrier invariant, DESIGN.md §11): a
 // fire handler may mutate only its own key's timeline (schedule/cancel for
@@ -21,7 +25,8 @@
 // by every schedule()/cancel(), and an entry is live only while its
 // stamped epoch matches — cancelled entries tombstone in place and are
 // dropped lazily (or by compaction once tombstones outnumber live
-// entries).
+// entries). The epoch and the key's pending flag share one 4-byte slot, so
+// each schedule, cancel and pop makes one random access to per-key state.
 #pragma once
 
 #include <cstddef>
@@ -44,13 +49,14 @@ class Calendar {
   /// Any previously pending entry for the key is invalidated. Inline: the
   /// churn fast path re-arms once per fired flip (10⁵–10⁶ times per sweep).
   void schedule(SimTime when, std::uint32_t key) {
-    ++epoch_[key];  // invalidate any previously pending entry
-    queue_.push(Entry{when, next_seq_++, key, epoch_[key]});
-    if (pending_[key] == 0) {
+    KeySlot& slot = keys_[key];
+    slot.word += KeySlot::kEpochStep;  // invalidate any pending entry
+    queue_.push(Entry{when, next_seq_++, key, slot.epoch()});
+    if (!slot.pending()) {
       // Fresh arm (the fired-flip re-arm path): no tombstone is created,
       // so the live/dead balance can only improve — skip the compaction
       // check entirely.
-      pending_[key] = 1;
+      slot.word |= KeySlot::kPending;
       ++live_;
       return;
     }
@@ -59,9 +65,10 @@ class Calendar {
 
   /// Invalidate `key`'s pending entry, if any.
   void cancel(std::uint32_t key) {
-    ++epoch_[key];
-    if (pending_[key] != 0) {
-      pending_[key] = 0;
+    KeySlot& slot = keys_[key];
+    slot.word += KeySlot::kEpochStep;
+    if (slot.pending()) {
+      slot.word &= ~KeySlot::kPending;
       --live_;
       maybe_compact();
     }
@@ -83,6 +90,7 @@ class Calendar {
     for (;;) {
       pop_due(now);
       if (due_.empty()) return;
+      ++rounds_;
       // A handler may cancel/re-arm its own key; the epoch re-check drops
       // entries invalidated earlier in the batch. New entries due by `now`
       // are picked up by the next round.
@@ -99,6 +107,9 @@ class Calendar {
 
   /// Entries fired so far (introspection for tests/benches).
   std::uint64_t fired() const { return fired_; }
+  /// Advance rounds begun so far; read from a handler, the round of the
+  /// entry being fired (introspection for tests).
+  std::uint64_t rounds() const { return rounds_; }
 
  private:
   /// Fire-loop prefetch distance (entries). Batches average a few dozen
@@ -113,22 +124,35 @@ class Calendar {
     std::uint32_t epoch;
   };
 
+  /// Per-key state in one 4-byte word: bit 0 says the key holds a live
+  /// entry; the upper 31 bits are the liveness stamp, bumped by adding
+  /// kEpochStep (it wraps at 2³¹, far beyond any key's re-arms while a
+  /// stale entry of it is parked).
+  struct KeySlot {
+    static constexpr std::uint32_t kPending = 1;
+    static constexpr std::uint32_t kEpochStep = 2;
+    std::uint32_t word = 0;
+    std::uint32_t epoch() const { return word >> 1; }
+    bool pending() const { return (word & kPending) != 0; }
+  };
+
   bool entry_live(const Entry& entry) const {
-    return entry.epoch == epoch_[entry.key];
+    return entry.epoch == keys_[entry.key].epoch();
   }
   void maybe_compact();
-  /// Pop one round's due-by-`now` prefix into due_ — heap pops, so already
-  /// in (when, seq) order — dropping tombstones on the way. Out of line:
-  /// only the per-entry fire loop benefits from the template.
+  /// Pop one round's due-by-`now` prefix into due_ — queue pops, so
+  /// already in (when, seq) order — dropping tombstones on the way and
+  /// releasing no bucket that starts after `now`. Out of line: only the
+  /// per-entry fire loop benefits from the template.
   void pop_due(SimTime now);
 
   TwoBandQueue<Entry> queue_;
   std::vector<Entry> due_;             // one round's (when, seq) batch
-  std::vector<std::uint32_t> epoch_;   // per-key liveness stamp
-  std::vector<std::uint8_t> pending_;  // key has a live entry
+  std::vector<KeySlot> keys_;          // per-key state, indexed by key
   std::size_t live_ = 0;               // live entries held
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
+  std::uint64_t rounds_ = 0;
 };
 
 }  // namespace lattice::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -126,7 +127,8 @@ void Simulation::fire(const Event& event) {
 
 bool Simulation::step() {
   const auto live = [this](const Event& e) { return entry_live(e); };
-  while (!queue_.heap_empty() || queue_.refill(live)) {
+  while (!queue_.near_empty() ||
+         queue_.refill(live, std::numeric_limits<SimTime>::infinity())) {
     const Event event = queue_.front();
     queue_.pop_front();
     if (!entry_live(event)) continue;  // cancelled: tombstone
@@ -139,7 +141,7 @@ bool Simulation::step() {
 std::uint64_t Simulation::run(SimTime until) {
   std::uint64_t count = 0;
   const auto live = [this](const Event& e) { return entry_live(e); };
-  while (!queue_.heap_empty() || queue_.refill(live)) {
+  while (!queue_.near_empty() || queue_.refill(live, until)) {
     // Skip tombstones so the horizon check sees the next live event.
     const Event event = queue_.front();
     if (!entry_live(event)) {

@@ -11,8 +11,8 @@
 // Storage layout (the 10⁵-host scalability pass): a 4-ary implicit heap
 // holds 24-byte POD entries (when, seq, slot⊕generation), so sift
 // operations are plain memmoves over few cache lines; events far in the
-// future (beyond kFarWindow) park in an unsorted side vector and are bulk
-// heapified only when the near band drains, keeping the hot heap small;
+// future (beyond kFarWindow) park in coarse time buckets, each sorted into
+// a run only when the run loop reaches it, keeping the hot heap small;
 // closures live in a generation-checked slot pool addressed by the heap
 // entry, constructed in place with small-buffer storage (EventFn) so
 // scheduling an ordinary capture allocates nothing. Cancellation
@@ -110,8 +110,8 @@ class Simulation {
   static constexpr SimTime kForever = 1e300;
 
   /// Far-parking window (seconds): events scheduled at or beyond
-  /// `far_threshold_` bypass the heap into an unsorted parking vector and
-  /// only get heap-ordered when the near band drains past the threshold.
+  /// `far_threshold_` bypass the heap into a far bucket of this width and
+  /// are sorted only when the near band drains past the threshold.
   /// Polling loops and task completions land in the near band; host
   /// lifetime events (power cycles days out, departures weeks out) park.
   static constexpr SimTime kFarWindow = 8.0 * 3600.0;
@@ -144,10 +144,10 @@ class Simulation {
   /// Execute one live, already-popped event (shared by run/step).
   void fire(const Event& event);
 
-  /// Two-band storage (4-ary POD heap + far parking, sim/band_queue.hpp):
-  /// the heap at 10⁵ hosts holds ~10⁵ pending entries and sift traffic
-  /// dominates the kernel, so entries are 24-byte PODs and distant events
-  /// park unsorted (DESIGN.md §10).
+  /// Two-band storage (sorted run + 4-ary POD heap + far buckets,
+  /// sim/band_queue.hpp): the heap at 10⁵ hosts would hold ~10⁵ pending
+  /// entries and sift traffic would dominate the kernel, so entries are
+  /// 24-byte PODs and distant events park in buckets (DESIGN.md §10).
   TwoBandQueue<Event> queue_{kFarWindow};
   std::vector<Slot> slots_;   // slot pool; freed slots chain via next_free
   std::uint32_t free_head_ = kNoFreeSlot;
