@@ -345,10 +345,10 @@ int main(int argc, char** argv) {
   json.set_rss_peak_kb();
   table.print(std::cout);
   std::cout << "\n(shape: wall time grows far slower than the host count — "
-               "the capability-class matchmaking index, the rank-ordered "
-               "candidate stream, the keyed churn calendar, and the "
-               "two-band event kernel keep per-decision cost sub-linear "
-               "while the volunteer pool scales to 10^6 hosts; the 10k and "
+               "hosts never enter the flat MDS directory (one entry per "
+               "resource), and the keyed churn calendar and the two-band "
+               "event kernel keep per-host cost low while the volunteer "
+               "pool scales to 10^6 hosts; the 10k and "
                "100k rows record the measured speedups over the seed and "
                "the pre-sublinear pass, and the 500k/1M rows carry "
                "proportionately scaled demand; the net columns hold the "

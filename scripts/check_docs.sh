@@ -41,16 +41,16 @@ done
 
 # The scheduler-scalability passes document a complexity budget
 # (docs/PERFORMANCE.md) and index-invalidation rules (DESIGN.md §10 for
-# the linear→indexed pass, §11 for the sub-linear rank-index stream and
-# the keyed pool calendar); all must keep naming the structures they
-# govern so the docs cannot silently drift from the data structures.
+# the linear→indexed pass and the flat MDS directory, §11 for the keyed
+# pool calendar); all must keep naming the structures they govern so the
+# docs cannot silently drift from the data structures.
 perf=docs/PERFORMANCE.md
 if [ ! -f "$perf" ]; then
   echo "check_docs: missing $perf (complexity budget)" >&2
   fail=1
 else
   for anchor in match_online 'deadline heap' 'feeder' 'census' \
-                'far band' 'ns/decision' 'best_ranked' \
+                'far band' 'ns/decision' 'MetaScheduler::choose' \
                 'lookahead barrier' 'weak-scaled' \
                 'vector_speedup' 'LATTICE_FORCE_ISA' 'scalar_client' \
                 'island_ga_identical' \
@@ -107,8 +107,9 @@ if ! grep -qE '^## +(§ *)?10' "$design" 2>/dev/null; then
   echo "check_docs: $design has no §10 (index-invalidation rules)" >&2
   fail=1
 else
-  for anchor in 'capability class' 'deadline' 'tombstone' 'generation' \
-                'far_threshold_' 'results_index_'; do
+  for anchor in 'match_online' 'sched_reference.hpp' 'deadline' \
+                'tombstone' 'generation' 'far_threshold_' \
+                'results_index_'; do
     if ! grep -qiF "$anchor" "$design"; then
       echo "check_docs: $design §10 lost its '$anchor' invalidation rule" >&2
       fail=1
@@ -116,12 +117,11 @@ else
   done
 fi
 if ! grep -qE '^## +(§ *)?11' "$design" 2>/dev/null; then
-  echo "check_docs: $design has no §11 (sub-linear decision + pool" \
-       "calendar invalidation rules)" >&2
+  echo "check_docs: $design has no §11 (pool calendar invalidation" \
+       "rules)" >&2
   fail=1
 else
-  for anchor in 'best_ranked' 'by_load' 'by_eta' 'unrank' \
-                'sched_reference.hpp' 'lookahead barrier' 'epoch' \
+  for anchor in 'sim::Calendar' 'lookahead barrier' 'epoch' \
                 '(when, seq)'; do
     if ! grep -qiF "$anchor" "$design"; then
       echo "check_docs: $design §11 lost its '$anchor' invalidation rule" >&2

@@ -697,18 +697,7 @@ void BoincServer::finish_workunit(Workunit& wu, bool success,
       }
     }
   }
-  // Abort outstanding instances (server-side cancel on next contact,
-  // modeled as immediate).
-  for (Result& result : wu.results) {
-    if (result.state == ResultState::kInProgress) {
-      observe_result_end(result, "aborted");
-      VolunteerHost* host = host_by_id(result.host_id);
-      if (host != nullptr) host->abort_task(result.id);
-      result.state = ResultState::kAborted;
-    } else if (result.state == ResultState::kUnsent) {
-      result.state = ResultState::kAborted;
-    }
-  }
+  abort_outstanding(wu, "aborted");
   if (wu.grid_job == nullptr) return;
   grid::GridJob& job = *wu.grid_job;
   double cpu = 0.0;
@@ -740,6 +729,19 @@ void BoincServer::finish_workunit(Workunit& wu, bool success,
   notify(job, outcome);
 }
 
+void BoincServer::abort_outstanding(Workunit& wu, std::string_view reason) {
+  for (Result& result : wu.results) {
+    if (result.state == ResultState::kInProgress) {
+      observe_result_end(result, reason);
+      VolunteerHost* host = host_by_id(result.host_id);
+      if (host != nullptr) host->abort_task(result.id);
+      result.state = ResultState::kAborted;
+    } else if (result.state == ResultState::kUnsent) {
+      result.state = ResultState::kAborted;
+    }
+  }
+}
+
 void BoincServer::cancel(std::uint64_t job_id) {
   for (auto& [id, wu] : workunits_) {
     if (wu.grid_job == nullptr || wu.grid_job->id != job_id) continue;
@@ -750,16 +752,7 @@ void BoincServer::cancel(std::uint64_t job_id) {
       tracer().async_end("workunit", "boinc.wu", wu.id, sim_.now(),
                          {{"outcome", "cancelled"}});
     }
-    for (Result& result : wu.results) {
-      if (result.state == ResultState::kInProgress) {
-        observe_result_end(result, "cancelled");
-        VolunteerHost* host = host_by_id(result.host_id);
-        if (host != nullptr) host->abort_task(result.id);
-        result.state = ResultState::kAborted;
-      } else if (result.state == ResultState::kUnsent) {
-        result.state = ResultState::kAborted;
-      }
-    }
+    abort_outstanding(wu, "cancelled");
     job.state = grid::JobState::kCancelled;
     notify(job, grid::JobOutcome{grid::FailureCause::kCancelled, 0.0,
                                  "cancelled"});

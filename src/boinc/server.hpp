@@ -256,6 +256,10 @@ class BoincServer final : public grid::LocalResource {
   void try_dispatch();
   void validate(Workunit& wu);
   void finish_workunit(Workunit& wu, bool success, const std::string& why);
+  /// Abort every outstanding result of `wu` (server-side cancel on next
+  /// contact, modeled as immediate): in-progress ones close their span with
+  /// `reason` and leave their host; unsent ones just stop being sendable.
+  void abort_outstanding(Workunit& wu, std::string_view reason);
   /// Bump `hash`'s tally in votes_scratch_ (≤ max_total_results entries, so
   /// a linear probe beats a per-validation std::map allocation).
   void tally_vote(std::uint64_t hash) {

@@ -58,6 +58,36 @@ std::vector<std::string> audit(LatticeSystem& system,
   for (const std::string& name : system.resource_names()) {
     const boinc::BoincServer* pool = system.pool(name);
     if (pool == nullptr) continue;
+    // Ledger closure: every workunit decided, and the issue/send counters
+    // account for exactly the results the workunits hold.
+    std::uint64_t open_workunits = 0;
+    std::uint64_t open_results = 0;
+    std::uint64_t results = 0;
+    std::uint64_t results_with_host = 0;
+    for (const auto& [id, wu] : pool->workunits()) {
+      if (wu.state == boinc::WorkunitState::kActive) ++open_workunits;
+      for (const boinc::Result& result : wu.results) {
+        ++results;
+        if (result.host_id != 0) ++results_with_host;
+        if (result.state == boinc::ResultState::kUnsent ||
+            result.state == boinc::ResultState::kInProgress) {
+          ++open_results;
+        }
+      }
+    }
+    check(open_workunits == 0 && open_results == 0,
+          util::format("boinc: {} left {} workunits active and {} results "
+                       "unsent or in progress",
+                       name, open_workunits, open_results));
+    const std::uint64_t issued = counter("boinc.results_issued", name);
+    check(issued == results,
+          util::format("boinc: {} issued {} results but its workunits hold "
+                       "{}",
+                       name, issued, results));
+    const std::uint64_t sent = counter("boinc.results_sent", name);
+    check(sent == results_with_host,
+          util::format("boinc: {} sent {} results but {} have a host", name,
+                       sent, results_with_host));
     if (pool->config().min_quorum >= 2) {
       check(pool->corrupted_validations() == 0,
             util::format("validation: {} corrupted results became canonical "
@@ -67,7 +97,6 @@ std::vector<std::string> audit(LatticeSystem& system,
     }
     const net::NetworkModel* network = pool->network();
     if (network == nullptr) continue;
-    const std::uint64_t sent = counter("boinc.results_sent", name);
     check(network->transfers_started() >= sent,
           util::format("transfers: {} sent {} results but started only {} "
                        "transfers",

@@ -2,6 +2,9 @@
 // once after the clock stops instead of hand-coded into each scenario.
 //   * Jobs: submitted = completed + abandoned + cancelled, the counters
 //     agree with the job states, and nothing is left outstanding.
+//   * Every BOINC workunit was decided, no result is left unsent or in
+//     progress, and the pool's results_issued/results_sent counters equal
+//     the results its workunits hold / the ones handed to a host.
 //   * No corrupted result became canonical on a pool with quorum >= 2.
 //   * A net-enabled pool started a transfer per result sent, and moved
 //     bytes both ways once results flowed.

@@ -31,7 +31,7 @@ LatticeSystem::LatticeSystem(LatticeConfig config)
       speeds_(600.0),
       cost_model_(config.cost_params),
       estimator_(),
-      scheduler_(mds_, speeds_, config.scheduler),
+      scheduler_(mds_, config.scheduler),
       fair_share_ledger_(config.fair_share),
       rng_(config.seed),
       obs_metrics_(&obs::MetricsRegistry::null()),

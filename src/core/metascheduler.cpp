@@ -17,9 +17,8 @@ std::string_view scheduling_mode_name(SchedulingMode mode) {
 }
 
 MetaScheduler::MetaScheduler(const grid::MdsDirectory& mds,
-                             const SpeedCalibrator& speeds,
                              SchedulerPolicy policy)
-    : mds_(mds), speeds_(speeds), policy_(policy) {
+    : mds_(mds), policy_(policy) {
   set_observability(obs::MetricsRegistry::null());
 }
 
@@ -37,72 +36,71 @@ void MetaScheduler::set_observability(obs::MetricsRegistry& metrics) {
       "choose() calls that found no eligible online resource");
   candidates_scanned_ = &metrics.counter(
       "sched.match_candidates_scanned", "entries",
-      "directory entries examined by indexed matchmaking (vs "
-      "sched.match_eligible: the index's selectivity)");
+      "directory entries examined by matchmaking (every registered "
+      "resource, online or not)");
   match_eligible_ = &metrics.counter(
       "sched.match_eligible", "entries",
-      "directory entries that passed matchmaking and the online filter");
+      "directory entries that passed the online, capability and memory "
+      "filters");
 }
 
 std::optional<std::string> MetaScheduler::choose(const grid::GridJob& job) {
-  const grid::MdsEntry* best = nullptr;
+  eligible_scratch_.clear();
   grid::MdsMatchStats stats;
-  if (policy_.mode == SchedulingMode::kRoundRobin) {
-    // Round-robin ranks nothing: its cursor walks the name-ordered
-    // eligible list. Demoted jobs (repeated unstable-resource failures)
-    // keep only stable resources — a hard filter, unlike the advisory
-    // stability cutoff of the ranked modes.
-    eligible_scratch_.clear();
-    mds_.match_online(job.requirements, eligible_scratch_, &stats);
-    if (job.require_stable) {
-      std::erase_if(eligible_scratch_, [](const grid::MdsEntry* entry) {
-        return !entry->info.stable;
-      });
-    }
-    if (!eligible_scratch_.empty()) {
-      best = eligible_scratch_[round_robin_next_++ % eligible_scratch_.size()];
-    }
-  } else {
-    // Ranked modes: stream candidates from the rank index in ascending
-    // (rank key, name) order and take the first acceptable one — the
-    // decision touches the rejected prefix plus one entry instead of the
-    // whole eligible set.
-    const std::optional<double> estimate = rank_estimate(job);
-    const grid::RankOrder order =
-        policy_.mode != SchedulingMode::kLoadOnly && estimate
-            ? grid::RankOrder::kEta
-            : grid::RankOrder::kLoad;
-    // The first unstable entry past the hard require_stable filter: the
-    // stability fallthrough's answer when nothing passes the advisory
-    // cutoff (a stable entry would have been accepted before it).
-    const grid::MdsEntry* fallthrough = nullptr;
-    best = mds_.best_ranked(
-        job.requirements, order,
-        [&](const grid::MdsEntry& entry) {
-          if (job.require_stable && !entry.info.stable) return false;
-          if (!estimate || entry.info.stable) return true;
-          if (fallthrough == nullptr) fallthrough = &entry;
-          // Step-3 advisory stability cutoff: estimated wall hours on this
-          // candidate, plus staging time at the policy's assumed link.
-          double wall_hours = *estimate / entry.speed / 3600.0;
-          if (policy_.staging_mbps > 0.0) {
-            wall_hours += (job.input_mb + job.output_mb) * 8.0 /
-                          policy_.staging_mbps / 3600.0;
-          }
-          const bool barred = wall_hours > policy_.stability_cutoff_hours;
-          return !barred;
-        },
-        &stats);
-    // Stability fallthrough: nothing passed the cutoff, so take the best
-    // unrestricted (still require_stable-filtered) entry — placing
-    // somewhere beats starving, matching the paper's best-effort behavior.
-    if (best == nullptr) best = fallthrough;
-  }
+  mds_.match_online(job.requirements, eligible_scratch_, &stats);
   candidates_scanned_->inc(stats.candidates_scanned);
   match_eligible_->inc(stats.eligible);
-  if (best == nullptr) {
+  // Demoted jobs (repeated unstable-resource failures) keep only stable
+  // resources — a hard filter, unlike the advisory stability cutoff.
+  if (job.require_stable) {
+    std::erase_if(eligible_scratch_, [](const grid::MdsEntry* entry) {
+      return !entry->info.stable;
+    });
+  }
+  if (eligible_scratch_.empty()) {
     no_eligible_->inc();
     return std::nullopt;
+  }
+  const grid::MdsEntry* best = nullptr;
+  if (policy_.mode == SchedulingMode::kRoundRobin) {
+    best = eligible_scratch_[round_robin_next_++ % eligible_scratch_.size()];
+  } else {
+    // Step 4 over the name-ordered list: strict `<` keeps the first
+    // minimum, i.e. the (rank key, name) argmin. Entries the Step-3 cutoff
+    // bars compete for a second minimum, the stability fallthrough's
+    // answer when the cutoff bars every entry — placing somewhere beats
+    // starving, matching the paper's best-effort behavior.
+    const std::optional<double> estimate = rank_estimate(job);
+    const bool by_eta = policy_.mode != SchedulingMode::kLoadOnly && estimate;
+    const grid::MdsEntry* barred_best = nullptr;
+    double best_key = 0.0;
+    double barred_key = 0.0;
+    for (const grid::MdsEntry* entry : eligible_scratch_) {
+      const double key =
+          by_eta ? grid::MdsDirectory::rank_key_eta(entry->info, entry->speed)
+                 : grid::MdsDirectory::rank_key_load(entry->info);
+      bool barred = false;
+      if (estimate && !entry->info.stable) {
+        // Step-3 advisory stability cutoff: estimated wall hours on this
+        // candidate, plus staging time at the policy's assumed link.
+        double wall_hours = *estimate / entry->speed / 3600.0;
+        if (policy_.staging_mbps > 0.0) {
+          wall_hours += (job.input_mb + job.output_mb) * 8.0 /
+                        policy_.staging_mbps / 3600.0;
+        }
+        barred = wall_hours > policy_.stability_cutoff_hours;
+      }
+      if (barred) {
+        if (barred_best == nullptr || key < barred_key) {
+          barred_best = entry;
+          barred_key = key;
+        }
+      } else if (best == nullptr || key < best_key) {
+        best = entry;
+        best_key = key;
+      }
+    }
+    if (best == nullptr) best = barred_best;
   }
   decisions_->inc();
   (best->info.stable ? route_stable_ : route_unstable_)->inc();

@@ -12,17 +12,16 @@
 //      resource speed, inflated by current load so work spreads instead of
 //      backing up on the fastest resource.
 //
-// Steps 1–2 run against the MDS capability-class index, and for the
-// ranked modes Step 4 streams candidates from the directory's maintained
-// rank orders (MdsDirectory::best_ranked) in ascending (rank key, name)
-// order, taking the first entry that passes the job-dependent filters —
-// the per-decision work is the rejected prefix plus one entry, not the
-// whole eligible set. That stream is the only ranked decision path; the
-// linear full-scan reference it is checked against lives in test code
-// (tests/sched_reference.hpp) and ranks with the same
+// One decision path: MdsDirectory::match_online applies Steps 1–2 in one
+// name-ordered pass over the directory's per-resource entries (9 for a
+// core::lattice_inventory grid), the hard require_stable filter drops
+// unstable entries for demoted jobs, and then either the round-robin
+// cursor walks the list or one pass keeps two strict-`<` (rank key, name)
+// minima — one over the entries the Step-3 cutoff allows, one over those
+// it bars, the latter used only when the cutoff bars every entry. The
+// test-only reference (tests/sched_reference.hpp) re-derives every
+// decision from the directory's public view with the same
 // MdsDirectory::rank_key_* functions and (key, name) tie-break.
-// Round-robin is not ranked: it walks its cursor over the name-ordered
-// eligible list from MdsDirectory::match_online.
 //
 // Alternative modes reproduce the baselines the benchmarks compare
 // against: round-robin spreading and load-only ranking, plus an oracle
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "core/fairshare.hpp"
-#include "core/speed.hpp"
 #include "grid/job.hpp"
 #include "grid/mds.hpp"
 
@@ -44,6 +42,8 @@ class MetricsRegistry;
 }  // namespace lattice::obs
 
 namespace lattice::core {
+
+class SpeedCalibrator;
 
 enum class SchedulingMode {
   kRoundRobin,     // naive spreading, ignores speed and stability
@@ -62,8 +62,8 @@ struct SchedulerPolicy {
   /// Assumed staging bandwidth (Mbit/s) for the transfer term of the
   /// stability cutoff: jobs whose data takes long to stage occupy an
   /// unstable host's attempt window just like compute does. Zero disables
-  /// the term (free staging). Advisory only — rank keys never see it, so
-  /// the maintained rank index stays job-independent (DESIGN.md §12).
+  /// the term (free staging). Advisory only — rank keys never see it
+  /// (DESIGN.md §12).
   double staging_mbps = 0.0;
   /// Per-user fair-share: the rank estimate is inflated by
   /// (1 + weight * usage_hours) where usage_hours is the submitting
@@ -78,13 +78,18 @@ struct SchedulerPolicy {
 
 class MetaScheduler {
  public:
-  MetaScheduler(const grid::MdsDirectory& mds, const SpeedCalibrator& speeds,
-                SchedulerPolicy policy = {});
+  explicit MetaScheduler(const grid::MdsDirectory& mds,
+                         SchedulerPolicy policy = {});
+  /// The benchmark harness's form: the calibrator is ignored, because
+  /// ranking reads the speeds published into MdsEntry::speed.
+  MetaScheduler(const grid::MdsDirectory& mds, const SpeedCalibrator&,
+                SchedulerPolicy policy = {})
+      : MetaScheduler(mds, policy) {}
 
   /// Pick a resource for the job, or nullopt when nothing eligible is
   /// online. Uses job.estimated_reference_runtime in kEstimateAware mode
   /// and job.true_reference_runtime in kOracle mode. Eligibility comes
-  /// from the MDS capability index.
+  /// from MdsDirectory::match_online.
   std::optional<std::string> choose(const grid::GridJob& job);
 
   /// The runtime estimate the current mode is allowed to rank with
@@ -116,11 +121,10 @@ class MetaScheduler {
 
  private:
   const grid::MdsDirectory& mds_;
-  const SpeedCalibrator& speeds_;
   SchedulerPolicy policy_;
   const FairShareLedger* fair_share_ = nullptr;
   std::size_t round_robin_next_ = 0;
-  /// Round-robin's eligible list, reused across choose() calls.
+  /// The eligible list, reused across choose() calls.
   std::vector<const grid::MdsEntry*> eligible_scratch_;
 
   // Observability (bound to the null registry until set_observability).

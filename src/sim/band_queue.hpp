@@ -166,6 +166,22 @@ class TwoBandQueue {
     heapify();
   }
 
+  /// Compaction trigger: compact once the queue holds at least this many
+  /// entries and tombstones outnumber live ones.
+  static constexpr std::size_t kCompactMinEntries = 64;
+
+  /// Compact when the trigger holds for `live_count` live entries, so the
+  /// garbage stays under ~2x the live count; returns whether it compacted.
+  template <typename Live>
+  bool maybe_compact(std::size_t live_count, const Live& live) {
+    const std::size_t held = entries();
+    if (held < kCompactMinEntries || held - live_count <= live_count) {
+      return false;
+    }
+    compact(live);
+    return true;
+  }
+
   /// Total entries held (live + tombstones awaiting lazy removal).
   std::size_t entries() const {
     return heap_.size() + (run_.size() - run_pos_) + far_count_;

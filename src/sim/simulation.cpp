@@ -84,20 +84,15 @@ bool Simulation::cancel(EventHandle handle) {
   }
   release_slot(slot);
   --live_;
-  maybe_compact();
-  return true;
-}
-
-void Simulation::maybe_compact() {
   // Cancellation leaves tombstones in both bands; bound the garbage so a
   // churn-heavy run (hosts cancelling completion events on every
   // preemption) cannot grow the structures past ~2x the live event count.
-  const std::size_t entries = queue_.entries();
-  if (entries < kCompactMinEntries || entries - live_ <= live_) {
-    return;
+  // Rebuilding keeps the strict (when, seq) order, so firing is unaffected.
+  if (queue_.maybe_compact(live_,
+                           [this](const Event& e) { return entry_live(e); })) {
+    ++compactions_;
   }
-  queue_.compact([this](const Event& e) { return entry_live(e); });
-  ++compactions_;
+  return true;
 }
 
 void Simulation::fire(const Event& event) {

@@ -101,12 +101,6 @@ class Simulation {
   /// Queue-depth counter-sampling period (events) when tracing.
   static constexpr std::uint64_t kTraceSamplePeriod = 64;
 
-  /// Compaction trigger: once the heap holds at least this many entries
-  /// and more than half of them are tombstones, the dead entries are
-  /// erased and the heap is rebuilt (same strict (when, seq) order, so
-  /// firing order is unaffected).
-  static constexpr std::size_t kCompactMinEntries = 64;
-
   static constexpr SimTime kForever = 1e300;
 
   /// Far-parking window (seconds): events scheduled at or beyond
@@ -140,7 +134,6 @@ class Simulation {
   }
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void maybe_compact();
   /// Execute one live, already-popped event (shared by run/step).
   void fire(const Event& event);
 

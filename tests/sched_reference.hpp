@@ -1,22 +1,22 @@
 // Linear reference for the grid-level scheduling decision, used only by
-// tests. MetaScheduler::choose streams candidates from the MDS capability
-// and rank indexes; this header re-derives every decision by a full scan
-// over the directory's public view — MdsDirectory::online() (name order),
-// class_matches and the rank_key_* statics — with no index at all:
+// tests. MetaScheduler::choose scans the flat MDS directory through
+// match_online and keeps two (rank key, name) minima in one pass; this
+// header re-derives every decision a different way, from the directory's
+// public view — MdsDirectory::online() (name order), class_matches and the
+// rank_key_* statics — filtering into copies and ranking the survivors:
 //
 //   eligible()    Steps 1–2: online entries passing matchmaking and the
 //                 memory floor, in resource-name order.
 //   best_ranked() the strict (rank key, name) argmin over an accepted
 //                 subset — strict `<` over the name-ordered list keeps the
-//                 first minimum, which is the lexicographic minimum the
-//                 index streams.
+//                 first minimum, which is the lexicographic minimum.
 //   Scheduler     the whole decision: hard require_stable filter, the
 //                 round-robin cursor, the advisory stability cutoff with
 //                 its fallthrough, then the Step-4 argmin.
 //
-// The property tests in test_sched_index.cpp assert that the indexed path
-// decides identically. Entries are copies (online() returns values), so
-// compare decisions by resource name.
+// The property tests in test_sched_index.cpp assert that choose() decides
+// identically. Entries are copies (online() returns values), so compare
+// decisions by resource name.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +31,12 @@
 #include "grid/mds.hpp"
 
 namespace lattice::sched_reference {
+
+/// Rank key of a Step-4 argmin.
+enum class RankOrder {
+  kLoad,  // MdsDirectory::rank_key_load
+  kEta,   // MdsDirectory::rank_key_eta
+};
 
 /// Online entries matching `req` (platforms, software, MPI, memory), in
 /// resource-name order.
@@ -53,14 +59,14 @@ inline std::vector<grid::MdsEntry> eligible(const grid::MdsDirectory& mds,
 /// `accept` takes, or nullopt when it takes none.
 template <typename Accept>
 std::optional<grid::MdsEntry> best_ranked(
-    const std::vector<grid::MdsEntry>& candidates, grid::RankOrder order,
+    const std::vector<grid::MdsEntry>& candidates, RankOrder order,
     Accept&& accept) {
   std::optional<grid::MdsEntry> best;
   double best_key = 0.0;
   for (const grid::MdsEntry& entry : candidates) {
     if (!accept(entry)) continue;
     const double key =
-        order == grid::RankOrder::kLoad
+        order == RankOrder::kLoad
             ? grid::MdsDirectory::rank_key_load(entry.info)
             : grid::MdsDirectory::rank_key_eta(entry.info, entry.speed);
     if (!best || key < best_key) {
@@ -69,15 +75,6 @@ std::optional<grid::MdsEntry> best_ranked(
     }
   }
   return best;
-}
-
-/// Linear twin of MdsDirectory::best_ranked.
-template <typename Accept>
-std::optional<grid::MdsEntry> best_ranked(const grid::MdsDirectory& mds,
-                                          const grid::JobRequirements& req,
-                                          grid::RankOrder order,
-                                          Accept&& accept) {
-  return best_ranked(eligible(mds, req), order, accept);
 }
 
 /// Linear twin of core::MetaScheduler. Keeps its own round-robin cursor,
@@ -122,10 +119,10 @@ class Scheduler {
     }
 
     // Step 4: expected completion when an estimate may be used, else load.
-    const grid::RankOrder order =
+    const RankOrder order =
         policy_.mode != core::SchedulingMode::kLoadOnly && estimate
-            ? grid::RankOrder::kEta
-            : grid::RankOrder::kLoad;
+            ? RankOrder::kEta
+            : RankOrder::kLoad;
     return best_ranked(candidates, order,
                        [](const grid::MdsEntry&) { return true; })
         ->info.name;

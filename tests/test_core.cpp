@@ -384,7 +384,7 @@ struct SchedulerFixture {
 TEST(Scheduler, FiltersOfflineResources) {
   SchedulerFixture fx;
   fx.mds.report(fx.cluster("hpc", 10, 0));
-  MetaScheduler scheduler(fx.mds, fx.speeds);
+  MetaScheduler scheduler(fx.mds);
   grid::GridJob job;
   job.estimated_reference_runtime = 100.0;
   EXPECT_EQ(scheduler.choose(job).value_or(""), "hpc");
@@ -440,7 +440,7 @@ TEST(Scheduler, StabilityRoutesLongJobsToClusters) {
   SchedulerPolicy policy;
   policy.mode = SchedulingMode::kEstimateAware;
   policy.stability_cutoff_hours = 10.0;
-  MetaScheduler scheduler(fx.mds, fx.speeds, policy);
+  MetaScheduler scheduler(fx.mds, policy);
 
   grid::GridJob long_job;
   long_job.estimated_reference_runtime = 48.0 * 3600.0;
@@ -461,7 +461,7 @@ TEST(Scheduler, SpeedScalingChangesStabilityDecision) {
   fx.mds.set_speed("condor", fx.speeds.speed_or_default("condor"));
   SchedulerPolicy policy;
   policy.stability_cutoff_hours = 10.0;
-  MetaScheduler scheduler(fx.mds, fx.speeds, policy);
+  MetaScheduler scheduler(fx.mds, policy);
   // 30h of reference work is only ~7.5h on the fast pool: now allowed.
   grid::GridJob job;
   job.estimated_reference_runtime = 30.0 * 3600.0;
@@ -474,7 +474,7 @@ TEST(Scheduler, LoadBalancePrefersEmptierResource) {
   fx.mds.report(fx.cluster("empty", 64, 0));
   SchedulerPolicy policy;
   policy.mode = SchedulingMode::kLoadOnly;
-  MetaScheduler scheduler(fx.mds, fx.speeds, policy);
+  MetaScheduler scheduler(fx.mds, policy);
   grid::GridJob job;
   EXPECT_EQ(scheduler.choose(job).value_or(""), "empty");
 }
@@ -485,7 +485,7 @@ TEST(Scheduler, RoundRobinCycles) {
   fx.mds.report(fx.cluster("b", 10, 0));
   SchedulerPolicy policy;
   policy.mode = SchedulingMode::kRoundRobin;
-  MetaScheduler scheduler(fx.mds, fx.speeds, policy);
+  MetaScheduler scheduler(fx.mds, policy);
   grid::GridJob job;
   const std::string first = scheduler.choose(job).value_or("");
   const std::string second = scheduler.choose(job).value_or("");
@@ -499,7 +499,7 @@ TEST(Scheduler, OracleUsesTrueRuntime) {
   fx.mds.report(fx.pool("condor", 60));
   SchedulerPolicy policy;
   policy.mode = SchedulingMode::kOracle;
-  MetaScheduler scheduler(fx.mds, fx.speeds, policy);
+  MetaScheduler scheduler(fx.mds, policy);
   grid::GridJob job;
   job.true_reference_runtime = 48.0 * 3600.0;
   job.estimated_reference_runtime = 60.0;  // wrong estimate is ignored

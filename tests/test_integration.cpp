@@ -114,6 +114,30 @@ TEST(Integration, AuditBalancesADrainedRunAndCatchesBrokenLedgers) {
   EXPECT_EQ(audit(system, metrics, &portal, 1).size(), 2u);
 }
 
+TEST(Integration, AuditReportsOpenBoincWorkunitsUntilTheRunDrains) {
+  LatticeSystem system(quick_config());
+  obs::MetricsRegistry metrics;
+  system.enable_observability(metrics, obs::Tracer::null());
+  boinc::BoincPoolConfig pool;
+  pool.hosts = 30;
+  pool.seed = 5;
+  system.add_boinc_pool("boinc", pool);
+  system.calibrate_speeds();
+  train(system);
+  for (int i = 0; i < 4; ++i) system.submit_garli_job(GarliFeatures{});
+  system.run(600.0);  // placed and sent, far from finished
+  ASSERT_FALSE(system.pool("boinc")->workunits().empty());
+
+  bool open_reported = false;
+  for (const std::string& failure : audit(system, metrics)) {
+    if (failure.starts_with("boinc: boinc left")) open_reported = true;
+  }
+  EXPECT_TRUE(open_reported);
+
+  system.run_until_drained(120.0 * 86400.0);
+  EXPECT_EQ(audit(system, metrics), std::vector<std::string>{});
+}
+
 TEST(Integration, CancelPendingJob) {
   LatticeSystem system(quick_config());
   // No resources: jobs stay pending.

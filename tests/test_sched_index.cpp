@@ -1,8 +1,7 @@
-// Decision-identity property tests for the scheduler scalability pass
-// (ISSUE 4): the indexed structures must change complexity, never
-// decisions.
+// Decision-identity property tests for the scheduler and BOINC server
+// fast paths: each must change cost, never decisions.
 //
-//   1. MDS capability index vs linear directory scan — identical eligible
+//   1. MDS matchmaking vs linear directory scan — identical eligible
 //      sets in identical order, and MetaScheduler::choose vs the linear
 //      reference (tests/sched_reference.hpp) make identical placements
 //      over randomized inventories and job streams in every scheduling
@@ -14,9 +13,9 @@
 //      under host churn, errors, and synchronous reissue dispatches.
 //   3. FeederQueue — FIFO take/skip/drop semantics matching the seed's
 //      mid-deque scan.
-//   4. MDS rank index — best_ranked streams vs a linear
-//      (rank key, name)-argmin reference under randomized speed updates,
-//      host churn (TTL staleness), and capability re-filing.
+//   4. Directory mutation — MetaScheduler::choose vs the linear reference
+//      in every mode under randomized speed updates, load heartbeats,
+//      capability changes and host churn (TTL staleness).
 //   5. Pool churn calendar — a churny BOINC scenario whose idle-host
 //      flips run through the keyed calendar must reproduce a golden
 //      digest of its server fingerprint, event count and calendar steps.
@@ -184,7 +183,6 @@ TEST(MdsIndex, MatchesLinearScanOverRandomInventories) {
     sim::Simulation sim;
     grid::MdsDirectory mds(sim);
     build_directory(sim, mds, rng, 30 + trial);
-    ASSERT_GT(mds.capability_classes(), 1u);
     const std::size_t registered = mds.all().size();
 
     for (int q = 0; q < 50; ++q) {
@@ -200,9 +198,8 @@ TEST(MdsIndex, MatchesLinearScanOverRandomInventories) {
             << "entry order diverged at " << i;
       }
       EXPECT_EQ(indexed_stats.eligible, linear.size());
-      // The point of the index: never examine more entries than a scan
-      // over every registered entry would.
-      EXPECT_LE(indexed_stats.candidates_scanned, registered);
+      // One pass examines every registered entry, online or not.
+      EXPECT_EQ(indexed_stats.candidates_scanned, registered);
     }
   }
 }
@@ -248,7 +245,7 @@ TEST(MetaScheduler, IndexedAndLinearChooseIdenticallyInEveryMode) {
       if (trial % 2 == 1) policy.staging_mbps = rng.uniform(1.0, 100.0);
       // The reference keeps its own round-robin cursor and sees the same
       // job sequence, so the two cursors stay in step.
-      core::MetaScheduler indexed(mds, speeds, policy);
+      core::MetaScheduler indexed(mds, policy);
       sched_reference::Scheduler linear(mds, policy);
       for (std::uint64_t j = 0; j < 100; ++j) {
         const grid::GridJob job = random_scheduled_job(rng, j);
@@ -282,7 +279,7 @@ TEST(MetaScheduler, FairShareKeepsIndexedAndLinearChoiceIdentical) {
       core::SchedulerPolicy policy;
       policy.mode = mode;
       policy.fair_share_weight = rng.uniform(0.01, 2.0);
-      core::MetaScheduler indexed(mds, speeds, policy);
+      core::MetaScheduler indexed(mds, policy);
       indexed.set_fair_share(&ledger);
       sched_reference::Scheduler linear(mds, policy, &ledger);
       for (std::uint64_t j = 0; j < 100; ++j) {
@@ -301,8 +298,8 @@ TEST(MetaScheduler, FairShareKeepsIndexedAndLinearChoiceIdentical) {
 TEST(MetaScheduler, StabilityFallthroughStreamsOnce) {
   // Every resource is unstable and the job is far above the cutoff, so
   // nothing passes the advisory filter and the decision falls through to
-  // the best unrestricted entry. That entry is recorded during the one
-  // (key, name) stream: each candidate is scanned exactly once.
+  // the best unrestricted entry. That entry is the second minimum of the
+  // one ranking pass: each directory entry is examined exactly once.
   sim::Simulation sim;
   grid::MdsDirectory mds(sim);
   const std::size_t queued[] = {40, 0, 12};  // "pool-b" ranks first
@@ -318,12 +315,11 @@ TEST(MetaScheduler, StabilityFallthroughStreamsOnce) {
     info.stable = false;
     mds.report(info);
   }
-  core::SpeedCalibrator speeds(3600.0);
   core::SchedulerPolicy policy;
   policy.mode = core::SchedulingMode::kEstimateAware;
   policy.stability_cutoff_hours = 10.0;
   obs::MetricsRegistry metrics;
-  core::MetaScheduler scheduler(mds, speeds, policy);
+  core::MetaScheduler scheduler(mds, policy);
   scheduler.set_observability(metrics);
   sched_reference::Scheduler reference(mds, policy);
 
@@ -350,8 +346,45 @@ TEST(MetaScheduler, StabilityFallthroughStreamsOnce) {
   EXPECT_EQ(metrics.counter_total("sched.match_candidates_scanned"), 6u);
 }
 
+TEST(MetaScheduler, EqualRankKeysBreakTiesByName) {
+  // Three identical unstable resources: every rank key ties, so each
+  // minimum — allowed or barred by the cutoff — must be the first name.
+  sim::Simulation sim;
+  grid::MdsDirectory mds(sim);
+  for (const char* name : {"pool-c", "pool-a", "pool-b"}) {
+    grid::ResourceInfo info;
+    info.name = name;
+    info.kind = grid::ResourceKind::kCondorPool;
+    info.total_slots = 8;
+    info.free_slots = 2;
+    info.queued_jobs = 5;
+    info.node_memory_gb = 4.0;
+    info.platforms = {grid::PlatformSpec{}};
+    info.stable = false;
+    mds.report(info);
+  }
+  grid::GridJob job;
+  job.id = 1;
+  for (const core::SchedulingMode mode : kAllModes) {
+    if (mode == core::SchedulingMode::kRoundRobin) continue;
+    core::SchedulerPolicy policy;
+    policy.mode = mode;
+    core::MetaScheduler scheduler(mds, policy);
+    sched_reference::Scheduler reference(mds, policy);
+    // Under the cutoff (allowed), then far above it (all barred).
+    for (const double hours : {1.0, 48.0}) {
+      job.estimated_reference_runtime = hours * 3600.0;
+      job.true_reference_runtime = hours * 3600.0;
+      const std::optional<std::string> placed = scheduler.choose(job);
+      EXPECT_EQ(placed, reference.choose(job));
+      EXPECT_EQ(placed.value_or(""), "pool-a")
+          << scheduling_mode_name(mode) << " " << hours << " h";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
-// Rank index (best_ranked) vs linear argmin reference
+// Decisions vs the linear reference under directory mutation
 // ---------------------------------------------------------------------
 
 TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
@@ -366,17 +399,28 @@ TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
       inventory.push_back(random_resource(rng, i));
       mds.report(inventory.back());
     }
+    // One scheduler/reference pair per mode, kept across rounds so the
+    // round-robin cursors see the same job sequence.
+    std::vector<core::MetaScheduler> schedulers;
+    std::vector<sched_reference::Scheduler> references;
+    for (const core::SchedulingMode mode : kAllModes) {
+      core::SchedulerPolicy policy;
+      policy.mode = mode;
+      if (trial % 2 == 1) policy.staging_mbps = rng.uniform(1.0, 100.0);
+      schedulers.emplace_back(mds, policy);
+      references.emplace_back(mds, policy);
+    }
     double now = 0.0;
     for (int round = 0; round < 25; ++round) {
-      // One randomized mutation per round, exercising every maintenance
-      // edge of the rank index.
+      // One randomized mutation per round: every way an entry changes
+      // between decisions.
       switch (rng.below(4)) {
-        case 0: {  // speed calibration re-files the eta order
+        case 0: {  // speed recalibration moves the eta key
           const std::size_t i = rng.below(resources);
           mds.set_speed(inventory[i].name, rng.uniform(0.3, 3.0));
           break;
         }
-        case 1: {  // capability change forces a class re-file
+        case 1: {  // capability change flips matchmaking verdicts
           grid::ResourceInfo& info = inventory[rng.below(resources)];
           info.mpi_capable = !info.mpi_capable;
           if (rng.bernoulli(0.5)) {
@@ -387,7 +431,7 @@ TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
           mds.report(info);
           break;
         }
-        case 2: {  // heartbeat with moved load fields re-ranks lazily
+        case 2: {  // heartbeat with moved load fields moves both keys
           grid::ResourceInfo& info = inventory[rng.below(resources)];
           info.free_slots = rng.below(info.total_slots + 1);
           info.queued_jobs = rng.below(100);
@@ -395,7 +439,7 @@ TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
           break;
         }
         default: {  // churn: advance time, refresh a random subset only —
-                    // the rest drift toward (or past) the TTL unindexed
+                    // the rest drift toward (or past) the TTL
           now += mds.ttl() * rng.uniform(0.2, 0.7);
           sim.at(now, [] {});
           sim.run();
@@ -407,31 +451,11 @@ TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
       }
       for (int q = 0; q < 8; ++q) {
         const grid::GridJob job =
-            random_job(rng, static_cast<std::uint64_t>(q));
-        // A job-dependent accept predicate with a real rejection prefix:
-        // sometimes stable-only, sometimes a speed floor, sometimes all.
-        const int which = static_cast<int>(rng.below(3));
-        const double floor = rng.uniform(0.5, 1.5);
-        const auto accept = [&](const grid::MdsEntry& entry) {
-          if (which == 0) return true;
-          if (which == 1) return entry.info.stable;
-          return entry.speed >= floor;
-        };
-        for (const grid::RankOrder order :
-             {grid::RankOrder::kLoad, grid::RankOrder::kEta}) {
-          const std::optional<grid::MdsEntry> expected =
-              sched_reference::best_ranked(mds, job.requirements, order,
-                                           accept);
-          grid::MdsMatchStats stats;
-          const grid::MdsEntry* got =
-              mds.best_ranked(job.requirements, order, accept, &stats);
-          ASSERT_EQ(got == nullptr, !expected.has_value())
-              << "trial " << trial << " round " << round << " q " << q;
-          if (got != nullptr) {
-            EXPECT_EQ(got->info.name, expected->info.name)
-                << "trial " << trial << " round " << round << " q " << q
-                << " order " << static_cast<int>(order);
-          }
+            random_scheduled_job(rng, static_cast<std::uint64_t>(q));
+        for (std::size_t m = 0; m < schedulers.size(); ++m) {
+          ASSERT_EQ(schedulers[m].choose(job), references[m].choose(job))
+              << "mode " << scheduling_mode_name(kAllModes[m]) << " trial "
+              << trial << " round " << round << " q " << q;
         }
       }
     }

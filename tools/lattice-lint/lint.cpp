@@ -684,9 +684,9 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view text,
   if (options.decision_path) {
     // Sorting inside src/grid or src/core is presumed to sit on a
     // per-decision path (matchmaking, ranking) unless audited otherwise:
-    // the sub-linear pass maintains rank order incrementally in the MDS
-    // index, so a new sort here is the exact O(n log n)-per-decision
-    // regression it removed.
+    // a decision takes its (rank key, name) minimum in one pass over the
+    // directory, so a new sort here is an O(n log n)-per-decision
+    // regression.
     static const std::regex sort_re(
         R"(\bstd\s*::\s*(stable_sort|partial_sort|nth_element|sort)\s*\()");
     for (std::size_t i = 0; i < code_lines.size(); ++i) {
@@ -695,8 +695,8 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view text,
       if (std::regex_search(code_lines[i], m, sort_re)) {
         add(line, "decision-sort",
             "std::" + m[1].str() +
-                " in a scheduler decision-path dir: keep rank order in the "
-                "MDS index (or tag the sort as off the decision path with a "
+                " in a scheduler decision-path dir: take the minimum in one "
+                "pass (or tag the sort as off the decision path with a "
                 "suppression)");
       }
     }

@@ -36,9 +36,9 @@
 //                        `subsystem.noun_verb` grammar
 //   decision-sort        no std::sort/stable_sort/partial_sort/nth_element
 //                        in scheduler decision-path dirs (src/grid,
-//                        src/core) without an audit suppression — the
-//                        sub-linear decision pass replaced per-decision
-//                        sorts with maintained rank indexes
+//                        src/core) without an audit suppression — a
+//                        decision takes its minimum in one pass, never
+//                        a sort
 //   layering-violation   (model-level) an include edge that contradicts
 //                        the declared module DAG in layering.ini; hard
 //                        finding, not suppressible
@@ -90,9 +90,9 @@ struct Options {
   /// kernel-callback-throw are active. Metric-name is checked everywhere.
   bool deterministic = false;
   /// Scheduler decision-path file (src/grid, src/core): the decision-sort
-  /// rule is active — sorting inside a per-decision path is the exact
-  /// regression the rank-index pass removed, so every remaining sort must
-  /// carry an audit suppression placing it off the decision path.
+  /// rule is active — a decision takes its minimum in one pass, so every
+  /// sort there must carry an audit suppression placing it off the
+  /// decision path.
   bool decision_path = false;
   /// When false, findings covered by a well-formed suppression are still
   /// returned, marked `suppressed = true` — the raw view the
