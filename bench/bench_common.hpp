@@ -63,6 +63,9 @@ class JsonReport {
   void set(const std::string& key, const std::string& value) {
     entries_.emplace_back(key, '"' + escape(value) + '"');
   }
+  void set_flag(const std::string& key, bool value) {
+    entries_.emplace_back(key, value ? "true" : "false");
+  }
 
   /// Record an event-throughput pair: `<prefix>_events` and
   /// `<prefix>_events_per_sec` (0 when the wall time is degenerate).

@@ -6,10 +6,11 @@
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/cost_model.hpp"
+#include "core/estimator.hpp"
 #include "phylo/ga.hpp"
 #include "phylo/island.hpp"
 #include "phylo/kernels/kernels.hpp"
@@ -235,6 +236,55 @@ void BM_ForestPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredict);
 
+// The estimator's forest shape: 300 trees (the benchmark harnesses'
+// train_estimator), mtry 5 and min_leaf 2 (RuntimeEstimator::Config),
+// fitted on a `rows`-row synthetic corpus. 150 rows is the paper's
+// training matrix; ~500 is the corpus an online refit sees after a few
+// hundred completions.
+rf::ForestParams estimator_forest_params() {
+  rf::ForestParams params = core::RuntimeEstimator::Config{}.forest;
+  params.n_trees = 300;
+  return params;
+}
+
+rf::Dataset estimator_corpus(std::size_t rows, std::uint64_t seed) {
+  const core::GarliCostModel model;
+  util::Rng rng(seed);
+  return core::corpus_to_dataset(core::generate_corpus(rows, model, rng),
+                                 true);
+}
+
+void BM_EstimatorForestTrain(benchmark::State& state) {
+  const auto data =
+      estimator_corpus(static_cast<std::size_t>(state.range(0)), 9);
+  const rf::ForestParams params = estimator_forest_params();
+  for (auto _ : state) {
+    rf::RandomForest forest;
+    forest.fit(data, params);
+    benchmark::DoNotOptimize(forest.n_trees());
+  }
+}
+BENCHMARK(BM_EstimatorForestTrain)
+    ->Arg(150)
+    ->Arg(500)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_EstimatorForestPredict(benchmark::State& state) {
+  const auto data = estimator_corpus(150, 11);
+  rf::RandomForest forest;
+  forest.fit(data, estimator_forest_params());
+  util::Rng rng(12);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 64; ++i) {
+    rows.push_back(core::to_feature_vector(core::random_features(rng)));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forest.predict(rows[i++ % rows.size()]));
+  }
+}
+BENCHMARK(BM_EstimatorForestPredict);
+
 void BM_CostModelSample(benchmark::State& state) {
   const core::GarliCostModel model;
   util::Rng rng(13);
@@ -288,6 +338,53 @@ IslandGaRun run_island_ga(std::size_t threads,
           .count() /
       kRounds;
   return {ns, search.best().log_likelihood, search.total_generations()};
+}
+
+/// Standalone forest timings at the estimator's shape for the JSON record:
+/// the best of `reps` fits, and the mean ns per prediction over 10^4
+/// random jobs. The prediction checksum pins the fitted function.
+struct ForestTimings {
+  double fit_ns_150 = 0.0;
+  double fit_ns_500 = 0.0;
+  double predict_ns = 0.0;
+  double predict_checksum = 0.0;
+};
+
+ForestTimings time_forest() {
+  using clock = std::chrono::steady_clock;
+  const rf::ForestParams params = estimator_forest_params();
+  const auto best_fit_ns = [&](const rf::Dataset& data, int reps) {
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+      const auto start = clock::now();
+      rf::RandomForest forest;
+      forest.fit(data, params);
+      const double ns =
+          std::chrono::duration<double, std::nano>(clock::now() - start)
+              .count();
+      if (r == 0 || ns < best) best = ns;
+    }
+    return best;
+  };
+  ForestTimings out;
+  const auto data = estimator_corpus(150, 9);
+  out.fit_ns_150 = best_fit_ns(data, 10);
+  out.fit_ns_500 = best_fit_ns(estimator_corpus(500, 9), 5);
+
+  rf::RandomForest forest;
+  forest.fit(data, params);
+  util::Rng rng(12);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 10000; ++i) {
+    rows.push_back(core::to_feature_vector(core::random_features(rng)));
+  }
+  const auto start = clock::now();
+  for (const auto& row : rows) out.predict_checksum += forest.predict(row);
+  out.predict_ns =
+      std::chrono::duration<double, std::nano>(clock::now() - start)
+          .count() /
+      static_cast<double>(rows.size());
+  return out;
 }
 
 void emit_likelihood_json() {
@@ -351,32 +448,38 @@ void emit_likelihood_json() {
       ga1.generations == ga4.generations &&
       ga1.generations == ga_scalar.generations;
 
-  std::ofstream out("BENCH_likelihood.json");
-  out.precision(6);
-  out << "{\n"
-      << "  \"bench\": \"likelihood\",\n"
-      << "  \"scenario\": \"32-taxon 4-category DNA, single-branch "
-         "perturbation\",\n"
-      << "  \"n_patterns\": " << patterns.n_patterns() << ",\n"
-      << "  \"isa_tier\": \"" << phylo::kernels::tier_name(active) << "\",\n"
-      << "  \"full_ns_per_eval\": " << full_ns << ",\n"
-      << "  \"incremental_ns_per_eval\": " << inc_ns << ",\n"
-      << "  \"speedup\": " << full_ns / inc_ns << ",\n"
-      << "  \"scalar_full_ns_per_eval\": " << scalar_full_ns << ",\n"
-      << "  \"vector_speedup\": " << scalar_full_ns / full_ns << ",\n"
-      << "  \"island_ga_ns_1t\": " << ga1.ns_per_round << ",\n"
-      << "  \"island_ga_ns_2t\": " << ga2.ns_per_round << ",\n"
-      << "  \"island_ga_ns_4t\": " << ga4.ns_per_round << ",\n"
-      << "  \"island_ga_identical\": " << (ga_identical ? "true" : "false")
-      << "\n"
-      << "}\n";
+  const ForestTimings forest = time_forest();
+
+  bench::JsonReport report("likelihood");
+  report.set_host_facts();
+  report.set("scenario",
+             std::string("32-taxon 4-category DNA, single-branch "
+                         "perturbation"));
+  report.set("n_patterns", static_cast<std::uint64_t>(patterns.n_patterns()));
+  report.set("isa_tier", std::string(phylo::kernels::tier_name(active)));
+  report.set("full_ns_per_eval", full_ns);
+  report.set("incremental_ns_per_eval", inc_ns);
+  report.set("speedup", full_ns / inc_ns);
+  report.set("scalar_full_ns_per_eval", scalar_full_ns);
+  report.set("vector_speedup", scalar_full_ns / full_ns);
+  report.set("island_ga_ns_1t", ga1.ns_per_round);
+  report.set("island_ga_ns_2t", ga2.ns_per_round);
+  report.set("island_ga_ns_4t", ga4.ns_per_round);
+  report.set_flag("island_ga_identical", ga_identical);
+  report.set("forest_fit_ns_150_rows", forest.fit_ns_150);
+  report.set("forest_fit_ns_500_rows", forest.fit_ns_500);
+  report.set("forest_predict_ns", forest.predict_ns);
+  report.set("forest_predict_checksum", forest.predict_checksum);
   std::cout << "BENCH_likelihood.json: full " << full_ns / 1e3
             << " us/eval (" << phylo::kernels::tier_name(active)
             << "), scalar " << scalar_full_ns / 1e3
             << " us/eval, vector speedup " << scalar_full_ns / full_ns
             << "x, incremental " << inc_ns / 1e3 << " us/eval, island GA "
             << (ga_identical ? "bit-identical" : "DIVERGED")
-            << " across 1/2/4 threads + scalar tier\n";
+            << " across 1/2/4 threads + scalar tier; 300-tree forest fit "
+            << forest.fit_ns_150 / 1e6 << " ms (150 rows), "
+            << forest.fit_ns_500 / 1e6 << " ms (500 rows), predict "
+            << forest.predict_ns / 1e3 << " us\n";
 }
 
 }  // namespace

@@ -26,8 +26,16 @@
 #   * island_ga_identical == true — the parallel island GA produced
 #     bit-identical results across 1/2/4 pool threads and across ISA
 #     tiers (the determinism contract of DESIGN.md §14);
-#   * island_ga_ns_{1,2,4}t present and positive (the wall-clock record
-#     behind the threading satellite).
+#   * island_ga_ns_{1,2,4}t present and positive (the island GA's wall
+#     clock at 1, 2 and 4 pool threads);
+#   * forest_fit_ns_150_rows, forest_fit_ns_500_rows and forest_predict_ns
+#     present and positive: the runtime estimator's forest (300 trees,
+#     mtry 5, min_leaf 2) fitted on the paper's 150-row corpus and on a
+#     refit-sized 500-row one, and one 300-tree prediction.
+#
+#   every record:
+#   * host_nproc (positive), host_isa, host_compiler and host_build_type
+#     name the host that produced it, so records compare like with like.
 #
 # Usage: check_bench.sh [bench-json ...]
 set -euo pipefail
@@ -71,6 +79,16 @@ def get(key):
     return float(value)
 
 kind = record.get("bench")
+
+nproc = get("host_nproc")
+if nproc is None or nproc <= 0:
+    print(f"check_bench: {path} does not record a positive host_nproc")
+    fail = 1
+for key in ("host_isa", "host_compiler", "host_build_type"):
+    value = record.get(key)
+    if not isinstance(value, str) or not value:
+        print(f"check_bench: {path} does not name its host ({key})")
+        fail = 1
 
 if kind == "grid_scale":
     before = get("ns_per_decision_100k_before")
@@ -195,7 +213,9 @@ elif kind == "likelihood":
     else:
         print("check_bench: island GA bit-identical across threads/tiers  OK")
 
-    for key in ("island_ga_ns_1t", "island_ga_ns_2t", "island_ga_ns_4t"):
+    for key in ("island_ga_ns_1t", "island_ga_ns_2t", "island_ga_ns_4t",
+                "forest_fit_ns_150_rows", "forest_fit_ns_500_rows",
+                "forest_predict_ns"):
         ns = get(key)
         if ns is None or ns <= 0:
             print(f"check_bench: {key} missing or not positive")

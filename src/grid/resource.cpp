@@ -425,15 +425,23 @@ void CondorPool::try_start() {
   // Condor-style matchmaking: each queued job (FIFO priority) is matched
   // against the idle machines' ClassAds using the job's requirements
   // expression; a job with no eligible idle machine does not block the
-  // jobs behind it.
-  for (std::size_t q = 0; q < queue_.size();) {
+  // jobs behind it. Only idle machines can take a job, so the pass scans
+  // them, in machine order, and a placed job's machine leaves the list.
+  idle_.clear();
+  for (std::size_t m = 0; m < machines_.size(); ++m) {
+    if (!machines_[m].owner_busy && machines_[m].job == nullptr) {
+      idle_.push_back(m);
+    }
+  }
+  for (std::size_t q = 0; q < queue_.size() && !idle_.empty();) {
     GridJob* job = queue_[q].job;
     const AdExpression& requirements = queue_[q].requirements;
     bool placed = false;
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      Machine& machine = machines_[m];
-      if (machine.owner_busy || machine.job != nullptr) continue;
+    for (std::size_t i = 0; i < idle_.size(); ++i) {
+      const std::size_t m = idle_[i];
       if (!requirements.matches(machine_ads_[m])) continue;
+      idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(i));
+      Machine& machine = machines_[m];
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(q));
       machine.job = job;
       machine.job_started = sim_.now();

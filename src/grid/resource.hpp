@@ -218,6 +218,14 @@ class CondorPool : public LocalResource {
 
   /// The machine's ClassAd (exposed for matchmaking tests).
   grid::ClassAd machine_ad(std::size_t machine) const;
+  /// Whether the machine's owner is at the keyboard, and the grid job
+  /// running on it, if any (exposed for matchmaking tests).
+  bool owner_busy(std::size_t machine) const {
+    return machines_[machine].owner_busy;
+  }
+  const GridJob* running(std::size_t machine) const {
+    return machines_[machine].job;
+  }
 
  private:
   struct Machine {
@@ -252,6 +260,8 @@ class CondorPool : public LocalResource {
   /// (OpSys/Arch/Memory/KFlops) are fixed at construction.
   std::vector<ClassAd> machine_ads_;
   std::deque<QueuedJob> queue_;
+  /// try_start's scratch: the machines still idle in the current pass.
+  std::vector<std::size_t> idle_;
   bool outage_ = false;
 
   obs::Counter* obs_started_ = nullptr;

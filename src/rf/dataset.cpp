@@ -1,5 +1,6 @@
 #include "rf/dataset.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/fmt.hpp"
@@ -27,10 +28,12 @@ void Dataset::add_row(std::span<const double> values, double target) {
   }
   for (std::size_t f = 0; f < features_.size(); ++f) {
     if (features_[f].kind == FeatureKind::kCategorical) {
-      const auto level = static_cast<long long>(values[f]);
-      if (level < 0 ||
-          level >= static_cast<long long>(features_[f].levels.size()) ||
-          static_cast<double>(level) != values[f]) {
+      // Range-check before any integer conversion: NaN fails every
+      // comparison, and a cast of an out-of-range value is undefined.
+      const double level = values[f];
+      if (!(level >= 0.0 &&
+            level < static_cast<double>(features_[f].levels.size()) &&
+            level == std::floor(level))) {
         throw std::invalid_argument(util::format(
             "dataset: feature '{}' level {} out of range", features_[f].name,
             values[f]));

@@ -1,5 +1,7 @@
 #include "rf/forest.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -26,6 +28,7 @@ void RandomForest::fit(const Dataset& data, const ForestParams& params,
 
   std::vector<std::vector<double>> per_tree_purity(
       params.n_trees, std::vector<double>(data.n_features(), 0.0));
+  const FeatureOrder order(data);
 
   auto grow_one = [&](std::size_t t) {
     // Seed per tree: identical results regardless of thread schedule.
@@ -36,7 +39,8 @@ void RandomForest::fit(const Dataset& data, const ForestParams& params,
       sample[i] = r;
       ++in_bag_[t][r];
     }
-    trees_[t].fit(data, sample, params.tree, rng, &per_tree_purity[t]);
+    trees_[t].fit(data, order, sample, in_bag_[t], params.tree, rng,
+                  &per_tree_purity[t]);
   };
 
   if (pool != nullptr && pool->size() > 1) {
@@ -55,8 +59,40 @@ void RandomForest::fit(const Dataset& data, const ForestParams& params,
 
 double RandomForest::predict(std::span<const double> features) const {
   assert(trained());
+  using Node = RegressionTree::Node;
+  // Each value's categorical level bit, computed once per row rather than
+  // once per node visited.
+  std::vector<std::uint64_t> bits(features.size());
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    bits[f] = Node::level_bit(features[f]);
+  }
+  // Each of kLanes lanes walks one tree of a group for as many steps as
+  // the group's deepest tree needs; a lane at a leaf stays there. Lanes
+  // past the last tree rest on a lone leaf and are not summed.
+  constexpr std::size_t kLanes = 8;
+  static constexpr Node kRest{};
   double total = 0.0;
-  for (const auto& tree : trees_) total += tree.predict(features);
+  for (std::size_t first = 0; first < trees_.size(); first += kLanes) {
+    const std::size_t lanes = std::min(kLanes, trees_.size() - first);
+    std::array<const Node*, kLanes> tree;
+    tree.fill(&kRest);
+    std::array<std::uint32_t, kLanes> at{};
+    std::size_t steps = 0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      tree[l] = trees_[first + l].nodes().data();
+      steps = std::max(steps, trees_[first + l].depth() - 1);
+    }
+    for (std::size_t step = 0; step < steps; ++step) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const Node& node = tree[l][at[l]];
+        const std::size_t f = node.split_feature();
+        const bool left = node.goes_left(features[f], bits[f]);
+        const std::uint32_t next = node.left + (left ? 0u : 1u);
+        at[l] = node.leaf() ? at[l] : next;
+      }
+    }
+    for (std::size_t l = 0; l < lanes; ++l) total += tree[l][at[l]].value();
+  }
   return total / static_cast<double>(trees_.size());
 }
 
@@ -64,9 +100,7 @@ std::vector<double> RandomForest::predict(const Dataset& data) const {
   std::vector<double> out;
   out.reserve(data.n_rows());
   for (std::size_t r = 0; r < data.n_rows(); ++r) {
-    double total = 0.0;
-    for (const auto& tree : trees_) total += tree.predict_row(data, r);
-    out.push_back(total / static_cast<double>(trees_.size()));
+    out.push_back(predict(data.row(r)));
   }
   return out;
 }

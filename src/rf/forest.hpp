@@ -44,8 +44,11 @@ class RandomForest {
 
   bool trained() const { return !trees_.empty(); }
   std::size_t n_trees() const { return trees_.size(); }
+  const RegressionTree& tree(std::size_t t) const { return trees_[t]; }
 
-  /// Ensemble mean prediction for one observation.
+  /// Ensemble mean prediction for one observation. Trees are walked
+  /// several at a time in lock-step and their leaves summed in tree order,
+  /// so the result is the tree-by-tree sum's bits.
   double predict(std::span<const double> features) const;
   std::vector<double> predict(const Dataset& data) const;
 
@@ -62,8 +65,6 @@ class RandomForest {
                                           std::size_t repeats = 3) const;
 
  private:
-  friend class ForestTestPeer;
-
   std::vector<RegressionTree> trees_;
   /// in_bag_[t][r]: multiplicity of row r in tree t's bootstrap sample.
   std::vector<std::vector<std::uint16_t>> in_bag_;

@@ -1,8 +1,8 @@
 #include "rf/tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 
 namespace lattice::rf {
@@ -20,166 +20,230 @@ struct SumCount {
   double score() const { return count > 0 ? sum * sum / count : 0.0; }
 };
 
+struct Split {
+  bool found = false;
+  std::size_t feature = 0;
+  bool categorical = false;
+  /// Numeric threshold bits or categorical left-level mask.
+  std::uint64_t key = 0;
+  double sse_decrease = 0.0;
+};
+
 }  // namespace
 
-void RegressionTree::fit(const Dataset& data,
-                         std::span<const std::size_t> rows,
-                         const TreeParams& params, util::Rng& rng,
-                         std::vector<double>* purity_gain) {
-  nodes_.clear();
-  assert(!rows.empty());
-  std::vector<std::size_t> work(rows.begin(), rows.end());
-  build(data, work, 0, work.size(), params, 0, rng, purity_gain);
+FeatureOrder::FeatureOrder(const Dataset& data) : order_(data.n_features()) {
+  const std::span<const double> targets = data.targets();
+  for (std::size_t f = 0; f < data.n_features(); ++f) {
+    if (data.feature(f).kind != FeatureKind::kNumeric) continue;
+    const std::span<const double> values = data.column(f);
+    std::vector<std::uint32_t>& order = order_[f];
+    order.resize(data.n_rows());
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    // Lexicographic on (value, target), as std::pair compares.
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return values[a] < values[b] ||
+                       (!(values[b] < values[a]) && targets[a] < targets[b]);
+              });
+  }
 }
 
-std::size_t RegressionTree::build(const Dataset& data,
-                                  std::vector<std::size_t>& rows,
-                                  std::size_t begin, std::size_t end,
-                                  const TreeParams& params, std::size_t depth,
-                                  util::Rng& rng,
-                                  std::vector<double>* purity_gain) {
-  const std::size_t n = end - begin;
-  const std::size_t index = nodes_.size();
-  nodes_.emplace_back();
-
-  double sum = 0.0;
-  for (std::size_t i = begin; i < end; ++i) sum += data.target(rows[i]);
-  const double node_mean = sum / static_cast<double>(n);
-  nodes_[index].value = node_mean;
-
-  const bool depth_capped =
-      params.max_depth != 0 && depth >= params.max_depth;
-  if (n < 2 * params.min_leaf || depth_capped) return index;
-
-  // Sample mtry candidate features without replacement.
-  const std::size_t p = data.n_features();
-  std::size_t mtry = params.mtry == 0 ? std::max<std::size_t>(1, p / 3)
-                                      : std::min(params.mtry, p);
-  std::vector<std::size_t> candidates(p);
-  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
-  for (std::size_t i = 0; i < mtry; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(rng.below(p - i));
-    std::swap(candidates[i], candidates[j]);
+/// One tree's growth. Holds the sample in draw order, its sorted list per
+/// numeric feature, and every per-node scratch buffer, all allocated once
+/// per tree.
+class RegressionTree::Grower {
+ public:
+  Grower(const Dataset& data, const FeatureOrder& order,
+         std::span<const std::size_t> rows,
+         std::span<const std::uint16_t> in_bag, const TreeParams& params,
+         util::Rng& rng, std::vector<double>* purity_gain,
+         std::vector<Node>& nodes)
+      : data_(data),
+        params_(params),
+        rng_(rng),
+        purity_gain_(purity_gain),
+        nodes_(nodes),
+        n_(rows.size()),
+        rows_(rows.begin(), rows.end()),
+        list_(data.n_features(), 0),
+        spill_(n_),
+        goes_left_(data.n_rows()),
+        candidates_(data.n_features()) {
+    const std::size_t p = data.n_features();
+    mtry_ = params.mtry == 0 ? std::max<std::size_t>(1, p / 3)
+                             : std::min(params.mtry, p);
+    // Expand each presorted order into the sample's sorted list: row r
+    // appears in_bag[r] times, so the list is the sample in (value,
+    // target) order.
+    for (std::size_t f = 0; f < p; ++f) {
+      if (data.feature(f).kind != FeatureKind::kNumeric) continue;
+      list_[f] = sorted_.size();
+      for (const std::uint32_t r : order[f]) {
+        sorted_.insert(sorted_.end(), in_bag[r], r);
+      }
+      assert(sorted_.size() - list_[f] == n_);
+    }
   }
-  candidates.resize(mtry);
 
-  const Split split = best_split(
-      data, std::span(rows).subspan(begin, n), candidates, params);
-  if (!split.found) return index;
+  /// Grow nodes_[index] and its subtree over sample segment [begin, end);
+  /// returns the subtree's depth in nodes.
+  std::size_t grow(std::size_t index, std::size_t begin, std::size_t end,
+                   std::size_t depth);
 
-  if (purity_gain != nullptr) {
-    (*purity_gain)[split.feature] += split.sse_decrease;
+ private:
+  bool can_split(std::size_t n, std::size_t depth) const {
+    return n >= 2 * params_.min_leaf &&
+           (params_.max_depth == 0 || depth < params_.max_depth);
+  }
+
+  /// Sample mtry candidate features without replacement into the front of
+  /// candidates_.
+  void sample_candidates();
+  Split best_split(std::size_t begin, std::size_t end, double total_sum);
+  /// Stable-partition every list's [begin, end) by goes_left_.
+  void split_lists(std::size_t begin, std::size_t end);
+
+  const Dataset& data_;
+  const TreeParams& params_;
+  util::Rng& rng_;
+  std::vector<double>* purity_gain_;
+  std::vector<Node>& nodes_;
+  std::size_t n_;
+  std::size_t mtry_ = 1;
+  std::vector<std::uint32_t> rows_;
+  /// Offset in sorted_ of each numeric feature's list (each n_ long).
+  std::vector<std::size_t> list_;
+  std::vector<std::uint32_t> sorted_;
+  std::vector<std::uint32_t> spill_;
+  /// Side of the split being applied, per dataset row.
+  std::vector<std::uint8_t> goes_left_;
+  std::vector<std::size_t> candidates_;
+  std::array<SumCount, 64> per_level_{};
+  std::array<std::size_t, 64> level_order_{};
+  std::array<double, 64> level_mean_{};
+};
+
+std::size_t RegressionTree::Grower::grow(std::size_t index,
+                                         std::size_t begin, std::size_t end,
+                                         std::size_t depth) {
+  const std::size_t n = end - begin;
+  double sum = 0.0;
+  for (std::size_t i = begin; i < end; ++i) sum += data_.target(rows_[i]);
+  nodes_[index].key =
+      std::bit_cast<std::uint64_t>(sum / static_cast<double>(n));
+  if (!can_split(n, depth)) return 1;
+
+  sample_candidates();
+  const Split split = best_split(begin, end, sum);
+  if (!split.found) return 1;
+  if (purity_gain_ != nullptr) {
+    (*purity_gain_)[split.feature] += split.sse_decrease;
   }
 
   Node& node = nodes_[index];
-  node.feature = static_cast<std::uint32_t>(split.feature);
-  node.categorical = split.categorical;
-  node.threshold = split.threshold;
-  node.level_mask = split.level_mask;
-
-  // Partition rows in place around the split.
+  node.key = split.key;
+  node.feature = static_cast<std::uint32_t>(split.feature) |
+                 (split.categorical ? Node::kCategorical : 0u);
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint32_t r = rows_[i];
+    goes_left_[r] = node.goes_left(data_.value(r, split.feature));
+  }
   const auto middle = std::partition(
-      rows.begin() + static_cast<std::ptrdiff_t>(begin),
-      rows.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t r) {
-        return goes_left(nodes_[index], data.value(r, split.feature));
-      });
-  const auto mid =
-      static_cast<std::size_t>(middle - rows.begin());
+      rows_.begin() + static_cast<std::ptrdiff_t>(begin),
+      rows_.begin() + static_cast<std::ptrdiff_t>(end),
+      [&](std::uint32_t r) { return goes_left_[r] != 0; });
+  const auto mid = static_cast<std::size_t>(middle - rows_.begin());
   assert(mid > begin && mid < end);
+  // Leaf children never read the lists.
+  if (can_split(mid - begin, depth + 1) || can_split(end - mid, depth + 1)) {
+    split_lists(begin, end);
+  }
 
-  const std::size_t left =
-      build(data, rows, begin, mid, params, depth + 1, rng, purity_gain);
-  const std::size_t right =
-      build(data, rows, mid, end, params, depth + 1, rng, purity_gain);
-  nodes_[index].left = static_cast<std::uint32_t>(left);
-  nodes_[index].right = static_cast<std::uint32_t>(right);
-  return index;
+  const std::size_t left = nodes_.size();
+  node.left = static_cast<std::uint32_t>(left);
+  nodes_.resize(left + 2);  // invalidates `node`
+  const std::size_t left_depth = grow(left, begin, mid, depth + 1);
+  const std::size_t right_depth = grow(left + 1, mid, end, depth + 1);
+  return 1 + std::max(left_depth, right_depth);
 }
 
-RegressionTree::Split RegressionTree::best_split(
-    const Dataset& data, std::span<const std::size_t> rows,
-    std::span<const std::size_t> features, const TreeParams& params) const {
+void RegressionTree::Grower::sample_candidates() {
+  const std::size_t p = candidates_.size();
+  std::iota(candidates_.begin(), candidates_.end(), std::size_t{0});
+  for (std::size_t i = 0; i < mtry_; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng_.below(p - i));
+    std::swap(candidates_[i], candidates_[j]);
+  }
+}
+
+Split RegressionTree::Grower::best_split(std::size_t begin, std::size_t end,
+                                         double total_sum) {
   Split best;
-  const std::size_t n = rows.size();
-
-  double total_sum = 0.0;
-  for (std::size_t r : rows) total_sum += data.target(r);
+  const std::size_t n = end - begin;
   const double base_score = total_sum * total_sum / static_cast<double>(n);
+  const std::span<const double> targets = data_.targets();
 
-  // Reused scratch across candidate features.
-  std::vector<std::pair<double, double>> pairs;  // (value, target)
-  pairs.reserve(n);
-
-  for (const std::size_t f : features) {
-    const FeatureSpec& spec = data.feature(f);
+  for (std::size_t c = 0; c < mtry_; ++c) {
+    const std::size_t f = candidates_[c];
+    const FeatureSpec& spec = data_.feature(f);
     if (spec.kind == FeatureKind::kNumeric) {
-      pairs.clear();
-      for (std::size_t r : rows) {
-        pairs.emplace_back(data.value(r, f), data.target(r));
-      }
-      std::sort(pairs.begin(), pairs.end());
+      const std::span<const double> values = data_.column(f);
+      const std::uint32_t* segment = sorted_.data() + list_[f] + begin;
       SumCount left;
       for (std::size_t i = 0; i + 1 < n; ++i) {
-        left.sum += pairs[i].second;
+        left.sum += targets[segment[i]];
         left.count += 1.0;
-        if (pairs[i].first == pairs[i + 1].first) continue;  // tied values
+        const double value = values[segment[i]];
+        const double next = values[segment[i + 1]];
+        if (value == next) continue;  // tied values
         const std::size_t n_left = i + 1;
         const std::size_t n_right = n - n_left;
-        if (n_left < params.min_leaf || n_right < params.min_leaf) continue;
-        SumCount right{total_sum - left.sum,
-                       static_cast<double>(n_right)};
+        if (n_left < params_.min_leaf || n_right < params_.min_leaf) continue;
+        SumCount right{total_sum - left.sum, static_cast<double>(n_right)};
         const double gain = left.score() + right.score() - base_score;
         if (gain > best.sse_decrease) {
-          best.found = true;
-          best.feature = f;
-          best.categorical = false;
           // Midpoint threshold generalizes better than either endpoint.
-          best.threshold = 0.5 * (pairs[i].first + pairs[i + 1].first);
-          best.level_mask = 0;
-          best.sse_decrease = gain;
+          best = {true, f, false,
+                  std::bit_cast<std::uint64_t>(0.5 * (value + next)), gain};
         }
       }
     } else {
       // Order levels by mean response, then scan prefix partitions; for
       // squared-error regression this finds the optimal subset split.
       const std::size_t k = spec.levels.size();
-      std::vector<SumCount> per_level(k);
-      for (std::size_t r : rows) {
-        const auto level = static_cast<std::size_t>(data.value(r, f));
-        per_level[level].sum += data.target(r);
-        per_level[level].count += 1.0;
+      std::fill_n(per_level_.begin(), k, SumCount{});
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t r = rows_[i];
+        const auto level = static_cast<std::size_t>(data_.value(r, f));
+        per_level_[level].sum += targets[r];
+        per_level_[level].count += 1.0;
       }
-      std::vector<std::size_t> order;
+      // Insert each present level by mean; ties keep level order.
+      std::size_t present = 0;
       for (std::size_t level = 0; level < k; ++level) {
-        if (per_level[level].count > 0) order.push_back(level);
+        if (per_level_[level].count == 0) continue;
+        const double mean = per_level_[level].sum / per_level_[level].count;
+        std::size_t at = present++;
+        for (; at > 0 && mean < level_mean_[at - 1]; --at) {
+          level_mean_[at] = level_mean_[at - 1];
+          level_order_[at] = level_order_[at - 1];
+        }
+        level_mean_[at] = mean;
+        level_order_[at] = level;
       }
-      if (order.size() < 2) continue;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return per_level[a].sum / per_level[a].count <
-                         per_level[b].sum / per_level[b].count;
-                });
       SumCount left;
       std::uint64_t mask = 0;
-      for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-        left.sum += per_level[order[i]].sum;
-        left.count += per_level[order[i]].count;
-        mask |= std::uint64_t{1} << order[i];
+      for (std::size_t i = 0; i + 1 < present; ++i) {
+        const SumCount& level = per_level_[level_order_[i]];
+        left.sum += level.sum;
+        left.count += level.count;
+        mask |= std::uint64_t{1} << level_order_[i];
         const auto n_left = static_cast<std::size_t>(left.count);
         const std::size_t n_right = n - n_left;
-        if (n_left < params.min_leaf || n_right < params.min_leaf) continue;
+        if (n_left < params_.min_leaf || n_right < params_.min_leaf) continue;
         SumCount right{total_sum - left.sum, static_cast<double>(n_right)};
         const double gain = left.score() + right.score() - base_score;
-        if (gain > best.sse_decrease) {
-          best.found = true;
-          best.feature = f;
-          best.categorical = true;
-          best.threshold = 0.0;
-          best.level_mask = mask;
-          best.sse_decrease = gain;
-        }
+        if (gain > best.sse_decrease) best = {true, f, true, mask, gain};
       }
     }
   }
@@ -188,63 +252,65 @@ RegressionTree::Split RegressionTree::best_split(
   return best;
 }
 
-bool RegressionTree::goes_left(const Node& node, double value) const {
-  if (node.categorical) {
-    const auto level = static_cast<std::size_t>(value);
-    return (node.level_mask >> level) & 1;
+void RegressionTree::Grower::split_lists(std::size_t begin,
+                                         std::size_t end) {
+  for (std::size_t offset = 0; offset < sorted_.size(); offset += n_) {
+    std::uint32_t* segment = sorted_.data() + offset + begin;
+    std::size_t kept = 0;
+    std::size_t spilled = 0;
+    for (std::size_t i = 0; i < end - begin; ++i) {
+      const std::uint32_t r = segment[i];
+      const bool left = goes_left_[r] != 0;
+      segment[kept] = r;
+      spill_[spilled] = r;
+      kept += left;
+      spilled += !left;
+    }
+    std::copy_n(spill_.begin(), spilled, segment + kept);
   }
-  return value <= node.threshold;
 }
 
-double RegressionTree::predict(std::span<const double> features) const {
-  assert(!nodes_.empty());
-  std::size_t index = 0;
-  for (;;) {
-    const Node& node = nodes_[index];
-    if (node.left == 0) return node.value;
-    index = goes_left(node, features[node.feature]) ? node.left : node.right;
+void RegressionTree::fit(const Dataset& data,
+                         std::span<const std::size_t> rows,
+                         const TreeParams& params, util::Rng& rng,
+                         std::vector<double>* purity_gain) {
+  std::vector<std::uint16_t> in_bag(data.n_rows(), 0);
+  for (const std::size_t r : rows) {
+    assert(in_bag[r] < std::numeric_limits<std::uint16_t>::max());
+    ++in_bag[r];
   }
+  fit(data, FeatureOrder(data), rows, in_bag, params, rng, purity_gain);
 }
 
-double RegressionTree::predict_row(const Dataset& data, std::size_t row,
-                                   std::size_t override_feature,
-                                   double override_value) const {
-  assert(!nodes_.empty());
-  std::size_t index = 0;
-  for (;;) {
-    const Node& node = nodes_[index];
-    if (node.left == 0) return node.value;
-    const double value = node.feature == override_feature
-                             ? override_value
-                             : data.value(row, node.feature);
-    index = goes_left(node, value) ? node.left : node.right;
+void RegressionTree::fit(const Dataset& data, const FeatureOrder& order,
+                         std::span<const std::size_t> rows,
+                         std::span<const std::uint16_t> in_bag,
+                         const TreeParams& params, util::Rng& rng,
+                         std::vector<double>* purity_gain) {
+  assert(!rows.empty());
+  std::vector<Node> grown(1);
+  Grower grower(data, order, rows, in_bag, params, rng, purity_gain, grown);
+  depth_ = grower.grow(0, 0, rows.size(), 0);
+
+  // Re-lay breadth-first: a node's children are appended, side by side,
+  // when the node itself is placed.
+  nodes_.clear();
+  nodes_.reserve(grown.size());
+  nodes_.push_back(grown[0]);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].leaf()) continue;
+    const std::uint32_t left = nodes_[i].left;
+    nodes_[i].left = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(grown[left]);
+    nodes_.push_back(grown[left + 1]);
   }
 }
 
 std::size_t RegressionTree::leaf_count() const {
-  std::size_t count = 0;
-  for (const Node& node : nodes_) {
-    if (node.left == 0) ++count;
-  }
-  return count;
-}
-
-std::size_t RegressionTree::depth() const {
-  if (nodes_.empty()) return 0;
-  // Iterative depth computation over the implicit tree structure.
-  std::vector<std::pair<std::size_t, std::size_t>> stack{{0, 1}};
-  std::size_t max_depth = 0;
-  while (!stack.empty()) {
-    const auto [index, depth] = stack.back();
-    stack.pop_back();
-    max_depth = std::max(max_depth, depth);
-    const Node& node = nodes_[index];
-    if (node.left != 0) {
-      stack.emplace_back(node.left, depth + 1);
-      stack.emplace_back(node.right, depth + 1);
-    }
-  }
-  return max_depth;
+  return static_cast<std::size_t>(std::count_if(
+      nodes_.begin(), nodes_.end(), [](const Node& node) {
+        return node.leaf();
+      }));
 }
 
 }  // namespace lattice::rf

@@ -3,12 +3,18 @@
 // submit-descriptor rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
 #include "grid/adapter.hpp"
+#include "grid/classad.hpp"
 #include "grid/job.hpp"
 #include "grid/mds.hpp"
 #include "grid/resource.hpp"
 #include "grid/rsl.hpp"
 #include "sim/simulation.hpp"
+#include "util/rng.hpp"
 
 namespace lattice::grid {
 namespace {
@@ -306,6 +312,101 @@ TEST(Condor, MachineSpeedsAreHeterogeneous) {
   }
   EXPECT_LT(lo, 0.8);
   EXPECT_GT(hi, 1.2);
+}
+
+// Every matchmaking pass is held to a full-scan first-fit reference: each
+// queued job, in FIFO order, takes the first machine (in machine order)
+// that was idle when the pass began and that its requirements accept. The
+// pass's idle machines are the ones idle now plus the ones it just filled.
+TEST(Condor, MatchmakingIsFirstFitOverIdleMachines) {
+  std::size_t placements = 0;
+  std::size_t skipped_idle = 0;  // placements past a non-matching idle machine
+  for (const std::uint64_t seed : {3u, 17u, 29u, 41u}) {
+    SCOPED_TRACE(seed);
+    sim::Simulation sim;
+    CondorPool::Config config;
+    config.machines = 24;
+    config.machine_memory_gb = 2.0;
+    config.memory_sigma = 0.6;
+    config.mean_idle_hours = 1.0;
+    config.mean_busy_hours = 1.0;
+    config.seed = seed;
+    CondorPool pool(sim, "condor", config);
+
+    std::deque<GridJob> jobs;      // stable addresses
+    std::vector<GridJob*> queue;   // the pool's FIFO, as submitted
+    const auto submit = [&](GridJob& job) {
+      queue.push_back(&job);
+      pool.submit(job);
+    };
+    pool.set_completion_callback(
+        [&](GridJob& job, const JobOutcome& outcome) {
+          if (outcome.reason == "preempted" && job.attempts < 20) submit(job);
+        });
+
+    const auto check = [&] {
+      std::vector<std::size_t> idle;
+      std::size_t running = 0;
+      for (std::size_t m = 0; m < config.machines; ++m) {
+        const GridJob* job = pool.running(m);
+        if (job != nullptr) {
+          ++running;
+          ASSERT_EQ(job->state, JobState::kRunning);
+        }
+        const bool placed_now =
+            job != nullptr &&
+            std::find(queue.begin(), queue.end(), job) != queue.end();
+        if (placed_now) {
+          ASSERT_FALSE(pool.owner_busy(m));
+        }
+        if (placed_now || (job == nullptr && !pool.owner_busy(m))) {
+          idle.push_back(m);
+        }
+      }
+      std::size_t running_jobs = 0;
+      for (const GridJob& job : jobs) {
+        running_jobs += job.state == JobState::kRunning ? 1 : 0;
+      }
+      ASSERT_EQ(running, running_jobs);  // one machine per running job
+
+      std::vector<GridJob*> still_queued;
+      for (GridJob* job : queue) {
+        const AdExpression requirements =
+            AdExpression::parse(condor_requirements_expression(*job));
+        const auto fit = std::find_if(
+            idle.begin(), idle.end(), [&](std::size_t m) {
+              return requirements.matches(pool.machine_ad(m));
+            });
+        if (fit == idle.end()) {
+          ASSERT_EQ(job->state, JobState::kQueued);
+          still_queued.push_back(job);
+          continue;
+        }
+        ASSERT_EQ(pool.running(*fit), job);
+        ++placements;
+        if (fit != idle.begin()) ++skipped_idle;
+        idle.erase(fit);
+      }
+      queue = std::move(still_queued);
+      ASSERT_EQ(pool.info().queued_jobs, queue.size());
+    };
+
+    util::Rng rng(seed);
+    const double memory_gb[] = {0.0, 0.0, 1.5, 2.0, 3.0, 4.0};
+    for (int round = 0; round < 400; ++round) {
+      if (rng.bernoulli(0.3)) {
+        jobs.push_back(make_job(jobs.size() + 1, rng.uniform(600.0, 7200.0)));
+        jobs.back().requirements.min_memory_gb = memory_gb[rng.below(6)];
+        submit(jobs.back());
+      } else if (!sim.step()) {
+        break;
+      }
+      check();
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(placements, 100u);
+  EXPECT_GT(skipped_idle, 10u);
 }
 
 // ---------------------------------------------------------------------------
