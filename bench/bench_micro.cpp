@@ -107,18 +107,30 @@ void BM_EigenDecompose(benchmark::State& state) {
 }
 BENCHMARK(BM_EigenDecompose)->Arg(4)->Arg(20)->Arg(61);
 
+// One P(t) reconstruction: arg 0 is the state count (4 DNA, 20 amino
+// acid, 61 codon), arg 1 the kernel tier (0 scalar, 1 the active tier), so
+// the scalar and vector copies of the blocked kernel sit side by side.
 void BM_TransitionMatrix(benchmark::State& state) {
   phylo::ModelSpec spec;
-  spec.data_type = state.range(0) == 0 ? phylo::DataType::kNucleotide
-                                       : phylo::DataType::kCodon;
+  switch (state.range(0)) {
+    case 4: spec.data_type = phylo::DataType::kNucleotide; break;
+    case 20: spec.data_type = phylo::DataType::kAminoAcid; break;
+    default: spec.data_type = phylo::DataType::kCodon; break;
+  }
   const phylo::SubstitutionModel model(spec);
+  namespace kernels = phylo::kernels;
+  const kernels::KernelOps& ops =
+      state.range(1) == 0 ? kernels::ops_for(kernels::IsaTier::kScalar)
+                          : kernels::active_ops();
+  state.SetLabel(ops.name);
   std::vector<double> p(model.n_states() * model.n_states());
   for (auto _ : state) {
-    model.transition_matrix(0.1, 1.0, p);
+    model.transition_matrix(0.1, 1.0, p, ops);
     benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_TransitionMatrix)->Arg(0)->Arg(1);
+BENCHMARK(BM_TransitionMatrix)->ArgsProduct({{4, 20, 61}, {0, 1}});
 
 void BM_Likelihood(benchmark::State& state) {
   util::Rng rng(5);
@@ -229,10 +241,21 @@ void BM_ForestPredict(benchmark::State& state) {
   params.n_trees = 500;
   rf::RandomForest forest;
   forest.fit(data, params);
-  const auto row = core::to_feature_vector(core::random_features(rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.predict(row));
+  // Cycle over many varied rows: predicting one fixed row would let the
+  // branch predictor learn its single path through every tree.
+  constexpr std::size_t kRows = 4096;
+  std::vector<std::vector<double>> rows;
+  rows.reserve(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    rows.push_back(core::to_feature_vector(core::random_features(rng)));
   }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forest.predict(rows[i]));
+    i = i + 1 == kRows ? 0 : i + 1;
+  }
+  // One iteration is one row, so the reported time is per row.
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ForestPredict);
 

@@ -159,8 +159,8 @@ fi
 
 # The vectorized likelihood kernels document their bit-determinism
 # contract (DESIGN.md §14): the no-FMA rule, contraction flags,
-# tail-lane masking, the dispatch override, and the help-while-waiting
-# pool join must keep being named so a kernel edit argues with the
+# tail-lane masking, the dispatch override, the per-tier P(t) kernel,
+# and the help-while-waiting pool join must keep being named so a kernel edit argues with the
 # ledger instead of silently relaxing it.
 if ! grep -qE '^## +(§ *)?14' "$design" 2>/dev/null; then
   echo "check_docs: $design has no §14 (ISA-dispatch determinism ledger)" >&2
@@ -168,7 +168,8 @@ if ! grep -qE '^## +(§ *)?14' "$design" 2>/dev/null; then
 else
   for anchor in 'No FMA' 'ffp-contract' 'LATTICE_FORCE_ISA' \
                 'intrinsics-confined' 'helps while waiting' \
-                'masked' 'KernelOps' 'aligned_vector'; do
+                'masked' 'KernelOps' 'aligned_vector' \
+                'reconstruct_pmatrix'; do
     if ! grep -qiF "$anchor" "$design"; then
       echo "check_docs: $design §14 lost its '$anchor' determinism entry" >&2
       fail=1

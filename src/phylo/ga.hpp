@@ -12,6 +12,7 @@
 // the paper's team added to GARLI for BOINC execution.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -50,6 +51,12 @@ struct Individual {
   Tree tree;
   ModelSpec model;
   double log_likelihood = 0.0;
+  /// `model` compiled (eigendecomposed). A lineage shares one compiled
+  /// model until a model-parameter mutation changes a parameter and drops
+  /// it; null means the next evaluation compiles it. Immutable, so
+  /// migrants share it across islands, and its serial keeps the engine's
+  /// P(t) cache hitting from parent to child.
+  std::shared_ptr<const SubstitutionModel> compiled;
 };
 
 class GaSearch {
@@ -76,6 +83,12 @@ class GaSearch {
   const std::vector<Individual>& population() const { return population_; }
   std::uint64_t likelihood_evaluations() const {
     return engine_.evaluations();
+  }
+  /// Transition matrices this search's engine served from / rebuilt for
+  /// its P(t) cache.
+  std::uint64_t matrix_cache_hits() const { return engine_.cache_hits(); }
+  std::uint64_t matrix_cache_misses() const {
+    return engine_.cache_misses();
   }
 
   /// Fan likelihood rate categories across `pool` workers (mirrors

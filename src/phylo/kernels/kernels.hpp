@@ -1,6 +1,6 @@
 // Vectorized Felsenstein-pruning inner kernels with runtime ISA dispatch.
 //
-// Three implementations of the same four entry points — portable scalar
+// Three implementations of the same five entry points — portable scalar
 // (the oracle: exactly the code the engine ran before vectorization),
 // AVX2 (4 doubles/lane-group), and AVX-512 (8 doubles/lane-group) — are
 // selected once at startup by a CPUID probe, overridable with the
@@ -40,6 +40,9 @@ inline constexpr std::size_t kPatternBlock = 32;
 /// products of many small branch probabilities out of the denormal range.
 inline constexpr double kScaleThreshold = 1e-100;
 
+/// Largest state count reconstruct_pmatrix accepts (codons have 61).
+inline constexpr std::size_t kMaxPmatrixStates = 64;
+
 enum class IsaTier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// One tier's kernel table. `dst` is always a parent block: n_states
@@ -76,6 +79,16 @@ struct KernelOps {
   /// serial pattern-order mixing loop above sees identical bits.
   void (*root_sites)(const double* block, const double* freqs,
                      std::size_t ns, double* site);
+
+  /// Transition-matrix reconstruction from a compiled model's
+  /// eigensystem: out = left · diag(exp_lt) · right, all row-major
+  /// n x n with n <= kMaxPmatrixStates, and exp_lt[k] = exp(lambda_k t).
+  /// Each element is summed over ascending k as a multiply then an add —
+  /// the association of the scalar loop it replaced — so every tier
+  /// writes the same bits (src/phylo/kernels/pmatrix.hpp).
+  void (*reconstruct_pmatrix)(const double* left, const double* right,
+                              const double* exp_lt, std::size_t n,
+                              double* out);
 };
 
 /// True when this build has the tier's kernels compiled in *and* the CPU

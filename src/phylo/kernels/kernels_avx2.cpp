@@ -22,6 +22,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "phylo/kernels/pmatrix.hpp"
+
 namespace lattice::phylo::kernels {
 namespace {
 
@@ -242,7 +244,7 @@ void root_sites(const double* block, const double* freqs, std::size_t ns,
 
 const KernelOps kAvx2Ops = {
     "avx2",         apply_child<true>, apply_child<false>,
-    block_epilogue, root_sites,
+    block_epilogue, root_sites,        reconstruct_pmatrix_blocked<kW>,
 };
 
 }  // namespace

@@ -16,6 +16,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "phylo/kernels/pmatrix.hpp"
+
 namespace lattice::phylo::kernels {
 namespace {
 
@@ -212,7 +214,7 @@ void root_sites(const double* block, const double* freqs, std::size_t ns,
 
 const KernelOps kAvx512Ops = {
     "avx512",       apply_child<true>, apply_child<false>,
-    block_epilogue, root_sites,
+    block_epilogue, root_sites,        reconstruct_pmatrix_blocked<kW>,
 };
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "phylo/kernels/pmatrix.hpp"
 #include "phylo/kernels/registry.hpp"
 
 namespace lattice::phylo::kernels {
@@ -153,9 +154,11 @@ void root_sites(const double* block, const double* freqs, std::size_t ns,
   }
 }
 
+// The shared blocked P(t) kernel at baseline x86-64's 2-double SSE2
+// width; its oracle is the old loop in tests/pmatrix_reference.hpp.
 const KernelOps kScalarOps = {
     "scalar",       apply_child<true>, apply_child<false>,
-    block_epilogue, root_sites,
+    block_epilogue, root_sites,        reconstruct_pmatrix_blocked<2>,
 };
 
 }  // namespace

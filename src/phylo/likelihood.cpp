@@ -93,7 +93,7 @@ const double* LikelihoodEngine::transition(const SubstitutionModel& model,
                                            double branch_length,
                                            double rate) {
   if (!cache_enabled_) {
-    model.transition_matrix(branch_length, rate, p_matrix_);
+    model.transition_matrix(branch_length, rate, p_matrix_, *kernel_ops_);
     return p_matrix_.data();
   }
   MatrixKey key{model.serial(), std::bit_cast<std::uint64_t>(branch_length),
@@ -153,7 +153,7 @@ const double* LikelihoodEngine::transition(const SubstitutionModel& model,
   }
   MatrixEntry entry;
   entry.matrix.resize(model.n_states() * model.n_states());
-  model.transition_matrix(branch_length, rate, entry.matrix);
+  model.transition_matrix(branch_length, rate, entry.matrix, *kernel_ops_);
   return matrix_cache_.emplace(key, std::move(entry))
       .first->second.matrix.data();
 }

@@ -94,12 +94,16 @@ class LikelihoodEngine {
   const char* isa_name() const { return kernel_ops_->name; }
 
   /// Enable the BEAGLE-style transition-matrix cache: P(t) matrices are
-  /// memoized by (model instance, branch length, rate). In a GA step only
-  /// one or two branch lengths change, so nearly every matrix is reused —
-  /// the dominant cost for codon models, where each P(t) is a dense
-  /// 61x61 reconstruction. `capacity` bounds the entry count; when full, a
-  /// second-chance sweep evicts entries not referenced since the previous
-  /// sweep, keeping the hot working set resident.
+  /// memoized by (compiled model instance, branch length, rate). A GA
+  /// child shares its parent's compiled model and differs from it in at
+  /// most one branch length or model parameter, so most of its matrices
+  /// hit: 0.86-0.89 of lookups in the garli_search benchmark's DNA,
+  /// amino-acid and codon island searches at seeds 1 and 3 (0.07-0.21
+  /// when every evaluation compiled a model of its own, whose new serial
+  /// matched no entry). A miss is a dense reconstruction, 61x61 for codons.
+  /// `capacity` bounds the entry count; when full, a second-chance sweep
+  /// evicts entries not referenced since the previous sweep, keeping the
+  /// hot working set resident.
   void enable_matrix_cache(std::size_t capacity = 4096);
   std::uint64_t cache_hits() const { return cache_hits_; }
   std::uint64_t cache_misses() const { return cache_misses_; }

@@ -393,10 +393,12 @@ void SubstitutionModel::build_categories() {
   }
 }
 
-void SubstitutionModel::transition_matrix(double branch_length, double rate,
-                                          std::span<double> out) const {
+void SubstitutionModel::transition_matrix(
+    double branch_length, double rate, std::span<double> out,
+    const kernels::KernelOps& ops) const {
   const std::size_t n = n_states_;
   assert(out.size() == n * n);
+  assert(n <= kernels::kMaxPmatrixStates);  // codons, the largest, have 61
   const double t = branch_length * rate;
   if (t <= 0.0) {
     std::fill(out.begin(), out.end(), 0.0);
@@ -404,23 +406,12 @@ void SubstitutionModel::transition_matrix(double branch_length, double rate,
     return;
   }
   // P = left * diag(exp(lambda t)) * right.
-  std::vector<double> scaled(n * n);
+  double exp_lt[kernels::kMaxPmatrixStates] = {};
   for (std::size_t k = 0; k < n; ++k) {
-    const double e = std::exp(eigenvalues_[k] * t);
-    for (std::size_t j = 0; j < n; ++j) {
-      scaled[k * n + j] = e * right_[k * n + j];
-    }
+    exp_lt[k] = std::exp(eigenvalues_[k] * t);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) out[i * n + j] = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double lik = left_[i * n + k];
-      if (lik == 0.0) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        out[i * n + j] += lik * scaled[k * n + j];
-      }
-    }
-  }
+  ops.reconstruct_pmatrix(left_.data(), right_.data(), exp_lt, n,
+                          out.data());
   // Round-off can produce tiny negatives; clamp and leave rows ~stochastic.
   for (double& value : out) value = std::clamp(value, 0.0, 1.0);
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "phylo/datatype.hpp"
+#include "phylo/kernels/kernels.hpp"
 
 namespace lattice::phylo {
 
@@ -82,9 +83,24 @@ class SubstitutionModel {
   std::span<const RateCategory> categories() const { return categories_; }
 
   /// Fill `out` (row-major n_states x n_states) with P(branch_length *
-  /// rate) = exp(Q * t * rate). Entries are clamped to [0, 1].
+  /// rate) = exp(Q * t * rate). Entries are clamped to [0, 1]. The
+  /// exponentials are scalar and shared; the matrix product runs on
+  /// `ops`' reconstruct_pmatrix kernel, which writes the same bits on
+  /// every tier. A const read: one compiled model may serve many threads.
   void transition_matrix(double branch_length, double rate,
-                         std::span<double> out) const;
+                         std::span<double> out,
+                         const kernels::KernelOps& ops =
+                             kernels::active_ops()) const;
+
+  /// The factors of P(t) = left * diag(exp(lambda t)) * right, each
+  /// row-major n_states x n_states (eigenvalues: n_states). Read-only;
+  /// exposed so tests can hold the kernel to a reference reconstruction.
+  struct Eigensystem {
+    std::span<const double> eigenvalues;
+    std::span<const double> left;
+    std::span<const double> right;
+  };
+  Eigensystem eigensystem() const { return {eigenvalues_, left_, right_}; }
 
   /// Unique id of this compiled model instance; caches key on it so a
   /// rebuilt model (GA model-parameter mutation) never hits stale entries.

@@ -26,8 +26,22 @@ void Dataset::add_row(std::span<const double> values, double target) {
         util::format("dataset: row has {} values, expected {}", values.size(),
                      features_.size()));
   }
+  // Non-finite numbers never reach storage: the presorted trainer sorts
+  // every numeric column, and NaN would make that comparison a non-strict
+  // weak order (undefined behaviour), while an infinite target poisons
+  // every split's variance.
+  if (!std::isfinite(target)) {
+    throw std::invalid_argument(
+        util::format("dataset: target {} is not finite", target));
+  }
   for (std::size_t f = 0; f < features_.size(); ++f) {
-    if (features_[f].kind == FeatureKind::kCategorical) {
+    if (features_[f].kind == FeatureKind::kNumeric) {
+      if (!std::isfinite(values[f])) {
+        throw std::invalid_argument(
+            util::format("dataset: feature '{}' value {} is not finite",
+                         features_[f].name, values[f]));
+      }
+    } else {
       // Range-check before any integer conversion: NaN fails every
       // comparison, and a cast of an out-of-range value is undefined.
       const double level = values[f];

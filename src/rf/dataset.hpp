@@ -30,8 +30,9 @@ class Dataset {
 
   /// Append an observation. `values[f]` is the numeric value or the
   /// categorical level index of feature f. Throws std::invalid_argument on
-  /// arity mismatch or a level that is not an integer in [0, levels):
-  /// NaN, infinite, negative, fractional or too large.
+  /// arity mismatch, a NaN or infinite numeric value or target, or a level
+  /// that is not an integer in [0, levels): NaN, infinite, negative,
+  /// fractional or too large. Nothing is stored when it throws.
   void add_row(std::span<const double> values, double target);
 
   std::size_t n_rows() const { return targets_.size(); }

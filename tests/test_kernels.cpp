@@ -4,16 +4,21 @@
 // and generic state counts, missing data, rescale-triggering magnitudes,
 // and partial tail blocks; the dispatcher must parse/clamp tiers; and a
 // whole engine evaluation must produce identical bits on every supported
-// tier, twice in a row.
+// tier, twice in a row. The P(t) reconstruction entry is held to the old
+// scalar triple loop (tests/pmatrix_reference.hpp) by memcmp, on random
+// eigensystems and on real compiled models.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "phylo/kernels/kernels.hpp"
 #include "phylo/likelihood.hpp"
+#include "phylo/model.hpp"
 #include "phylo/simulate.hpp"
+#include "pmatrix_reference.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 
@@ -212,6 +217,115 @@ TEST(Kernels, EngineEvaluationBitIdenticalAcrossTiersTwiceOver) {
           EXPECT_EQ(std::memcmp(&reference[i], &values[i], sizeof(double)),
                     0)
               << tier_name(tier) << " run " << run << " eval " << i;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// P(t) reconstruction: every tier's reconstruct_pmatrix against the old
+// scalar loop, bit for bit.
+
+void expect_same_bytes(const std::vector<double>& want,
+                       const std::vector<double>& got, const char* tier,
+                       const std::string& what) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(double)), 0)
+        << tier << " " << what << " [" << i << "]: reference=" << want[i]
+        << " kernel=" << got[i];
+  }
+}
+
+// A random eigensystem in the shape the model builds: eigenvalues <= 0,
+// factors of either sign, and about one `left` entry in five an exact zero
+// (the old loop skipped those terms).
+struct RandomEigensystem {
+  std::vector<double> eigenvalues, left, right;
+};
+
+RandomEigensystem random_eigensystem(util::Rng& rng, std::size_t n) {
+  RandomEigensystem e;
+  e.eigenvalues.resize(n);
+  e.left.resize(n * n);
+  e.right.resize(n * n);
+  for (auto& v : e.eigenvalues) v = -3.0 * rng.uniform();
+  e.eigenvalues[0] = 0.0;
+  for (auto& v : e.left) {
+    v = rng.uniform() < 0.2 ? 0.0 : 2.0 * rng.uniform() - 1.0;
+  }
+  for (auto& v : e.right) v = 2.0 * rng.uniform() - 1.0;
+  return e;
+}
+
+TEST(PmatrixKernel, EveryTierMatchesReferenceOnRandomEigensystems) {
+  util::Rng rng(20261018);
+  for (const std::size_t n : {4u, 20u, 61u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const RandomEigensystem e = random_eigensystem(rng, n);
+      // t = 0 (every exponential 1), ordinary t, and a large t·rate that
+      // underflows all but the stationary exponential to zero.
+      for (const double t : {0.0, 0.05, 0.7, 5000.0}) {
+        std::vector<double> exp_lt(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          exp_lt[k] = std::exp(e.eigenvalues[k] * t);
+        }
+        std::vector<double> want(n * n);
+        reference::pmatrix_product(e.left, e.right, exp_lt, n, want);
+        for (const IsaTier tier : supported_tiers()) {
+          std::vector<double> got(n * n, -1.0);
+          ops_for(tier).reconstruct_pmatrix(e.left.data(), e.right.data(),
+                                            exp_lt.data(), n, got.data());
+          expect_same_bytes(want, got, tier_name(tier),
+                            "n=" + std::to_string(n) +
+                                " t=" + std::to_string(t));
+        }
+      }
+    }
+  }
+}
+
+TEST(PmatrixKernel, EveryTierMatchesReferenceOnCompiledModels) {
+  std::vector<ModelSpec> specs;
+  for (const NucModel nuc : {NucModel::kJC69, NucModel::kHKY85,
+                             NucModel::kGTR}) {
+    ModelSpec spec;
+    spec.nuc_model = nuc;
+    spec.base_frequencies = {0.1, 0.2, 0.3, 0.4};
+    spec.gtr_rates = {1.3, 4.1, 0.7, 1.1, 3.2, 1.0};
+    specs.push_back(spec);
+  }
+  for (const AaModel aa : {AaModel::kPoisson, AaModel::kChemClass}) {
+    ModelSpec spec;
+    spec.data_type = DataType::kAminoAcid;
+    spec.aa_model = aa;
+    spec.kappa = 3.5;
+    specs.push_back(spec);
+  }
+  {
+    ModelSpec spec;
+    spec.data_type = DataType::kCodon;
+    spec.kappa = 2.7;
+    spec.omega = 0.35;
+    spec.base_frequencies = {0.22, 0.28, 0.31, 0.19};
+    specs.push_back(spec);
+  }
+  for (const ModelSpec& spec : specs) {
+    const SubstitutionModel model(spec);
+    const auto e = model.eigensystem();
+    const std::size_t nn = model.n_states() * model.n_states();
+    for (const double length : {0.0, 1e-8, 0.01, 0.1, 1.0, 80.0}) {
+      for (const double rate : {0.0, 0.3, 1.0, 7.5}) {
+        std::vector<double> want(nn);
+        reference::transition_matrix(e.eigenvalues, e.left, e.right, length,
+                                     rate, want);
+        for (const IsaTier tier : supported_tiers()) {
+          std::vector<double> got(nn, -1.0);
+          model.transition_matrix(length, rate, got, ops_for(tier));
+          expect_same_bytes(want, got, tier_name(tier),
+                            spec.name() + " t=" + std::to_string(length) +
+                                " r=" + std::to_string(rate));
         }
       }
     }

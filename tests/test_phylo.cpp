@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <sstream>
 
 #include "phylo/alignment.hpp"
 #include "phylo/datatype.hpp"
@@ -1076,6 +1077,34 @@ TEST(Ga, CheckpointRejectsGarbage) {
   const PatternizedAlignment patterns(dataset.alignment);
   EXPECT_THROW(GaSearch::restore(patterns, "not a checkpoint"),
                std::runtime_error);
+}
+
+TEST(Ga, CheckpointRejectsInvalidModel) {
+  // restore compiles every individual's model, so a spec the model
+  // rejects (here a negative kappa) fails the restore, not a later step.
+  util::Rng rng(37);
+  ModelSpec spec;
+  const auto dataset = simulate_dataset(5, 50, spec, rng);
+  const PatternizedAlignment patterns(dataset.alignment);
+  GaConfig config;
+  config.seed = 5;
+  GaSearch search(patterns, spec, config);
+  std::istringstream in(search.checkpoint());
+  std::string text;
+  std::string line;
+  for (int i = 0; std::getline(in, line); ++i) {
+    if (i == 5) {  // magic, config, progress, rng, lnL, then the model
+      std::istringstream fields(line);
+      std::string data_type, nuc, aa, kappa;
+      fields >> data_type >> nuc >> aa >> kappa;
+      std::string rest;
+      std::getline(fields, rest);
+      line = data_type + " " + nuc + " " + aa + " -2" + rest;
+    }
+    text += line + "\n";
+  }
+  EXPECT_NO_THROW(GaSearch::restore(patterns, search.checkpoint()));
+  EXPECT_THROW(GaSearch::restore(patterns, text), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

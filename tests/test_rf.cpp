@@ -87,6 +87,28 @@ TEST(Dataset, RejectsNonFiniteAndOutOfRangeLevels) {
   EXPECT_EQ(data.n_rows(), 1u);
 }
 
+TEST(Dataset, RejectsNonFiniteNumericValuesAndTargets) {
+  Dataset data({{"x", FeatureKind::kNumeric, {}},
+                {"c", FeatureKind::kCategorical, {"a", "b"}}});
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double value : bad) {
+    EXPECT_THROW(data.add_row(std::vector<double>{value, 0.0}, 1.0),
+                 std::invalid_argument)
+        << "feature " << value;
+    EXPECT_THROW(data.add_row(std::vector<double>{1.0, 0.0}, value),
+                 std::invalid_argument)
+        << "target " << value;
+  }
+  EXPECT_EQ(data.n_rows(), 0u);
+  EXPECT_EQ(data.column(0).size(), 0u);
+  // Extreme but finite values are ordinary observations.
+  data.add_row(std::vector<double>{-1e300, 1.0},
+               std::numeric_limits<double>::max());
+  EXPECT_EQ(data.n_rows(), 1u);
+}
+
 TEST(Dataset, RejectsTooManyLevels) {
   std::vector<std::string> levels(65, "x");
   EXPECT_THROW(Dataset({{"c", FeatureKind::kCategorical, levels}}),
