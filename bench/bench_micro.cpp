@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/cost_model.hpp"
@@ -20,6 +21,7 @@
 #include "phylo/simulate.hpp"
 #include "rf/forest.hpp"
 #include "sim/simulation.hpp"
+#include "util/aligned.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -131,6 +133,63 @@ void BM_TransitionMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransitionMatrix)->ArgsProduct({{4, 20, 61}, {0, 1}});
+
+// One block kernel of one ISA tier on one 32-pattern block. args: tier
+// (0 scalar, 1 avx2, 2 avx512), state count, kernel (0 internal children,
+// 1 leaf children, 2 epilogue, 3 root sites). The child kernels time a
+// node's pair of calls, the assign then the mul flavor, so the block
+// never drifts; leaf blocks have about one missing state in eight.
+void BM_BlockKernel(benchmark::State& state) {
+  namespace kernels = phylo::kernels;
+  constexpr std::size_t kB = kernels::kPatternBlock;
+  const auto tier = static_cast<kernels::IsaTier>(state.range(0));
+  if (!kernels::tier_supported(tier)) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  const kernels::KernelOps& ops = kernels::ops_for(tier);
+  const auto ns = static_cast<std::size_t>(state.range(1));
+  const std::int64_t kernel = state.range(2);
+  static constexpr const char* kNames[] = {"internal", "leaf", "epilogue",
+                                           "root"};
+  state.SetLabel(std::string(ops.name) + " " + kNames[kernel]);
+  util::Rng rng(11);
+  util::aligned_vector<double> block(ns * kB), child(ns * kB), p(ns * ns);
+  util::aligned_vector<double> sl(kB), sr(kB), sb(kB), site(kB), freqs(ns);
+  util::aligned_vector<phylo::State> states(kB);
+  for (auto& v : child) v = 0.1 + rng.uniform();
+  for (auto& v : block) v = 0.1 + rng.uniform();
+  for (auto& v : p) v = rng.uniform() / static_cast<double>(ns);
+  for (auto& v : sl) v = -rng.uniform();
+  for (auto& v : sr) v = -rng.uniform();
+  for (auto& v : freqs) v = 1.0 / static_cast<double>(ns);
+  for (auto& s : states) {
+    s = rng.uniform() < 0.125 ? phylo::kMissing
+                              : static_cast<phylo::State>(rng.below(ns));
+  }
+  const phylo::State* leaf = kernel == 1 ? states.data() : nullptr;
+  const double* partial = kernel == 1 ? nullptr : child.data();
+  for (auto _ : state) {
+    switch (kernel) {
+      case 0:
+      case 1:
+        ops.apply_child_assign(block.data(), partial, leaf, p.data(), ns);
+        ops.apply_child_mul(block.data(), partial, leaf, p.data(), ns);
+        break;
+      case 2:
+        ops.block_epilogue(block.data(), sb.data(), sl.data(), sr.data(), ns,
+                           kB);
+        break;
+      default:
+        ops.root_sites(block.data(), freqs.data(), ns, site.data());
+        break;
+    }
+    benchmark::DoNotOptimize(block.data());
+    benchmark::DoNotOptimize(site.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BlockKernel)->ArgsProduct({{0, 1, 2}, {4, 20, 61}, {0, 1, 2, 3}});
 
 void BM_Likelihood(benchmark::State& state) {
   util::Rng rng(5);

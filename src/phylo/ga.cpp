@@ -19,28 +19,30 @@ GaSearch::GaSearch(const PatternizedAlignment& data)
 GaSearch::GaSearch(const PatternizedAlignment& data, const ModelSpec& spec,
                    const GaConfig& config,
                    const std::optional<Tree>& starting_tree)
+    : GaSearch(data, std::make_shared<const SubstitutionModel>(spec), config,
+               starting_tree) {}
+
+GaSearch::GaSearch(const PatternizedAlignment& data,
+                   std::shared_ptr<const SubstitutionModel> start_model,
+                   const GaConfig& config,
+                   const std::optional<Tree>& starting_tree)
     : data_(&data), config_(config), engine_(data), rng_(config.seed) {
   // A child differs from its parent in at most one branch length or one
   // model parameter, and shares the parent's compiled model otherwise, so
   // the matrix cache turns the rest of its P(t) matrices into lookups
   // (0.86-0.89 of them in the garli_search benchmark's searches).
   engine_.enable_matrix_cache();
-  if (auto problem = spec.validate()) {
-    throw std::invalid_argument(
-        util::format("ga: invalid model spec: {}", *problem));
-  }
   if (config_.population_size < 2) {
     throw std::invalid_argument("ga: population must be at least 2");
   }
   if (starting_tree && starting_tree->n_leaves() != data.n_taxa()) {
     throw std::invalid_argument("ga: starting tree leaf count mismatch");
   }
-  const auto compiled = std::make_shared<const SubstitutionModel>(spec);
   population_.reserve(config_.population_size);
   for (std::size_t i = 0; i < config_.population_size; ++i) {
     Individual individual{
         starting_tree ? *starting_tree : Tree::random(data.n_taxa(), rng_),
-        spec, 0.0, compiled};
+        start_model->spec(), 0.0, start_model};
     evaluate(individual);
     population_.push_back(std::move(individual));
   }

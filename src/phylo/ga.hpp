@@ -68,6 +68,14 @@ class GaSearch {
            const GaConfig& config,
            const std::optional<Tree>& starting_tree = std::nullopt);
 
+  /// Start a search from a start model already compiled (non-null; its
+  /// spec() is the start spec), shared rather than compiled again:
+  /// IslandGaSearch hands one to every island.
+  GaSearch(const PatternizedAlignment& data,
+           std::shared_ptr<const SubstitutionModel> start_model,
+           const GaConfig& config,
+           const std::optional<Tree>& starting_tree = std::nullopt);
+
   /// Run one generation. Returns false (and does nothing) once terminated.
   bool step();
 

@@ -16,13 +16,16 @@ IslandGaSearch::IslandGaSearch(const PatternizedAlignment& data,
   if (config_.migration_interval == 0) {
     throw std::invalid_argument("island-ga: migration interval must be > 0");
   }
+  // One compiled start model, shared by every island as migrants share
+  // theirs: one eigendecomposition instead of one per island.
+  const auto start_model = std::make_shared<const SubstitutionModel>(spec);
   islands_.reserve(config_.n_islands);
   for (std::size_t i = 0; i < config_.n_islands; ++i) {
     GaConfig island_config = config_.island;
     island_config.seed =
         config_.island.seed + i * 0x9e3779b97f4a7c15ULL;
     islands_.push_back(std::make_unique<GaSearch>(
-        data, spec, island_config, starting_tree));
+        data, start_model, island_config, starting_tree));
   }
 }
 

@@ -2,8 +2,8 @@
 // every LikelihoodEngine the same kernel table for the whole process.
 // Reading an environment variable is deterministic configuration, not
 // ambient state: the same (binary, environment) pair always resolves the
-// same tier, and determinism.sh pins `LATTICE_FORCE_ISA=scalar` in one
-// lane to prove the tiers are bit-identical end to end.
+// same tier, and determinism.sh pins `LATTICE_FORCE_ISA=scalar` and
+// `=avx2` in two lanes to prove the tiers are bit-identical end to end.
 #include <cstdlib>
 #include <stdexcept>
 #include <string>

@@ -1,15 +1,16 @@
 // Vectorized Felsenstein-pruning inner kernels with runtime ISA dispatch.
 //
-// Three implementations of the same five entry points — portable scalar
-// (the oracle: exactly the code the engine ran before vectorization),
-// AVX2 (4 doubles/lane-group), and AVX-512 (8 doubles/lane-group) — are
-// selected once at startup by a CPUID probe, overridable with the
-// LATTICE_FORCE_ISA environment variable (`scalar` | `avx2` | `avx512`)
-// so determinism lanes can pin a tier.
+// Three tiers of the same five entry points — portable scalar (the oracle:
+// exactly the code the engine ran before vectorization), AVX2 (4
+// doubles/lane-group) and AVX-512 (8 doubles/lane-group), the two vector
+// tiers being one source (block_kernels.hpp) at two widths — are selected
+// once at startup by a CPUID probe, overridable with the LATTICE_FORCE_ISA
+// environment variable (`scalar` | `avx2` | `avx512`) so determinism lanes
+// can pin a tier.
 //
 // Bit-determinism contract (DESIGN.md §14): every tier produces
-// bit-identical doubles, not merely close ones. The vector kernels use
-// explicit mul+add intrinsics in the scalar code's exact left-to-right
+// bit-identical doubles, not merely close ones. The vector kernels keep
+// each multiply and add separate, in the scalar code's exact left-to-right
 // association — never FMA, whose single rounding would diverge from the
 // baseline-x86-64 scalar oracle (which has no FMA hardware to contract
 // onto) — and the kernel TUs compile with -ffp-contract=off so the

@@ -1,9 +1,11 @@
 // Blocked P(t) reconstruction, written once and compiled into every tier
-// TU: each includes this header and instantiates the template with its own
-// vector width, so the scalar (SSE2), AVX2 and AVX-512 TUs each get a copy
-// vectorized for their own ISA flags. The unnamed namespace
-// gives every TU a private copy — an inline function with external linkage
-// would let the linker pick one tier's code for all of them.
+// TU, and the generic vector type it shares with the vector tiers' block
+// kernels (block_kernels.hpp). Each TU includes this header and
+// instantiates the template with its own vector width, so the scalar
+// (SSE2), AVX2 and AVX-512 TUs each get a copy vectorized for their own
+// ISA flags; no intrinsic is named. The unnamed namespace gives every TU a
+// private copy — an inline function with external linkage would let the
+// linker pick one tier's code for all of them.
 //
 // Bit-determinism (DESIGN.md §14): every output element is
 //   ((0 + l[i][0] * s[0][j]) + l[i][1] * s[1][j]) + ... + l[i][n-1] * s[n-1][j]
@@ -18,27 +20,40 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
+#include "phylo/datatype.hpp"
 #include "phylo/kernels/kernels.hpp"
 
 namespace lattice::phylo::kernels {
 namespace {
 
-/// Doubles-per-vector `kW` in the compiler's generic vector type: the TU's
-/// ISA flags decide the instructions (SSE2, AVX2 or AVX-512 registers), so
-/// no intrinsic is named and the same source serves every tier.
-/// (A member typedef, because GCC drops a dependent vector_size attribute
-/// on an alias template.)
+/// `kW` lanes of doubles, of int64 (gather indexes, and the lane masks
+/// that vector compares produce), of int32 and of tip states, in the
+/// compiler's generic vector type. Member typedefs, because GCC drops a
+/// dependent vector_size attribute on an alias template.
 template <std::size_t kW>
-struct PmatrixVec {
-  typedef double type __attribute__((vector_size(kW * sizeof(double))));
+struct VecOf {
+  typedef double type __attribute__((vector_size(kW * 8)));
+  typedef std::int64_t index __attribute__((vector_size(kW * 8)));
+  typedef std::int32_t index32 __attribute__((vector_size(kW * 4)));
+  typedef State states __attribute__((vector_size(kW * sizeof(State))));
 };
+template <std::size_t kW>
+using Vec = typename VecOf<kW>::type;
+template <std::size_t kW>
+using IndexVec = typename VecOf<kW>::index;
 
 template <std::size_t kW>
-inline typename PmatrixVec<kW>::type pmatrix_load(const double* p) {
-  typename PmatrixVec<kW>::type v;
+inline Vec<kW> load(const double* p) {
+  Vec<kW> v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
+}
+
+template <std::size_t kW>
+inline void store(double* p, Vec<kW> v) {
+  __builtin_memcpy(p, &v, sizeof(v));
 }
 
 /// out (n x n, row-major) = left · diag(exp_lt) · right, where left and
@@ -50,7 +65,6 @@ void reconstruct_pmatrix_tiles(const double* __restrict left,
                                const double* __restrict right,
                                const double* __restrict exp_lt,
                                std::size_t n, double* __restrict out) {
-  using Vec = typename PmatrixVec<kW>::type;
   constexpr std::size_t kRows = 4;
   constexpr std::size_t kCols = 2 * kW;
   constexpr std::size_t kMaxPadded =
@@ -76,10 +90,10 @@ void reconstruct_pmatrix_tiles(const double* __restrict left,
     }
     const std::size_t rows = std::min(kRows, n - i0);
     for (std::size_t j0 = 0; j0 < np; j0 += kCols) {
-      Vec acc[kRows][2] = {};
+      Vec<kW> acc[kRows][2] = {};
       for (std::size_t k = 0; k < n; ++k) {
-        const Vec s0 = pmatrix_load<kW>(scaled + k * np + j0);
-        const Vec s1 = pmatrix_load<kW>(scaled + k * np + j0 + kW);
+        const Vec<kW> s0 = load<kW>(scaled + k * np + j0);
+        const Vec<kW> s1 = load<kW>(scaled + k * np + j0 + kW);
         for (std::size_t r = 0; r < kRows; ++r) {
           const double lk = l[r][k];  // broadcast by the vector ops
           acc[r][0] += lk * s0;
@@ -89,8 +103,8 @@ void reconstruct_pmatrix_tiles(const double* __restrict left,
       const std::size_t cols = std::min(kCols, n - j0);
       for (std::size_t r = 0; r < rows; ++r) {
         double tile[kCols];
-        __builtin_memcpy(tile, &acc[r][0], sizeof(Vec));
-        __builtin_memcpy(tile + kW, &acc[r][1], sizeof(Vec));
+        store<kW>(tile, acc[r][0]);
+        store<kW>(tile + kW, acc[r][1]);
         for (std::size_t c = 0; c < cols; ++c) {
           out[(i0 + r) * n + j0 + c] = tile[c];
         }

@@ -111,7 +111,10 @@ std::optional<std::string> ModelSpec::validate() const {
 double regularized_gamma_p(double a, double x) {
   assert(a > 0.0);
   if (x <= 0.0) return 0.0;
-  const double log_gamma_a = std::lgamma(a);
+  // lgamma_r, not std::lgamma: the latter writes the global `signgam`, a
+  // data race when island threads compile gamma models at once. Same value.
+  int sign = 0;
+  const double log_gamma_a = ::lgamma_r(a, &sign);
   if (x < a + 1.0) {
     // Series representation.
     double term = 1.0 / a;

@@ -112,30 +112,58 @@ void expect_bits_equal(const util::aligned_vector<double>& a,
   }
 }
 
+void expect_tiers_match_scalar(const std::vector<IsaTier>& tiers,
+                               const BlockCase& c, bool leaf,
+                               std::size_t lanes) {
+  const TierResult want =
+      run_tier(ops_for(IsaTier::kScalar), c, leaf, lanes);
+  for (std::size_t t = 1; t < tiers.size(); ++t) {
+    SCOPED_TRACE(::testing::Message()
+                 << tier_name(tiers[t]) << " ns=" << c.ns << " leaf=" << leaf
+                 << " lanes=" << lanes);
+    const TierResult got = run_tier(ops_for(tiers[t]), c, leaf, lanes);
+    expect_bits_equal(want.block, got.block, "block");
+    expect_bits_equal(want.sb, got.sb, "scale");
+    expect_bits_equal(want.site, got.site, "site");
+  }
+}
+
 TEST(Kernels, VectorTiersBitMatchScalarOnRandomBlocks) {
   const auto tiers = supported_tiers();
   if (tiers.size() == 1) GTEST_SKIP() << "host has no vector tier";
   util::Rng rng(20260808);
-  const KernelOps& scalar = ops_for(IsaTier::kScalar);
-  // ns=4 hits the unrolled DNA kernels (and the vector permute leaf
-  // path), ns=20 the generic ones; scale_mag=1e-110 forces rescales.
+  // ns=4 hits the unrolled DNA kernels (and the vector shuffle leaf
+  // path), ns=20 and 61 the generic ones; scale_mag=1e-110 forces
+  // rescales. Every lane count 1..32 runs, so every tail length of the
+  // epilogue's lane mask is covered at both vector widths.
   const std::size_t state_counts[] = {4, 20, 61};
   const double magnitudes[] = {1.0, 1e-110};
   for (const std::size_t ns : state_counts) {
     for (const double mag : magnitudes) {
       for (int leaf = 0; leaf < 2; ++leaf) {
-        for (int rep = 0; rep < 8; ++rep) {
-          const BlockCase c = random_case(rng, ns, mag);
-          const std::size_t lanes = rep % 2 == 0 ? kB : 1 + rng.below(kB);
-          const TierResult want =
-              run_tier(scalar, c, leaf != 0, lanes);
-          for (std::size_t t = 1; t < tiers.size(); ++t) {
-            const TierResult got =
-                run_tier(ops_for(tiers[t]), c, leaf != 0, lanes);
-            expect_bits_equal(want.block, got.block, "block");
-            expect_bits_equal(want.sb, got.sb, "scale");
-            expect_bits_equal(want.site, got.site, "site");
-          }
+        for (std::size_t lanes = 1; lanes <= kB; ++lanes) {
+          expect_tiers_match_scalar(tiers, random_case(rng, ns, mag),
+                                    leaf != 0, lanes);
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, VectorTiersBitMatchScalarOnEdgeLeafStates) {
+  // Leaf blocks whose every lane is missing (every gather lane masked
+  // off, every shuffle lane replaced by 1.0) or holds the last state
+  // (the highest index the gather and the shuffle read).
+  const auto tiers = supported_tiers();
+  if (tiers.size() == 1) GTEST_SKIP() << "host has no vector tier";
+  util::Rng rng(20261018);
+  for (const std::size_t ns : {4u, 20u, 61u}) {
+    for (const State fill : {kMissing, static_cast<State>(ns - 1)}) {
+      for (const double mag : {1.0, 1e-110}) {
+        BlockCase c = random_case(rng, ns, mag);
+        c.states.assign(kB, fill);
+        for (const std::size_t lanes : {std::size_t{1}, std::size_t{13}, kB}) {
+          expect_tiers_match_scalar(tiers, c, /*leaf=*/true, lanes);
         }
       }
     }

@@ -222,6 +222,24 @@ TEST(IslandGa, MigrationSpreadsGoodIndividuals) {
   }
 }
 
+TEST(IslandGa, IslandsShareOneCompiledStartModel) {
+  util::Rng rng(12);
+  const auto dataset = simulate_dataset(6, 80, ModelSpec{}, rng);
+  const PatternizedAlignment patterns(dataset.alignment);
+  IslandGaConfig config;
+  config.island.population_size = 4;
+  config.n_islands = 3;
+  const IslandGaSearch search(patterns, ModelSpec{}, config);
+  const SubstitutionModel* shared =
+      search.island(0).population().front().compiled.get();
+  ASSERT_NE(shared, nullptr);
+  for (std::size_t i = 0; i < search.n_islands(); ++i) {
+    for (const Individual& individual : search.island(i).population()) {
+      EXPECT_EQ(individual.compiled.get(), shared) << "island " << i;
+    }
+  }
+}
+
 TEST(IslandGa, ConfigValidation) {
   util::Rng rng(9);
   const auto dataset = simulate_dataset(5, 60, ModelSpec{}, rng);
