@@ -75,33 +75,20 @@ BoincServer::BoincServer(sim::Simulation& sim, std::string name,
   churn_life_scale_ = config_.mean_lifetime_days * 86400.0 / gamma_norm;
   const double on_fraction =
       config_.mean_on_hours / (config_.mean_on_hours + config_.mean_off_hours);
-  // Reserve exactly: hosts hold references into churn_state_, so the
-  // array must never reallocate after this point.
   churn_state_.reserve(config_.hosts);
-  hosts_.reserve(config_.hosts);
-  ledger_.resize(config_.hosts);
   for (std::size_t h = 0; h < config_.hosts; ++h) {
-    HostParams params;
+    VolunteerHost& host = hosts_.emplace_back();
     const double sigma = config_.speed_sigma;
-    params.speed =
+    host.speed =
         config_.mean_speed * rng_.lognormal(-0.5 * sigma * sigma, sigma);
     // One class draw per host: flaky hosts take both the corruption and
     // the compute-error rate of their class (compute-error rates are 0
     // unless a fault plan sets them, so the baseline draw sequence holds).
-    const bool flaky = rng_.bernoulli(config_.flaky_host_fraction);
-    params.error_probability = flaky ? config_.flaky_error_probability
-                                     : config_.host_error_probability;
-    params.compute_error_probability =
-        flaky ? config_.flaky_compute_error_probability
-              : config_.host_compute_error_probability;
-    // Host ids are assigned densely (h + 1), which is what makes
-    // host_by_id a direct vector index and the churn record a direct
-    // index by key (id - 1).
+    host.flaky = rng_.bernoulli(config_.flaky_host_fraction);
+    // Host ids are assigned densely (h + 1), which makes both per-host
+    // records a direct index by key (id - 1).
     churn_state_.push_back(ChurnState{rng_.split()});
-    auto host = std::make_unique<VolunteerHost>(sim_, *this, h + 1, params,
-                                                churn_state_.back());
-    host->start(rng_.bernoulli(on_fraction));
-    hosts_.push_back(std::move(host));
+    start(static_cast<std::uint32_t>(h), rng_.bernoulli(on_fraction));
   }
   transitioner_ = std::make_unique<sim::PeriodicTask>(
       sim_, sim_.now() + config_.transitioner_period,
@@ -168,10 +155,6 @@ void BoincServer::on_observability() {
   if (network_ != nullptr) network_->bind_metrics(m, name());
 }
 
-void BoincServer::cancel_transfer(std::uint64_t transfer_id) {
-  if (network_ != nullptr) network_->cancel(transfer_id);
-}
-
 void BoincServer::observe_result_end(const Result& result,
                                      std::string_view reason) {
   // Guarded: the attribute vector would otherwise allocate per result
@@ -184,14 +167,14 @@ void BoincServer::observe_result_end(const Result& result,
 BoincServer::~BoincServer() = default;
 
 void BoincServer::advance_pool() {
-  // churn_fire touches exactly one churn record per flip; the prefetch
+  // An idle flip touches exactly one churn record; the prefetch
   // hook pulls upcoming records of the due batch into cache ahead of
   // the fire cursor (the batch order is (when, seq) — effectively random
   // in key space, so at 10⁵–10⁶ hosts every record is a DRAM miss
   // without it).
   calendar_.advance(
       sim_.now(),
-      [this](std::uint32_t key, sim::SimTime when) { churn_fire(key, when); },
+      [this](std::uint32_t key, sim::SimTime) { flip(key); },
       [this](std::uint32_t key) {
         __builtin_prefetch(&churn_state_[key], 1 /* for write */);
       });
@@ -204,6 +187,19 @@ std::size_t BoincServer::online_hosts() const {
   return online_count_;
 }
 
+BoincServer::Census BoincServer::census_recount() const {
+  Census census;
+  for (const ChurnState& st : churn_state_) {
+    if (st.departed != 0) {
+      ++census.departed;
+    } else if (st.online != 0) {
+      ++census.online;
+      if (st.has_task == 0) ++census.free;
+    }
+  }
+  return census;
+}
+
 void BoincServer::info_into(grid::ResourceInfo& out) const {
   // Census read = cross-pool interaction: advance the host calendar to
   // the barrier so the incremental counts are exact at this instant.
@@ -211,7 +207,7 @@ void BoincServer::info_into(grid::ResourceInfo& out) const {
   out.name = name();
   out.kind = grid::ResourceKind::kBoincPool;
   // Incremental census: both counts are maintained by host state-change
-  // hooks (VolunteerHost::sync_census), not a scan of the host table.
+  // hooks (sync_census), not a scan of the host table.
   out.total_slots = hosts_.size() - departed_count_;
   out.free_slots = free_count_;
   out.queued_jobs = feeder_.size();
@@ -289,9 +285,9 @@ void BoincServer::try_dispatch() {
     ChurnState& st = churn_state_[key];
     st.idle_listed = 0;
     // Eligibility from the record alone (online, not departed, taskless);
-    // the host object is dereferenced only for an actual work request.
+    // the cold record is read only for an actual work request.
     if (st.online == 0 || st.departed != 0 || st.has_task != 0) continue;
-    if (!request_work(*hosts_[key])) {
+    if (!request_work(key)) {
       // Every remaining unsent result is unsuitable for this host (the
       // one-result-per-host rule). With no backoff polls the host must
       // stay poke-able, and another idle host may still be eligible —
@@ -300,12 +296,13 @@ void BoincServer::try_dispatch() {
     }
   }
   for (const std::uint32_t key : dispatch_scratch_) {
-    register_idle_key(key, churn_state_[key]);
+    register_idle(key, churn_state_[key]);
   }
   dispatch_scratch_.clear();
 }
 
-bool BoincServer::request_work(VolunteerHost& host) {
+bool BoincServer::request_work(std::uint32_t key) {
+  const std::uint64_t host_id = std::uint64_t{key} + 1;
   // Feeder scan: FIFO over unsent results, dropping stale entries on
   // encounter and skipping (but retaining) results this host may not take.
   // The verdict sequence is exactly the seed's mid-deque scan; see
@@ -323,13 +320,13 @@ bool BoincServer::request_work(VolunteerHost& host) {
     // same workunit must land on distinct hosts, or a single flawed host
     // could satisfy the quorum with two copies of the same wrong answer.
     for (const Result& sibling : wu->results) {
-      if (sibling.host_id == host.id() &&
+      if (sibling.host_id == host_id &&
           sibling.state != ResultState::kUnsent) {
         return FeederQueue::Probe::kSkip;
       }
     }
     result->state = ResultState::kInProgress;
-    result->host_id = host.id();
+    result->host_id = host_id;
     result->sent_time = sim_.now();
     result->deadline = sim_.now() + wu->delay_bound;
     // Every dispatch arms exactly one deadline-heap entry (a result's
@@ -342,7 +339,7 @@ bool BoincServer::request_work(VolunteerHost& host) {
     obs_dispatch_wait_->observe(sim_.now() - wu->created);
     if (tracer().enabled()) {
       tracer().async_begin("result", "boinc.result", result->id, sim_.now(),
-                           {{"host", std::to_string(host.id())},
+                           {{"host", std::to_string(host_id)},
                             {"workunit", std::to_string(wu->id)}});
     }
     if (wu->grid_job != nullptr &&
@@ -360,13 +357,191 @@ bool BoincServer::request_work(VolunteerHost& host) {
       staging = (wu->grid_job->input_mb + wu->grid_job->output_mb) /
                 config_.host_mb_per_second;
     }
-    host.assign(result->id,
-                wu->reference_work +
-                    (config_.result_overhead_seconds + staging) *
-                        host.speed(),
-                wu->input_mb, wu->output_mb);
+    assign(key, result->id,
+           wu->reference_work +
+               (config_.result_overhead_seconds + staging) * hosts_[key].speed,
+           wu->input_mb, wu->output_mb);
     return FeederQueue::Probe::kTake;
   });
+}
+
+void BoincServer::start(std::uint32_t key, bool initially_online) {
+  ChurnState& st = churn_state_[key];
+  // Permanent departure clock runs regardless of the on/off cycle; drawn
+  // first, then the first availability interval (stable draw order).
+  st.lifetime_end =
+      sim_.now() + churn_draw(st.rng, churn_shape_, churn_life_scale_);
+  if (initially_online) {
+    st.online = 1;
+    sync_census(st);
+    register_idle(key, st);
+  }
+  st.next_transition =
+      sim_.now() + churn_draw(st.rng, churn_shape_,
+                              initially_online ? churn_on_scale_
+                                               : churn_off_scale_);
+  arm_churn(key);
+}
+
+void BoincServer::depart(std::uint32_t key) {
+  ChurnState& st = churn_state_[key];
+  if (st.departed != 0) return;
+  st.departed = 1;
+  VolunteerHost& host = hosts_[key];
+  if (st.has_task != 0) {
+    if (host.task.phase == TaskPhase::kCompute && st.online != 0) pause(key);
+    if (host.task.transfer != 0) network_->cancel(host.task.transfer);
+    // The host will never report; the transitioner handles the reissue
+    // when the deadline passes (exactly the paper's motivation for
+    // accurate deadlines — a departed host otherwise stalls the batch).
+    util::log_debug("boinc", "host departed holding result {}",
+                    host.task.result_id);
+    st.has_task = 0;
+  }
+  st.online = 0;
+  sync_census(st);
+  sim_.cancel(host.wake);
+  sim_.cancel(host.completion);
+  calendar_.cancel(key);
+}
+
+void BoincServer::seek_work(std::uint32_t key) {
+  ChurnState& st = churn_state_[key];
+  if (st.online == 0 || st.departed != 0 || st.has_task != 0) return;
+  if (!request_work(key)) register_idle(key, st);
+}
+
+void BoincServer::assign(std::uint32_t key, std::uint64_t result_id,
+                         double reference_work, double input_mb,
+                         double output_mb) {
+  ChurnState& st = churn_state_[key];
+  assert(st.online != 0 && st.departed == 0 && st.has_task == 0);
+  Task& task = hosts_[key].task;
+  task = Task{result_id, reference_work};
+  st.has_task = 1;
+  sync_census(st);
+  // Taking a task: churn leaves the calendar for an exact kernel event.
+  calendar_.cancel(key);
+  arm_churn(key);
+  if (network_ != nullptr) {
+    // Stage the input through the contended downlink first; compute starts
+    // from the transfer callback. The upload size waits in the task.
+    task.phase = TaskPhase::kDownload;
+    task.output_mb = output_mb;
+    task.link_class = network_->config().class_of_host(key);
+    task.transfer = network_->start(
+        net::Direction::kDown, task.link_class, input_mb,
+        [this, key, result_id] { on_download_complete(key, result_id); });
+    return;
+  }
+  resume(key);
+}
+
+void BoincServer::on_download_complete(std::uint32_t key,
+                                       std::uint64_t result_id) {
+  const ChurnState& st = churn_state_[key];
+  Task& task = hosts_[key].task;
+  if (st.has_task == 0 || task.result_id != result_id ||
+      task.phase != TaskPhase::kDownload) {
+    return;  // stale delivery: the task moved on before the callback fired
+  }
+  task.transfer = 0;
+  task.phase = TaskPhase::kCompute;
+  // Finished while the host is off: park as a checkpointed compute task;
+  // the next online flip resumes it.
+  if (st.online != 0) resume(key);
+}
+
+void BoincServer::resume(std::uint32_t key) {
+  VolunteerHost& host = hosts_[key];
+  host.compute_started = sim_.now();
+  host.completion = sim_.after(host.task.remaining_work / host.speed,
+                               [this, key] { complete(key); });
+}
+
+void BoincServer::pause(std::uint32_t key) {
+  VolunteerHost& host = hosts_[key];
+  const double elapsed = sim_.now() - host.compute_started;
+  host.task.remaining_work -= elapsed * host.speed;
+  host.task.cpu_spent += elapsed;
+  sim_.cancel(host.completion);
+}
+
+void BoincServer::complete(std::uint32_t key) {
+  ChurnState& st = churn_state_[key];
+  VolunteerHost& host = hosts_[key];
+  Task& task = host.task;
+  task.cpu_spent += sim_.now() - host.compute_started;
+  const std::uint64_t result_id = task.result_id;
+  const double cpu = task.cpu_spent;
+  // Fault injection: outright compute failure, reported through the error
+  // path (gated so an unconfigured host draws nothing and the baseline RNG
+  // stream is untouched). Error reports carry metadata, not output — they
+  // skip the upload stage even with the transfer model on.
+  const double compute_error = host.flaky
+                                   ? config_.flaky_compute_error_probability
+                                   : config_.host_compute_error_probability;
+  if (compute_error > 0.0 && st.rng.bernoulli(compute_error)) {
+    clear_task(key);
+    report_error(result_id, cpu);
+    seek_work(key);
+    return;
+  }
+  const bool flawed = st.rng.bernoulli(host.flaky
+                                           ? config_.flaky_error_probability
+                                           : config_.host_error_probability);
+  // A flawed host perturbs the output fingerprint; the validator's quorum
+  // comparison is what catches it.
+  const std::uint64_t hash = flawed ? 0xbad0000 + std::uint64_t{key} + 1 : 0;
+  if (network_ != nullptr) {
+    // Return the output through the contended uplink; the report fires on
+    // upload completion and the host stays busy until then (matching a
+    // client that cannot fetch new work while its result is in flight).
+    task.phase = TaskPhase::kUpload;
+    task.pending_hash = hash;
+    task.transfer = network_->start(
+        net::Direction::kUp, task.link_class, task.output_mb,
+        [this, key, result_id] { on_upload_complete(key, result_id); });
+    return;
+  }
+  clear_task(key);
+  report_result(result_id, cpu, hash);
+  seek_work(key);
+}
+
+void BoincServer::on_upload_complete(std::uint32_t key,
+                                     std::uint64_t result_id) {
+  const Task& task = hosts_[key].task;
+  if (churn_state_[key].has_task == 0 || task.result_id != result_id ||
+      task.phase != TaskPhase::kUpload) {
+    return;  // stale delivery
+  }
+  const double cpu = task.cpu_spent;
+  const std::uint64_t hash = task.pending_hash;
+  clear_task(key);
+  report_result(result_id, cpu, hash);
+  seek_work(key);
+}
+
+void BoincServer::abort_task(std::uint32_t key, std::uint64_t result_id) {
+  const ChurnState& st = churn_state_[key];
+  const Task& task = hosts_[key].task;
+  if (st.has_task == 0 || task.result_id != result_id) return;
+  // Account the partial progress of the in-flight slice as well.
+  if (task.phase == TaskPhase::kCompute && st.online != 0) pause(key);
+  if (task.transfer != 0) network_->cancel(task.transfer);
+  discarded_cpu_ += task.cpu_spent;
+  clear_task(key);
+  seek_work(key);
+}
+
+void BoincServer::clear_task(std::uint32_t key) {
+  ChurnState& st = churn_state_[key];
+  st.has_task = 0;
+  sync_census(st);
+  if (st.departed != 0) return;
+  sim_.cancel(hosts_[key].wake);
+  arm_churn(key);
 }
 
 Result* BoincServer::find_result(std::uint64_t result_id) {
@@ -383,13 +558,6 @@ Workunit* BoincServer::workunit_of_result(std::uint64_t result_id) {
 Workunit* BoincServer::workunit_of(std::uint64_t workunit_id) {
   const auto it = workunits_.find(workunit_id);
   return it == workunits_.end() ? nullptr : &it->second;
-}
-
-VolunteerHost* BoincServer::host_by_id(std::uint64_t host_id) {
-  // Ids are dense (assigned h + 1 at construction) and hosts are never
-  // removed from the table, so lookup is a direct index.
-  if (host_id == 0 || host_id > hosts_.size()) return nullptr;
-  return hosts_[host_id - 1].get();
 }
 
 void BoincServer::report_result(std::uint64_t result_id, double cpu_seconds,
@@ -469,16 +637,6 @@ void BoincServer::report_error(std::uint64_t result_id, double cpu_seconds) {
   }
 }
 
-void BoincServer::notify_departure(std::uint64_t result_id) {
-  // The host will never report; the transitioner handles the reissue when
-  // the deadline passes (exactly the paper's motivation for accurate
-  // deadlines — a departed host otherwise stalls the batch).
-  Result* result = find_result(result_id);
-  if (result != nullptr) {
-    util::log_debug("boinc", "host departed holding result {}", result_id);
-  }
-}
-
 void BoincServer::time_out_result(Workunit& wu, Result& result) {
   (void)wu;
   observe_result_end(result, "timeout");
@@ -486,10 +644,9 @@ void BoincServer::time_out_result(Workunit& wu, Result& result) {
   ++timeouts_;
   obs_results_timed_out_->inc();
   obs_deadline_misses_->inc();
-  // Tell the holder (if it still exists) to drop the task. This can
-  // synchronously hand the freed host a new unsent result.
-  VolunteerHost* host = host_by_id(result.host_id);
-  if (host != nullptr) host->abort_task(result.id);
+  // Tell the holder to drop the task. This can synchronously hand the
+  // freed host a new unsent result.
+  abort_task(host_key(result), result.id);
 }
 
 void BoincServer::reissue_after_timeouts(Workunit& wu) {
@@ -572,8 +729,8 @@ void BoincServer::transition_full_sweep() {
 }
 
 int BoincServer::host_valid_streak(std::uint64_t host_id) const {
-  if (host_id == 0 || host_id > ledger_.size()) return 0;
-  return ledger_[host_id - 1].valid_streak;
+  if (host_id == 0 || host_id > hosts_.size()) return 0;
+  return hosts_[host_id - 1].valid_streak;
 }
 
 bool BoincServer::host_trusted(std::uint64_t host_id) const {
@@ -627,23 +784,23 @@ void BoincServer::validate(Workunit& wu) {
 }
 
 double BoincServer::host_credit(std::uint64_t host_id) const {
-  if (host_id == 0 || host_id > ledger_.size()) return 0.0;
-  return ledger_[host_id - 1].credit;
+  if (host_id == 0 || host_id > hosts_.size()) return 0.0;
+  return hosts_[host_id - 1].credit;
 }
 
 double BoincServer::total_credit() const {
   // Ascending host id; uncredited hosts add an exact 0, so the total is
   // the sum over the credited hosts alone.
   double total = 0.0;
-  for (const HostLedger& host : ledger_) total += host.credit;
+  for (const VolunteerHost& host : hosts_) total += host.credit;
   return total;
 }
 
 std::vector<std::pair<std::uint64_t, double>>
 BoincServer::credit_leaderboard(std::size_t top_n) const {
   std::vector<std::pair<std::uint64_t, double>> board;
-  for (std::size_t key = 0; key < ledger_.size(); ++key) {
-    if (ledger_[key].credited) board.emplace_back(key + 1, ledger_[key].credit);
+  for (std::size_t key = 0; key < hosts_.size(); ++key) {
+    if (hosts_[key].credited) board.emplace_back(key + 1, hosts_[key].credit);
   }
   // (credit desc, host id asc) is a strict total order, so the board does
   // not depend on the sort's stability.
@@ -685,7 +842,7 @@ void BoincServer::finish_workunit(Workunit& wu, bool success,
     if (canonical != 0) ++corrupted_;
     for (const Result& result : wu.results) {
       if (result.state != ResultState::kSuccess) continue;
-      HostLedger& host = ledger_[result.host_id - 1];
+      VolunteerHost& host = hosts_[host_key(result)];
       if (result.output_hash == canonical) {
         // Cobblestone-ish: reference CPU-seconds of validated work.
         host.credit += wu.reference_work / 100.0;
@@ -733,8 +890,7 @@ void BoincServer::abort_outstanding(Workunit& wu, std::string_view reason) {
   for (Result& result : wu.results) {
     if (result.state == ResultState::kInProgress) {
       observe_result_end(result, reason);
-      VolunteerHost* host = host_by_id(result.host_id);
-      if (host != nullptr) host->abort_task(result.id);
+      abort_task(host_key(result), result.id);
       result.state = ResultState::kAborted;
     } else if (result.state == ResultState::kUnsent) {
       result.state = ResultState::kAborted;

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -56,26 +57,6 @@ class BoincServer final : public grid::LocalResource {
   void submit(grid::GridJob& job, double delay_bound);
   void cancel(std::uint64_t job_id) override;
 
-  // Host-facing RPC ----------------------------------------------------
-  /// A host asks for work. Returns true and assigns a task when one is
-  /// available and suitable.
-  bool request_work(VolunteerHost& host);
-  /// A host reports a finished task. Subject to the config's report-path
-  /// faults: the report may be silently dropped (the transitioner recovers
-  /// via the deadline) or deferred before delivery.
-  void report_result(std::uint64_t result_id, double cpu_seconds,
-                     std::uint64_t output_hash);
-  /// A host reports a failed task.
-  void report_error(std::uint64_t result_id, double cpu_seconds);
-  /// A host departed permanently while holding this task.
-  void notify_departure(std::uint64_t result_id);
-  /// An idle online host signs on (server pokes it when work arrives).
-  /// O(1): the flag mirrors idle_hosts_ membership exactly (set on push,
-  /// cleared on pop), replacing the seed's linear std::find dedup.
-  void register_idle(VolunteerHost& host) {
-    register_idle_key(host.key(), churn_state_[host.key()]);
-  }
-
   // Introspection for tests/benches ------------------------------------
   const std::map<std::uint64_t, Workunit>& workunits() const {
     return workunits_;
@@ -83,6 +64,16 @@ class BoincServer final : public grid::LocalResource {
   /// Online hosts as of now() — advances the host calendar first so the
   /// incremental census is exact at the observation point.
   std::size_t online_hosts() const;
+  /// Host census recounted from the churn records, without advancing the
+  /// calendar: what the incremental counts behind info() and
+  /// online_hosts() must equal at any barrier. The run-end audit
+  /// (core::audit) compares the two; a missed census hook shows there.
+  struct Census {
+    std::size_t online = 0;
+    std::size_t free = 0;
+    std::size_t departed = 0;
+  };
+  Census census_recount() const;
   /// Churn steps processed through the pool calendar (lazy idle-host
   /// flips that never entered the kernel event queue).
   std::uint64_t calendar_steps() const { return calendar_.fired(); }
@@ -101,19 +92,12 @@ class BoincServer final : public grid::LocalResource {
   /// workunit cancellation) — checkpointed progress that never reports.
   double discarded_cpu_seconds() const { return discarded_cpu_; }
   double total_cpu_seconds() const { return total_cpu_; }
-  /// Called by hosts when a task is dropped with partial progress.
-  void note_discarded_cpu(double cpu_seconds) {
-    discarded_cpu_ += cpu_seconds;
-  }
   const BoincPoolConfig& config() const { return config_; }
   /// The pool's transfer cost model, or nullptr when config.network is
   /// disabled (free staging). Hosts start downloads/uploads through it;
   /// the fault injector drives [link.*]/[uplink] windows through it.
   net::NetworkModel* network() { return network_.get(); }
   const net::NetworkModel* network() const { return network_.get(); }
-  /// Host-side helper: cancel an in-flight transfer (no-op without a
-  /// network model). Defined in server.cpp where NetworkModel is complete.
-  void cancel_transfer(std::uint64_t transfer_id);
 
   /// Test knob: run the transitioner as the seed's full workunit-table
   /// sweep instead of the deadline heap. The two paths are
@@ -143,8 +127,6 @@ class BoincServer final : public grid::LocalResource {
   bool host_trusted(std::uint64_t host_id) const;
 
  private:
-  friend class VolunteerHost;
-
   /// Overdue deadline-heap entry, lazily deleted: valid only while the
   /// named result is still kInProgress (a result's deadline is set exactly
   /// once, at dispatch).
@@ -181,7 +163,7 @@ class BoincServer final : public grid::LocalResource {
     return rng.weibull(shape, scale);
   }
   /// O(1) idle-list push by host key, dedup'd via the record's flag.
-  void register_idle_key(std::uint32_t key, ChurnState& st) {
+  void register_idle(std::uint32_t key, ChurnState& st) {
     if (st.idle_listed != 0) return;
     st.idle_listed = 1;
     idle_hosts_.push_back(key);
@@ -201,38 +183,112 @@ class BoincServer final : public grid::LocalResource {
     st.census_free = static_cast<std::uint8_t>(free_now);
     st.census_departed = static_cast<std::uint8_t>(departed_now);
   }
-  /// Calendar fire handler: one idle-host availability flip. The calendar
-  /// only ever holds taskless hosts (assign() moves churn to an exact
-  /// kernel event), so the fast path reads and writes exactly one
-  /// ChurnState record — no VolunteerHost dereference — plus the census
-  /// counters, idle list, and calendar re-arm. Defined in-class so the
-  /// calendar's templated advance() inlines the whole per-flip edge.
-  void churn_fire(std::uint32_t key, sim::SimTime when) {
+  /// Apply the churn event due at min(next_transition, lifetime_end) — an
+  /// on/off flip or the permanent departure — drawing the following
+  /// interval from the flip time, then re-arm. The one flip for both
+  /// paths: the calendar fires it for idle hosts, a kernel event for
+  /// task-holding ones. Only a task-holding host's flip reads the cold
+  /// record (to pause or resume compute), so the idle edge touches one
+  /// churn record plus the census counters, idle list and calendar
+  /// re-arm. Defined in-class so the calendar's templated advance()
+  /// inlines the idle edge.
+  void flip(std::uint32_t key) {
     ChurnState& st = churn_state_[key];
     if (st.departed != 0) return;
     if (st.lifetime_end <= st.next_transition) {
-      hosts_[key]->depart();  // rare: at most once per host
+      depart(key);  // rare: at most once per host
       return;
     }
     // The follow-up interval is drawn from the flip time itself, so a
     // host's own timeline is exact even when the flip is processed at a
     // later barrier.
-    (void)when;  // == min(next_transition, lifetime_end) by construction
-    const sim::SimTime flip = st.next_transition;
+    const sim::SimTime flip_time = st.next_transition;
     if (st.online != 0) {
+      // Only the compute phase pauses with the host; in-flight transfers
+      // keep moving (the BOINC client networks in the background).
+      if (st.has_task != 0 && hosts_[key].task.phase == TaskPhase::kCompute) {
+        pause(key);
+      }
       st.online = 0;
       sync_census(st);
       st.next_transition =
-          flip + churn_draw(st.rng, churn_shape_, churn_off_scale_);
+          flip_time + churn_draw(st.rng, churn_shape_, churn_off_scale_);
     } else {
       st.online = 1;
       sync_census(st);
-      register_idle_key(key, st);
+      if (st.has_task == 0) {
+        register_idle(key, st);
+      } else if (hosts_[key].task.phase == TaskPhase::kCompute) {
+        // Resumes compute, including a download that completed while the
+        // host was off and parked as a checkpointed kCompute task;
+        // kDownload/kUpload tasks are still waiting on their transfer.
+        resume(key);
+      }
       st.next_transition =
-          flip + churn_draw(st.rng, churn_shape_, churn_on_scale_);
+          flip_time + churn_draw(st.rng, churn_shape_, churn_on_scale_);
     }
-    calendar_.schedule(std::min(st.next_transition, st.lifetime_end), key);
+    arm_churn(key);
   }
+  /// Arm the next churn step: a task-holding host needs its flip at the
+  /// exact time (it pauses the kernel-visible completion event), so it
+  /// gets a kernel event; an idle host's flip only moves census counts
+  /// and idle-list membership, which no one observes before the next pool
+  /// interaction — it parks in the pool calendar and is batch-advanced at
+  /// that barrier.
+  void arm_churn(std::uint32_t key) {
+    const ChurnState& st = churn_state_[key];
+    const sim::SimTime due = std::min(st.next_transition, st.lifetime_end);
+    if (st.has_task != 0) {
+      hosts_[key].wake = sim_.at(due, [this, key] { flip(key); });
+    } else {
+      calendar_.schedule(due, key);
+    }
+  }
+
+  // Host behaviour, keyed by host key (id - 1) --------------------------
+  /// Begin a host's life: seeds the lifetime clock and the first
+  /// availability transition. The host starts idle, so its churn parks in
+  /// the pool calendar.
+  void start(std::uint32_t key, bool initially_online);
+  void depart(std::uint32_t key);
+  /// An online, taskless host asks for work; with nothing suitable it
+  /// registers for a poke (try_dispatch) when work arrives. No backoff
+  /// polling — the poke-driven path plus the transitioner's periodic
+  /// try_dispatch keep dispatch live, which is what removes the hourly
+  /// idle-poll event flood at 10⁵–10⁶ hosts.
+  void seek_work(std::uint32_t key);
+  /// Feeder scan for one host: assigns the first suitable unsent result
+  /// and returns true, or returns false when none suits it.
+  bool request_work(std::uint32_t key);
+  /// Hand a task (result instance) to an online, idle host. With the
+  /// transfer model on, the data sizes stage as contended download/upload
+  /// events around the compute phase; otherwise they are already folded
+  /// into `reference_work` (free staging).
+  void assign(std::uint32_t key, std::uint64_t result_id,
+              double reference_work, double input_mb, double output_mb);
+  void resume(std::uint32_t key);
+  /// Checkpointing: progress to date is preserved across downtime.
+  void pause(std::uint32_t key);
+  void complete(std::uint32_t key);
+  /// Transfer-completion callbacks (net::NetworkModel fires these through
+  /// the sim kernel, latency included). Guarded by result id + phase: a
+  /// zero-size transfer cannot be cancelled, so a stale callback may
+  /// arrive after the task moved on and must be a no-op.
+  void on_download_complete(std::uint32_t key, std::uint64_t result_id);
+  void on_upload_complete(std::uint32_t key, std::uint64_t result_id);
+  /// Server-side abort (timeout, or workunit cancelled/decided elsewhere):
+  /// the partial progress is discarded and the host seeks new work.
+  void abort_task(std::uint32_t key, std::uint64_t result_id);
+  /// Drop the host's task: census update, and churn moves from the kernel
+  /// event back to the pool calendar.
+  void clear_task(std::uint32_t key);
+  /// A host finished a task. Subject to the config's report-path faults:
+  /// the report may be silently dropped (the transitioner recovers via the
+  /// deadline) or deferred before delivery.
+  void report_result(std::uint64_t result_id, double cpu_seconds,
+                     std::uint64_t output_hash);
+  /// A host failed a task outright.
+  void report_error(std::uint64_t result_id, double cpu_seconds);
   void transition();
   void transition_full_sweep();
   /// Apply the timeout protocol to one overdue in-progress result;
@@ -251,7 +307,10 @@ class BoincServer final : public grid::LocalResource {
   Result* find_result(std::uint64_t result_id);
   Workunit* workunit_of(std::uint64_t workunit_id);
   Workunit* workunit_of_result(std::uint64_t result_id);
-  VolunteerHost* host_by_id(std::uint64_t host_id);
+  /// Key of the host a dispatched result went to (ids are key + 1).
+  static std::uint32_t host_key(const Result& result) {
+    return static_cast<std::uint32_t>(result.host_id - 1);
+  }
   void issue_result(Workunit& wu);
   void try_dispatch();
   void validate(Workunit& wu);
@@ -292,7 +351,7 @@ class BoincServer final : public grid::LocalResource {
   sim::Calendar calendar_;
   /// Dense per-host churn records, indexed by host key (id - 1) — one
   /// cache line each, so the calendar fire loop streams records instead of
-  /// chasing host pointers. Reserved up front; hosts hold references.
+  /// chasing host pointers.
   std::vector<ChurnState> churn_state_;
   /// Pool-uniform churn interval parameters (see churn_draw): Weibull
   /// shape plus the precomputed scales of the on/off/lifetime intervals.
@@ -300,7 +359,12 @@ class BoincServer final : public grid::LocalResource {
   double churn_on_scale_ = 0.0;
   double churn_off_scale_ = 0.0;
   double churn_life_scale_ = 0.0;
-  std::vector<std::unique_ptr<VolunteerHost>> hosts_;
+  /// Cold per-host records, indexed by host key (id - 1); hosts are never
+  /// removed. A deque rather than one reserved vector: at 10⁶ hosts a
+  /// single ~100 MB block sits above malloc's mmap threshold, so every
+  /// pool build page-faults it in fresh, while the deque's small blocks
+  /// are reused from the allocator's free lists across builds.
+  std::deque<VolunteerHost> hosts_;
   std::map<std::uint64_t, Workunit> workunits_;
   /// Dense result-id → location index (ids are assigned sequentially from
   /// 1, so entry i describes result i + 1): O(1) result lookup on every
@@ -332,19 +396,6 @@ class BoincServer final : public grid::LocalResource {
   double wasted_duplicate_ = 0.0;
   double discarded_cpu_ = 0.0;
   double total_cpu_ = 0.0;
-  /// Validation ledger of one host.
-  struct HostLedger {
-    /// Credit granted for canonical results (cobblestone-style).
-    double credit = 0.0;
-    /// Consecutive canonical results; a disagreeing return resets it.
-    int valid_streak = 0;
-    /// Whether any canonical result was ever credited (leaderboard
-    /// membership, independent of the amount).
-    bool credited = false;
-  };
-  /// Dense per-host ledger indexed by host key (id - 1), sized once with
-  /// the pool: host ids are dense from 1 and hosts are never removed.
-  std::vector<HostLedger> ledger_;
   std::uint64_t corrupted_ = 0;
 
   // Incremental host census (see census_delta).
@@ -368,77 +419,5 @@ class BoincServer final : public grid::LocalResource {
   obs::Histogram* obs_deadline_slack_ = nullptr;
   obs::Histogram* obs_dispatch_wait_ = nullptr;
 };
-
-// VolunteerHost churn path, defined here (where BoincServer is complete).
-// These cover the *kernel-event* flips of task-holding hosts and the state
-// transitions around assignment; the idle-host flip fast path is
-// BoincServer::churn_fire, which never touches the host object. Both paths
-// mutate the same ChurnState record and draw from the same pool-uniform
-// distributions, so a host's timeline is identical whichever path fires
-// its flips.
-
-inline void VolunteerHost::arm_churn() {
-  const sim::SimTime due = std::min(churn_.next_transition,
-                                    churn_.lifetime_end);
-  if (task_) {
-    // Computing: the flip pauses the kernel-visible completion event, so
-    // it must fire at its exact time — a kernel event.
-    wake_ = sim_.at(due, [this] { churn_step(sim_.now()); });
-  } else {
-    // Idle: the flip only moves census counts and idle-list membership,
-    // observed no earlier than the next pool interaction — park it in the
-    // pool calendar (batch-advanced at that barrier).
-    server_.calendar_.schedule(due, key());
-  }
-}
-
-inline void VolunteerHost::after_task_cleared() {
-  if (churn_.departed != 0) return;
-  sim_.cancel(wake_);
-  arm_churn();
-}
-
-inline void VolunteerHost::sync_census() {
-  churn_.has_task = static_cast<std::uint8_t>(task_.has_value());
-  server_.sync_census(churn_);
-}
-
-inline void VolunteerHost::churn_step(sim::SimTime when) {
-  if (churn_.departed != 0) return;
-  (void)when;  // == min(next_transition, lifetime_end) by construction
-  if (churn_.lifetime_end <= churn_.next_transition) {
-    depart();
-    return;
-  }
-  // The follow-up interval is drawn from the flip time itself, so a
-  // host's own timeline is exact even when the flip is processed at a
-  // later barrier.
-  const sim::SimTime flip = churn_.next_transition;
-  if (churn_.online != 0) {
-    // Only the compute phase pauses with the host; in-flight transfers
-    // keep moving (the BOINC client networks in the background).
-    if (task_ && task_->phase == TaskPhase::kCompute) pause_task();
-    churn_.online = 0;
-    sync_census();
-    churn_.next_transition =
-        flip + BoincServer::churn_draw(churn_.rng, server_.churn_shape_,
-                                       server_.churn_off_scale_);
-  } else {
-    churn_.online = 1;
-    sync_census();
-    if (task_) {
-      // Resumes compute (including a download that completed while the
-      // host was off and parked as a checkpointed kCompute task);
-      // kDownload/kUpload tasks are still waiting on their transfer.
-      if (task_->phase == TaskPhase::kCompute) resume_task();
-    } else {
-      server_.register_idle(*this);
-    }
-    churn_.next_transition =
-        flip + BoincServer::churn_draw(churn_.rng, server_.churn_shape_,
-                                       server_.churn_on_scale_);
-  }
-  arm_churn();
-}
 
 }  // namespace lattice::boinc

@@ -58,6 +58,20 @@ std::vector<std::string> audit(LatticeSystem& system,
   for (const std::string& name : system.resource_names()) {
     const boinc::BoincServer* pool = system.pool(name);
     if (pool == nullptr) continue;
+    // Census: the incremental counts behind info() and online_hosts(),
+    // which advance the pool to the run end, against a full recount of
+    // the churn records. A missed state-change hook shows here.
+    const grid::ResourceInfo info = pool->info();
+    const std::size_t online = pool->online_hosts();
+    const boinc::BoincServer::Census recount = pool->census_recount();
+    const std::size_t hosts = pool->config().hosts;
+    check(online == recount.online && info.free_slots == recount.free &&
+              info.total_slots == hosts - recount.departed,
+          util::format("census: {} counts {} online, {} free, {} slots but "
+                       "a recount finds {}, {}, {}",
+                       name, online, info.free_slots, info.total_slots,
+                       recount.online, recount.free,
+                       hosts - recount.departed));
     // Ledger closure: every workunit decided, and the issue/send counters
     // account for exactly the results the workunits hold.
     std::uint64_t open_workunits = 0;

@@ -1,5 +1,6 @@
 #include "phylo/garli.hpp"
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -218,6 +219,9 @@ GarliRunResult run_garli_job(const GarliJob& job, const Alignment& alignment) {
     starting_tree = Tree::parse_newick(*job.starting_tree, names);
   }
 
+  // One eigendecomposition per job: the start-tree warm-up and every
+  // replicate's search share the compiled model.
+  const auto model = std::make_shared<const SubstitutionModel>(job.model);
   GarliRunResult result;
   util::Rng bootstrap_rng(job.seed ^ 0xb0075742ULL);
   for (std::size_t rep = 0; rep < job.search_replicates; ++rep) {
@@ -248,10 +252,9 @@ GarliRunResult run_garli_job(const GarliJob& job, const Alignment& alignment) {
       // seeding the population (parsimony/NJ lengths are not ML lengths).
       LikelihoodEngine warmup(patterns);
       warmup.enable_matrix_cache();
-      const SubstitutionModel model(job.model);
-      optimize_branch_lengths(warmup, *replicate_start, model, 1);
+      optimize_branch_lengths(warmup, *replicate_start, *model, 1);
     }
-    GaSearch search(patterns, job.model, config, replicate_start);
+    GaSearch search(patterns, model, config, replicate_start);
     const Individual& best = search.run();
     result.replicates.push_back(GarliReplicateResult{
         best.tree, best.log_likelihood, search.generation(),

@@ -199,12 +199,16 @@ void block_epilogue(double* block, double* sb, const double* sl,
 template <std::size_t kW>
 void root_sites(const double* block, const double* freqs, std::size_t ns,
                 double* site) {
-  Vec<kW> acc[kB / kW] = {};
-  for (std::size_t x = 0; x < ns; ++x) {
+  Vec<kW> acc[kB / kW];
+  for (Vec<kW>& a : acc) a = Vec<kW>{};
+  // A do-while over the ns >= 1 states, as in block_epilogue. The zero
+  // start stays: starting from the first row would turn -0.0 sums to 0.0.
+  std::size_t x = 0;
+  do {
     for (std::size_t i = 0; i < kB; i += kW) {
       acc[i / kW] += freqs[x] * load<kW>(block + x * kB + i);
     }
-  }
+  } while (++x < ns);
   for (std::size_t i = 0; i < kB; i += kW) store<kW>(site + i, acc[i / kW]);
 }
 

@@ -90,8 +90,15 @@ void reconstruct_pmatrix_tiles(const double* __restrict left,
     }
     const std::size_t rows = std::min(kRows, n - i0);
     for (std::size_t j0 = 0; j0 < np; j0 += kCols) {
-      Vec<kW> acc[kRows][2] = {};
-      for (std::size_t k = 0; k < n; ++k) {
+      Vec<kW> acc[kRows][2];
+      for (std::size_t r = 0; r < kRows; ++r) {
+        acc[r][0] = acc[r][1] = Vec<kW>{};
+      }
+      // A do-while over the n >= 1 rows of `scaled`: given a zero-trip
+      // path, GCC 12 zeroes acc with a string store and keeps it in
+      // memory instead of registers.
+      std::size_t k = 0;
+      do {
         const Vec<kW> s0 = load<kW>(scaled + k * np + j0);
         const Vec<kW> s1 = load<kW>(scaled + k * np + j0 + kW);
         for (std::size_t r = 0; r < kRows; ++r) {
@@ -99,7 +106,7 @@ void reconstruct_pmatrix_tiles(const double* __restrict left,
           acc[r][0] += lk * s0;
           acc[r][1] += lk * s1;
         }
-      }
+      } while (++k < n);
       const std::size_t cols = std::min(kCols, n - j0);
       for (std::size_t r = 0; r < rows; ++r) {
         double tile[kCols];

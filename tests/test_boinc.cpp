@@ -6,6 +6,7 @@
 
 #include "boinc/adapter.hpp"
 #include "boinc/server.hpp"
+#include "net/model.hpp"
 #include "sim/simulation.hpp"
 
 namespace lattice::boinc {
@@ -465,6 +466,61 @@ TEST(Boinc, OnlineHostCountTracksChurn) {
   // Expect roughly the availability fraction (8/24) of 200 hosts.
   EXPECT_GT(online, 30.0);
   EXPECT_LT(online, 110.0);
+}
+
+// The census behind info() and online_hosts() is kept by state-change
+// hooks; a full recount of the churn records must agree with it at every
+// barrier, through churn, departures, transfers, compute errors, dropped
+// and delayed reports, timeouts and reissues.
+TEST(Boinc, IncrementalCensusMatchesARecountAtEveryBarrier) {
+  sim::Simulation sim;
+  BoincPoolConfig config;
+  config.hosts = 300;
+  config.mean_on_hours = 3.0;
+  config.mean_off_hours = 5.0;
+  config.mean_lifetime_days = 3.0;
+  config.host_error_probability = 0.05;
+  config.host_compute_error_probability = 0.05;
+  config.target_nresults = 2;
+  config.min_quorum = 2;
+  config.default_delay_bound = 8.0 * 3600.0;
+  config.report_drop_probability = 0.05;
+  config.report_delay_probability = 0.3;
+  config.report_delay_seconds = 2.0 * 3600.0;
+  config.network = net::NetConfig::volunteer_default();
+  config.seed = 77;
+  BoincServer server(sim, "boinc", config);
+  server.set_completion_callback(
+      [](grid::GridJob&, const grid::JobOutcome&) {});
+  std::vector<grid::GridJob> jobs(120);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i] = make_job(i + 1, 3.0 * 3600.0);
+    jobs[i].input_mb = 20.0;
+    jobs[i].output_mb = 2.0;
+  }
+  std::size_t submitted = 0;
+  std::size_t departed = 0;
+  for (int barrier = 1; barrier <= 16; ++barrier) {
+    // Half the jobs arrive up front, the rest a few per barrier.
+    const std::size_t due = barrier == 1 ? jobs.size() / 2
+                                         : std::min(jobs.size(),
+                                                    submitted + 8);
+    for (; submitted < due; ++submitted) server.submit(jobs[submitted]);
+    sim.run(barrier * 6.0 * 3600.0);
+    const grid::ResourceInfo info = server.info();
+    const std::size_t online = server.online_hosts();
+    const BoincServer::Census recount = server.census_recount();
+    EXPECT_EQ(online, recount.online) << "barrier " << barrier;
+    EXPECT_EQ(info.free_slots, recount.free) << "barrier " << barrier;
+    EXPECT_EQ(info.total_slots, config.hosts - recount.departed)
+        << "barrier " << barrier;
+    departed = recount.departed;
+  }
+  // The run exercised the paths whose hooks the census depends on.
+  EXPECT_GT(departed, 0u);
+  EXPECT_GT(server.timed_out_results(), 0u);
+  EXPECT_GT(server.reissued_results(), 0u);
+  EXPECT_GT(server.network()->transfers_completed(), 0u);
 }
 
 }  // namespace

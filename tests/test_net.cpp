@@ -350,5 +350,31 @@ TEST(NetPool, DisabledNetworkLeavesServerTransferFree) {
   EXPECT_EQ(completed, 1);
 }
 
+// A zero-size download's latency callback cannot be cancelled, so it can
+// arrive after its task is gone: cancelling the workunit right after
+// dispatch must leave that callback a no-op — the host neither computes
+// nor uploads, and counts as free again.
+TEST(NetPool, StaleDownloadCallbackAfterCancelIsANoOp) {
+  sim::Simulation sim;
+  boinc::BoincPoolConfig config = net_pool(1);
+  config.mean_on_hours = 10000.0;  // effectively always on
+  config.mean_off_hours = 0.001;
+  boinc::BoincServer server(sim, "pool", config);
+  server.set_completion_callback(
+      [](grid::GridJob&, const grid::JobOutcome&) {});
+  grid::GridJob job = make_job(1, 3600.0, 0.0, 1.0);
+  server.submit(job);
+  const boinc::Workunit& wu = server.workunits().begin()->second;
+  ASSERT_EQ(wu.results.size(), 1u);
+  ASSERT_EQ(wu.results[0].state, boinc::ResultState::kInProgress);
+  ASSERT_EQ(server.info().free_slots, 0u);
+  server.cancel(job.id);
+  sim.run(2.0 * 86400.0);  // the latency callback fires in here
+  EXPECT_EQ(wu.results[0].state, boinc::ResultState::kAborted);
+  EXPECT_EQ(server.total_cpu_seconds(), 0.0);
+  EXPECT_EQ(server.network()->transfers_started(), 1u);  // no upload
+  EXPECT_EQ(server.info().free_slots, 1u);
+}
+
 }  // namespace
 }  // namespace lattice::net
