@@ -268,7 +268,6 @@ void BM_IslandGA(benchmark::State& state) {
   config.island.max_generations = 1u << 30;
   phylo::IslandGaSearch search(patterns, spec, config);
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  search.set_thread_pool(&pool);
   for (auto _ : state) {
     search.round(&pool);
     benchmark::DoNotOptimize(search.best().log_likelihood);
@@ -411,7 +410,6 @@ IslandGaRun run_island_ga(std::size_t threads,
   phylo::IslandGaSearch search(patterns, spec, config);
   search.force_isa(tier);
   util::ThreadPool pool(threads);
-  search.set_thread_pool(&pool);
   constexpr int kRounds = 6;
   const auto start = clock::now();
   for (int r = 0; r < kRounds; ++r) search.round(&pool);

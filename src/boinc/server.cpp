@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "net/model.hpp"
 #include "util/log.hpp"
@@ -233,9 +234,7 @@ void BoincServer::submit(grid::GridJob& job) {
 }
 
 void BoincServer::submit(grid::GridJob& job, double delay_bound) {
-  job.state = grid::JobState::kQueued;
-  job.resource = name();
-  job.queued_time = sim_.now();
+  accept(job);
 
   Workunit wu;
   wu.id = next_workunit_id_++;
@@ -251,6 +250,8 @@ void BoincServer::submit(grid::GridJob& job, double delay_bound) {
 
   auto [it, inserted] = workunits_.emplace(wu.id, std::move(wu));
   assert(inserted);
+  if (job.id >= live_workunits_.size()) live_workunits_.resize(job.id + 1);
+  live_workunits_[job.id] = &it->second;
   obs_wu_created_->inc();
   if (tracer().enabled()) {
     tracer().async_begin("workunit", "boinc.wu", it->second.id, sim_.now(),
@@ -344,9 +345,7 @@ bool BoincServer::request_work(std::uint32_t key) {
     }
     if (wu->grid_job != nullptr &&
         wu->grid_job->state == grid::JobState::kQueued) {
-      wu->grid_job->state = grid::JobState::kRunning;
-      wu->grid_job->start_time = sim_.now();
-      wu->grid_job->attempts += 1;
+      begin_attempt(*wu->grid_job);
     }
     // The per-result overhead and data staging are wall-clock on the host,
     // so they enter the work ledger scaled by host speed. With the transfer
@@ -857,16 +856,13 @@ void BoincServer::finish_workunit(Workunit& wu, bool success,
   abort_outstanding(wu, "aborted");
   if (wu.grid_job == nullptr) return;
   grid::GridJob& job = *wu.grid_job;
+  live_workunits_[job.id] = nullptr;
   double cpu = 0.0;
   for (const Result& result : wu.results) cpu += result.cpu_seconds;
   grid::JobOutcome outcome;
   outcome.cpu_seconds = cpu;
   outcome.reason = why;
-  if (success) {
-    outcome.cause = grid::FailureCause::kNone;
-    job.state = grid::JobState::kCompleted;
-    job.finish_time = sim_.now();
-  } else {
+  if (!success) {
     // Classify the failure for the grid level's retry policy: successful
     // returns that never reached quorum mean the replicas disagreed
     // (corruption); otherwise timeouts mean hosts vanished past their
@@ -880,10 +876,8 @@ void BoincServer::finish_workunit(Workunit& wu, bool success,
     outcome.cause = any_success ? grid::FailureCause::kCorrupted
                     : any_timeout ? grid::FailureCause::kDeadlineMiss
                                   : grid::FailureCause::kComputeError;
-    job.state = grid::JobState::kFailed;
-    job.wasted_cpu_seconds += cpu;
   }
-  notify(job, outcome);
+  finish(job, outcome);
 }
 
 void BoincServer::abort_outstanding(Workunit& wu, std::string_view reason) {
@@ -899,21 +893,19 @@ void BoincServer::abort_outstanding(Workunit& wu, std::string_view reason) {
 }
 
 void BoincServer::cancel(std::uint64_t job_id) {
-  for (auto& [id, wu] : workunits_) {
-    if (wu.grid_job == nullptr || wu.grid_job->id != job_id) continue;
-    if (wu.state != WorkunitState::kActive) return;
-    grid::GridJob& job = *wu.grid_job;
-    wu.state = WorkunitState::kCancelled;
-    if (tracer().enabled()) {
-      tracer().async_end("workunit", "boinc.wu", wu.id, sim_.now(),
-                         {{"outcome", "cancelled"}});
-    }
-    abort_outstanding(wu, "cancelled");
-    job.state = grid::JobState::kCancelled;
-    notify(job, grid::JobOutcome{grid::FailureCause::kCancelled, 0.0,
-                                 "cancelled"});
+  if (job_id >= live_workunits_.size() ||
+      live_workunits_[job_id] == nullptr) {
     return;
   }
+  Workunit& wu = *std::exchange(live_workunits_[job_id], nullptr);
+  wu.state = WorkunitState::kCancelled;
+  if (tracer().enabled()) {
+    tracer().async_end("workunit", "boinc.wu", wu.id, sim_.now(),
+                       {{"outcome", "cancelled"}});
+  }
+  abort_outstanding(wu, "cancelled");
+  finish(*wu.grid_job, grid::JobOutcome{grid::FailureCause::kCancelled, 0.0,
+                                        "cancelled"});
 }
 
 }  // namespace lattice::boinc

@@ -366,6 +366,13 @@ class BoincServer final : public grid::LocalResource {
   /// are reused from the allocator's free lists across builds.
   std::deque<VolunteerHost> hosts_;
   std::map<std::uint64_t, Workunit> workunits_;
+  /// Grid job id → its undecided workunit (nullptr: none), for cancel: a
+  /// job the grid level placed here again after a failure has older,
+  /// decided workunits too, and cancel must reach the live one. Set at
+  /// submit, cleared when the workunit is decided or cancelled. Indexed by
+  /// id because grid job ids are dense from 1 (DESIGN.md §16); a std::map
+  /// here cost the volunteer_1m benchmark ~20% of its job throughput.
+  std::vector<Workunit*> live_workunits_;
   /// Dense result-id → location index (ids are assigned sequentially from
   /// 1, so entry i describes result i + 1): O(1) result lookup on every
   /// report/dispatch/timeout instead of two tree searches.

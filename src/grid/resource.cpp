@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -30,46 +31,143 @@ void LocalResource::set_observability(obs::MetricsRegistry& metrics,
   on_observability();
 }
 
-void LocalResource::notify(GridJob& job, const JobOutcome& outcome) {
+void LocalResource::accept(GridJob& job) {
+  job.state = JobState::kQueued;
+  job.resource = name();
+  job.queued_time = sim_.now();
+}
+
+void LocalResource::begin_attempt(GridJob& job) {
+  job.state = JobState::kRunning;
+  job.start_time = sim_.now();
+  job.attempts += 1;
+}
+
+void LocalResource::finish(GridJob& job, const JobOutcome& outcome) {
+  if (outcome.completed()) {
+    job.state = JobState::kCompleted;
+    job.finish_time = sim_.now();
+  } else {
+    job.state = outcome.cause == FailureCause::kCancelled
+                    ? JobState::kCancelled
+                    : JobState::kFailed;
+    job.wasted_cpu_seconds += outcome.cpu_seconds;
+  }
   if (callback_) callback_(job, outcome);
 }
 
-namespace {
-// Local-queue wait buckets shared by every LRM: 1 min .. 1 week.
-std::vector<double> queue_wait_bounds() {
-  return {60.0, 600.0, 3600.0, 6.0 * 3600.0, 86400.0, 7.0 * 86400.0};
-}
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// BatchQueueResource
+// QueuedResource
 
-BatchQueueResource::BatchQueueResource(sim::Simulation& sim, std::string name,
-                                       Config config)
-    : LocalResource(sim, std::move(name)), config_(config) {
-  assert(config_.nodes > 0 && config_.cores_per_node > 0);
-  assert(config_.node_speed > 0.0);
-  on_observability();
-}
-
-void BatchQueueResource::on_observability() {
+void QueuedResource::on_observability() {
   obs::MetricsRegistry& m = metrics();
   obs_started_ =
       &m.counter("grid.attempts_started", "attempts",
                  "job attempts started on a local resource", name());
   obs_completed_ = &m.counter("grid.attempts_completed", "attempts",
                               "job attempts that ran to completion", name());
-  obs_walltime_kills_ =
-      &m.counter("grid.walltime_kills", "attempts",
-                 "attempts killed by the LRM walltime limit", name());
+  obs_kills_ = &kill_counter(m);
   obs_cancelled_ = &m.counter("grid.attempts_cancelled", "attempts",
                               "attempts removed by cancellation", name());
   obs_outage_kills_ =
       &m.counter("grid.outage_kills", "attempts",
                  "attempts lost to a resource-level outage", name());
-  obs_queue_wait_ =
-      &m.histogram("grid.queue_wait_s", queue_wait_bounds(), "s",
-                   "local-queue wait from acceptance to start", name());
+  // Local-queue wait buckets: 1 min .. 1 week.
+  obs_queue_wait_ = &m.histogram(
+      "grid.queue_wait_s",
+      {60.0, 600.0, 3600.0, 6.0 * 3600.0, 86400.0, 7.0 * 86400.0}, "s",
+      "local-queue wait from acceptance to start", name());
+}
+
+void QueuedResource::submit(GridJob& job) {
+  if (outage_) {
+    // The LRM front end is down: the submission bounces immediately and
+    // the grid level reschedules (or backs off) on kOutage instead of
+    // queueing into a black hole.
+    job.resource = name();
+    fail_for_outage(job);
+    return;
+  }
+  accept(job);
+  enqueue(job);
+  try_start();
+}
+
+void QueuedResource::fail_for_outage(GridJob& job) {
+  obs_outage_kills_->inc();
+  finish(job, JobOutcome{FailureCause::kOutage, 0.0, "outage"});
+}
+
+void QueuedResource::set_outage(bool down) {
+  if (down == outage_) return;
+  outage_ = down;
+  if (!down) {
+    try_start();
+    return;
+  }
+  // Move the held jobs aside first: finish() can synchronously resubmit,
+  // and a resubmission during the outage must find the resource empty.
+  std::vector<GridJob*> queued;
+  std::vector<Attempt> running;
+  drain(queued, running);
+  for (const Attempt& attempt : running) sim_.cancel(attempt.completion);
+  for (GridJob* job : queued) fail_for_outage(*job);
+  for (const Attempt& attempt : running) {
+    end_attempt(attempt, FailureCause::kOutage, "outage");
+  }
+}
+
+void QueuedResource::cancel(std::uint64_t job_id) {
+  if (GridJob* job = unqueue(job_id)) {
+    obs_cancelled_->inc();
+    finish(*job, JobOutcome{FailureCause::kCancelled, 0.0, "cancelled"});
+    return;
+  }
+  const Attempt attempt = stop(job_id);
+  if (attempt.job == nullptr) return;
+  sim_.cancel(attempt.completion);
+  end_attempt(attempt, FailureCause::kCancelled, "cancelled");
+}
+
+QueuedResource::Attempt QueuedResource::start_attempt(GridJob& job) {
+  begin_attempt(job);
+  obs_started_->inc();
+  obs_queue_wait_->observe(sim_.now() - job.queued_time);
+  tracer().async_begin("attempt", "grid.attempt", job.id, sim_.now(),
+                       {{"resource", name()}});
+  return Attempt{&job, {}, sim_.now()};
+}
+
+void QueuedResource::end_attempt(const Attempt& attempt, FailureCause cause,
+                                 std::string reason) {
+  GridJob& job = *attempt.job;
+  switch (cause) {
+    case FailureCause::kNone: obs_completed_->inc(); break;
+    case FailureCause::kCancelled: obs_cancelled_->inc(); break;
+    case FailureCause::kOutage: obs_outage_kills_->inc(); break;
+    default: obs_kills_->inc(); break;
+  }
+  tracer().async_end("attempt", "grid.attempt", job.id, sim_.now(),
+                     {{"reason", reason}});
+  try_start();
+  finish(job, JobOutcome{cause, sim_.now() - attempt.started,
+                         std::move(reason)});
+}
+
+// ---------------------------------------------------------------------------
+// BatchQueueResource
+
+BatchQueueResource::BatchQueueResource(sim::Simulation& sim, std::string name,
+                                       Config config)
+    : QueuedResource(sim, std::move(name)), config_(config) {
+  assert(config_.nodes > 0 && config_.cores_per_node > 0);
+  assert(config_.node_speed > 0.0);
+  on_observability();
+}
+
+obs::Counter& BatchQueueResource::kill_counter(obs::MetricsRegistry& metrics) {
+  return metrics.counter("grid.walltime_kills", "attempts",
+                         "attempts killed by the LRM walltime limit", name());
 }
 
 void BatchQueueResource::info_into(ResourceInfo& out) const {
@@ -85,69 +183,13 @@ void BatchQueueResource::info_into(ResourceInfo& out) const {
   out.stable = true;
 }
 
-void BatchQueueResource::submit(GridJob& job) {
-  job.resource = name();
-  if (outage_) {
-    // The LRM front end is down: the submission bounces immediately and
-    // the grid level reschedules (or backs off) on kOutage.
-    job.state = JobState::kFailed;
-    obs_outage_kills_->inc();
-    notify(job, JobOutcome{FailureCause::kOutage, 0.0, "outage"});
-    return;
-  }
-  job.state = JobState::kQueued;
-  job.queued_time = sim_.now();
-  queue_.push_back(&job);
-  try_start();
-}
-
-void BatchQueueResource::set_outage(bool down) {
-  if (down == outage_) return;
-  outage_ = down;
-  if (down) {
-    fail_all_for_outage();
-  } else {
-    try_start();
-  }
-}
-
-void BatchQueueResource::fail_all_for_outage() {
-  // Move the held jobs aside first: notify() can synchronously resubmit.
-  std::deque<GridJob*> queued;
-  queued.swap(queue_);
-  std::vector<Running> running;
-  running.swap(running_);
-  for (Running& entry : running) sim_.cancel(entry.completion);
-  for (GridJob* job : queued) {
-    job->state = JobState::kFailed;
-    obs_outage_kills_->inc();
-    notify(*job, JobOutcome{FailureCause::kOutage, 0.0, "outage"});
-  }
-  for (Running& entry : running) {
-    GridJob& job = *entry.job;
-    const double cpu = sim_.now() - entry.started;
-    job.state = JobState::kFailed;
-    job.wasted_cpu_seconds += cpu;
-    obs_outage_kills_->inc();
-    tracer().async_end("attempt", "grid.attempt", job.id, sim_.now(),
-                       {{"reason", "outage"}});
-    notify(job, JobOutcome{FailureCause::kOutage, cpu, "outage"});
-  }
-}
-
 void BatchQueueResource::try_start() {
-  if (outage_) return;
+  if (outage()) return;
   const std::size_t slots = config_.nodes * config_.cores_per_node;
   while (!queue_.empty() && running_.size() < slots) {
     GridJob* job = queue_.front();
     queue_.pop_front();
-    job->state = JobState::kRunning;
-    job->start_time = sim_.now();
-    job->attempts += 1;
-    obs_started_->inc();
-    obs_queue_wait_->observe(sim_.now() - job->queued_time);
-    tracer().async_begin("attempt", "grid.attempt", job->id, sim_.now(),
-                         {{"resource", name()}});
+    Attempt attempt = start_attempt(*job);
 
     const double staging =
         (job->input_mb + job->output_mb) / config_.stage_mb_per_second;
@@ -158,77 +200,51 @@ void BatchQueueResource::try_start() {
     const double duration =
         walltime_killed ? config_.max_walltime : wall;
     const std::uint64_t id = job->id;
-    Running entry{job, {}, sim_.now()};
-    entry.completion = sim_.after(
-        duration, [this, id, walltime_killed] { finish(id, walltime_killed); });
-    running_.push_back(entry);
+    attempt.completion = sim_.after(duration, [this, id, walltime_killed] {
+      const Attempt ended = stop(id);
+      if (ended.job == nullptr) return;
+      if (walltime_killed) {
+        end_attempt(ended, FailureCause::kDeadlineMiss, "walltime");
+      } else {
+        end_attempt(ended, FailureCause::kNone, "completed");
+      }
+    });
+    running_.push_back(attempt);
   }
 }
 
-void BatchQueueResource::finish(std::uint64_t job_id, bool walltime_killed) {
+GridJob* BatchQueueResource::unqueue(std::uint64_t job_id) {
   const auto it =
-      std::find_if(running_.begin(), running_.end(),
-                   [&](const Running& r) { return r.job->id == job_id; });
-  if (it == running_.end()) return;
-  GridJob& job = *it->job;
-  const double cpu = sim_.now() - it->started;
-  running_.erase(it);
-
-  JobOutcome outcome;
-  outcome.cpu_seconds = cpu;
-  if (walltime_killed) {
-    job.state = JobState::kFailed;
-    job.wasted_cpu_seconds += cpu;
-    outcome.cause = FailureCause::kDeadlineMiss;
-    outcome.reason = "walltime";
-    obs_walltime_kills_->inc();
-  } else {
-    job.state = JobState::kCompleted;
-    job.finish_time = sim_.now();
-    outcome.cause = FailureCause::kNone;
-    outcome.reason = "completed";
-    obs_completed_->inc();
-  }
-  tracer().async_end("attempt", "grid.attempt", job.id, sim_.now(),
-                     {{"reason", outcome.reason}});
-  try_start();
-  notify(job, outcome);
-}
-
-void BatchQueueResource::cancel(std::uint64_t job_id) {
-  const auto queued =
       std::find_if(queue_.begin(), queue_.end(),
                    [&](const GridJob* j) { return j->id == job_id; });
-  if (queued != queue_.end()) {
-    GridJob& job = **queued;
-    queue_.erase(queued);
-    job.state = JobState::kCancelled;
-    obs_cancelled_->inc();
-    notify(job, JobOutcome{FailureCause::kCancelled, 0.0, "cancelled"});
-    return;
-  }
+  if (it == queue_.end()) return nullptr;
+  GridJob* job = *it;
+  queue_.erase(it);
+  return job;
+}
+
+QueuedResource::Attempt BatchQueueResource::stop(std::uint64_t job_id) {
   const auto it =
       std::find_if(running_.begin(), running_.end(),
-                   [&](const Running& r) { return r.job->id == job_id; });
-  if (it == running_.end()) return;
-  GridJob& job = *it->job;
-  const double cpu = sim_.now() - it->started;
-  sim_.cancel(it->completion);
+                   [&](const Attempt& a) { return a.job->id == job_id; });
+  if (it == running_.end()) return {};
+  const Attempt attempt = *it;
   running_.erase(it);
-  job.state = JobState::kCancelled;
-  job.wasted_cpu_seconds += cpu;
-  obs_cancelled_->inc();
-  tracer().async_end("attempt", "grid.attempt", job.id, sim_.now(),
-                     {{"reason", "cancelled"}});
-  try_start();
-  notify(job, JobOutcome{FailureCause::kCancelled, cpu, "cancelled"});
+  return attempt;
+}
+
+void BatchQueueResource::drain(std::vector<GridJob*>& queued,
+                               std::vector<Attempt>& running) {
+  queued.assign(queue_.begin(), queue_.end());
+  queue_.clear();
+  running.swap(running_);
 }
 
 // ---------------------------------------------------------------------------
 // CondorPool
 
 CondorPool::CondorPool(sim::Simulation& sim, std::string name, Config config)
-    : LocalResource(sim, std::move(name)),
+    : QueuedResource(sim, std::move(name)),
       config_(config),
       rng_(config.seed) {
   assert(config_.machines > 0);
@@ -260,24 +276,9 @@ CondorPool::CondorPool(sim::Simulation& sim, std::string name, Config config)
   on_observability();
 }
 
-void CondorPool::on_observability() {
-  obs::MetricsRegistry& m = metrics();
-  obs_started_ =
-      &m.counter("grid.attempts_started", "attempts",
-                 "job attempts started on a local resource", name());
-  obs_completed_ = &m.counter("grid.attempts_completed", "attempts",
-                              "job attempts that ran to completion", name());
-  obs_preemptions_ =
-      &m.counter("grid.preemptions", "attempts",
-                 "attempts lost to owner-return preemption", name());
-  obs_cancelled_ = &m.counter("grid.attempts_cancelled", "attempts",
-                              "attempts removed by cancellation", name());
-  obs_outage_kills_ =
-      &m.counter("grid.outage_kills", "attempts",
-                 "attempts lost to a resource-level outage", name());
-  obs_queue_wait_ =
-      &m.histogram("grid.queue_wait_s", queue_wait_bounds(), "s",
-                   "local-queue wait from acceptance to start", name());
+obs::Counter& CondorPool::kill_counter(obs::MetricsRegistry& metrics) {
+  return metrics.counter("grid.preemptions", "attempts",
+                         "attempts lost to owner-return preemption", name());
 }
 
 std::vector<double> CondorPool::machine_speeds() const {
@@ -305,21 +306,15 @@ void CondorPool::schedule_owner_cycle(std::size_t machine) {
 void CondorPool::owner_arrives(std::size_t machine) {
   Machine& m = machines_[machine];
   m.owner_busy = true;
-  if (m.job == nullptr) return;
+  if (m.attempt.job == nullptr) return;
   // Vanilla-universe preemption: the job's progress on this machine is
-  // lost and the grid level must reschedule.
-  GridJob& job = *m.job;
-  const double cpu = sim_.now() - m.job_started;
-  sim_.cancel(m.completion);
-  m.job = nullptr;
-  job.state = JobState::kFailed;
-  job.wasted_cpu_seconds += cpu;
-  obs_preemptions_->inc();
-  tracer().async_end("attempt", "grid.attempt", job.id, sim_.now(),
-                     {{"reason", "preempted"}});
+  // lost and the grid level must reschedule. The machine is the owner's
+  // now, so end_attempt's try_start has no new slot to fill.
+  const Attempt attempt = std::exchange(m.attempt, Attempt{});
+  sim_.cancel(attempt.completion);
   util::log_debug("condor", "{}: preempted job {} after {:.0f}s", name(),
-                  job.id, cpu);
-  notify(job, JobOutcome{FailureCause::kHostVanished, cpu, "preempted"});
+                  attempt.job->id, sim_.now() - attempt.started);
+  end_attempt(attempt, FailureCause::kHostVanished, "preempted");
 }
 
 void CondorPool::owner_leaves(std::size_t machine) {
@@ -333,7 +328,7 @@ void CondorPool::info_into(ResourceInfo& out) const {
   out.total_slots = machines_.size();
   std::size_t free = 0;
   for (const Machine& m : machines_) {
-    if (!m.owner_busy && m.job == nullptr) ++free;
+    if (!m.owner_busy && m.attempt.job == nullptr) ++free;
   }
   out.free_slots = free;
   out.queued_jobs = queue_.size();
@@ -344,61 +339,37 @@ void CondorPool::info_into(ResourceInfo& out) const {
   out.stable = false;
 }
 
-void CondorPool::submit(GridJob& job) {
-  if (outage_) {
-    // The pool's central manager is down: reject immediately so the grid
-    // level can retry elsewhere instead of queueing into a black hole.
-    job.resource = name();
-    job.state = JobState::kFailed;
-    obs_outage_kills_->inc();
-    notify(job, JobOutcome{FailureCause::kOutage, 0.0, "outage"});
-    return;
-  }
-  job.state = JobState::kQueued;
-  job.resource = name();
-  job.queued_time = sim_.now();
+void CondorPool::enqueue(GridJob& job) {
   queue_.push_back(
       {&job, AdExpression::parse(condor_requirements_expression(job))});
-  try_start();
 }
 
-void CondorPool::set_outage(bool down) {
-  if (down == outage_) return;
-  outage_ = down;
-  if (down) {
-    fail_all_for_outage();
-  } else {
-    try_start();
-  }
+GridJob* CondorPool::unqueue(std::uint64_t job_id) {
+  const auto it =
+      std::find_if(queue_.begin(), queue_.end(),
+                   [&](const QueuedJob& q) { return q.job->id == job_id; });
+  if (it == queue_.end()) return nullptr;
+  GridJob* job = it->job;
+  queue_.erase(it);
+  return job;
 }
 
-void CondorPool::fail_all_for_outage() {
-  // Collect first, notify after: notify() can synchronously resubmit, and a
-  // resubmission during an outage must see the queue already emptied.
-  std::deque<QueuedJob> queued;
-  queued.swap(queue_);
-  std::vector<std::pair<GridJob*, double>> interrupted;
+QueuedResource::Attempt CondorPool::stop(std::uint64_t job_id) {
   for (Machine& machine : machines_) {
-    if (machine.job == nullptr) continue;
-    GridJob& job = *machine.job;
-    const double cpu = sim_.now() - machine.job_started;
-    sim_.cancel(machine.completion);
-    machine.job = nullptr;
-    job.state = JobState::kFailed;
-    job.wasted_cpu_seconds += cpu;
-    interrupted.emplace_back(&job, cpu);
+    if (machine.attempt.job != nullptr && machine.attempt.job->id == job_id) {
+      return std::exchange(machine.attempt, Attempt{});
+    }
   }
-  for (QueuedJob& entry : queued) {
-    GridJob& job = *entry.job;
-    job.state = JobState::kFailed;
-    obs_outage_kills_->inc();
-    notify(job, JobOutcome{FailureCause::kOutage, 0.0, "outage"});
-  }
-  for (auto& [job, cpu] : interrupted) {
-    obs_outage_kills_->inc();
-    tracer().async_end("attempt", "grid.attempt", job->id, sim_.now(),
-                       {{"reason", "outage"}});
-    notify(*job, JobOutcome{FailureCause::kOutage, cpu, "outage"});
+  return {};
+}
+
+void CondorPool::drain(std::vector<GridJob*>& queued,
+                       std::vector<Attempt>& running) {
+  for (const QueuedJob& entry : queue_) queued.push_back(entry.job);
+  queue_.clear();
+  for (Machine& machine : machines_) {
+    if (machine.attempt.job == nullptr) continue;
+    running.push_back(std::exchange(machine.attempt, Attempt{}));
   }
 }
 
@@ -421,7 +392,7 @@ grid::ClassAd CondorPool::machine_ad(std::size_t machine) const {
 }
 
 void CondorPool::try_start() {
-  if (outage_) return;
+  if (outage()) return;
   // Condor-style matchmaking: each queued job (FIFO priority) is matched
   // against the idle machines' ClassAds using the job's requirements
   // expression; a job with no eligible idle machine does not block the
@@ -429,7 +400,7 @@ void CondorPool::try_start() {
   // them, in machine order, and a placed job's machine leaves the list.
   idle_.clear();
   for (std::size_t m = 0; m < machines_.size(); ++m) {
-    if (!machines_[m].owner_busy && machines_[m].job == nullptr) {
+    if (!machines_[m].owner_busy && machines_[m].attempt.job == nullptr) {
       idle_.push_back(m);
     }
   }
@@ -443,70 +414,19 @@ void CondorPool::try_start() {
       idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(i));
       Machine& machine = machines_[m];
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(q));
-      machine.job = job;
-      machine.job_started = sim_.now();
-      job->state = JobState::kRunning;
-      job->start_time = sim_.now();
-      job->attempts += 1;
-      obs_started_->inc();
-      obs_queue_wait_->observe(sim_.now() - job->queued_time);
-      tracer().async_begin("attempt", "grid.attempt", job->id, sim_.now(),
-                           {{"resource", name()}});
+      machine.attempt = start_attempt(*job);
       const double duration =
           config_.job_overhead_seconds +
           (job->input_mb + job->output_mb) / config_.stage_mb_per_second +
           job->true_reference_runtime / machine.speed;
-      machine.completion =
-          sim_.after(duration, [this, m] { complete(m); });
+      machine.attempt.completion = sim_.after(duration, [this, m] {
+        end_attempt(std::exchange(machines_[m].attempt, Attempt{}),
+                    FailureCause::kNone, "completed");
+      });
       placed = true;
       break;
     }
     if (!placed) ++q;
-  }
-}
-
-void CondorPool::complete(std::size_t machine) {
-  Machine& m = machines_[machine];
-  if (m.job == nullptr) return;
-  GridJob& job = *m.job;
-  const double cpu = sim_.now() - m.job_started;
-  m.job = nullptr;
-  job.state = JobState::kCompleted;
-  job.finish_time = sim_.now();
-  obs_completed_->inc();
-  tracer().async_end("attempt", "grid.attempt", job.id, sim_.now(),
-                     {{"reason", "completed"}});
-  try_start();
-  notify(job, JobOutcome{FailureCause::kNone, cpu, "completed"});
-}
-
-void CondorPool::cancel(std::uint64_t job_id) {
-  const auto queued =
-      std::find_if(queue_.begin(), queue_.end(),
-                   [&](const QueuedJob& q) { return q.job->id == job_id; });
-  if (queued != queue_.end()) {
-    GridJob& job = *queued->job;
-    queue_.erase(queued);
-    job.state = JobState::kCancelled;
-    obs_cancelled_->inc();
-    notify(job, JobOutcome{FailureCause::kCancelled, 0.0, "cancelled"});
-    return;
-  }
-  for (std::size_t m = 0; m < machines_.size(); ++m) {
-    Machine& machine = machines_[m];
-    if (machine.job == nullptr || machine.job->id != job_id) continue;
-    GridJob& job = *machine.job;
-    const double cpu = sim_.now() - machine.job_started;
-    sim_.cancel(machine.completion);
-    machine.job = nullptr;
-    job.state = JobState::kCancelled;
-    job.wasted_cpu_seconds += cpu;
-    obs_cancelled_->inc();
-    tracer().async_end("attempt", "grid.attempt", job.id, sim_.now(),
-                       {{"reason", "cancelled"}});
-    try_start();
-    notify(job, JobOutcome{FailureCause::kCancelled, cpu, "cancelled"});
-    return;
   }
 }
 

@@ -107,7 +107,17 @@ class LocalResource {
   void set_observability(obs::MetricsRegistry& metrics, obs::Tracer& tracer);
 
  protected:
-  void notify(GridJob& job, const JobOutcome& outcome);
+  // The job's stay on this resource. These three are the only writers of
+  // GridJob's placement fields (state, resource, queued/start/finish
+  // times, attempts, wasted CPU) below the grid level.
+  /// Placed here and waiting in the local queue.
+  void accept(GridJob& job);
+  /// An attempt starts running: start time stamped, attempt counted.
+  void begin_attempt(GridJob& job);
+  /// The job leaves the resource: completed with its finish time,
+  /// cancelled, or failed; a cancelled or failed attempt's CPU counts as
+  /// wasted. Then the completion callback fires.
+  void finish(GridJob& job, const JobOutcome& outcome);
 
   /// Subclass hook: re-bind instrument pointers after a sink change.
   virtual void on_observability() {}
@@ -124,10 +134,76 @@ class LocalResource {
   obs::Tracer* tracer_;
 };
 
+/// What the two local resource managers (LRMs) — the cluster batch queue
+/// and the Condor pool — do alike: the outage protocol (submit bounce,
+/// fail-all), cancellation of a queued or running job, the grid.* attempt
+/// instruments and the grid.attempt trace span. A subclass owns its queue
+/// and its running attempts, decides when queued work starts (try_start)
+/// and what else ends an attempt (walltime limit, owner return).
+class QueuedResource : public LocalResource {
+ public:
+  void submit(GridJob& job) final;
+  void cancel(std::uint64_t job_id) final;
+  void set_outage(bool down) final;
+
+ protected:
+  /// One running attempt.
+  struct Attempt {
+    GridJob* job = nullptr;
+    sim::EventHandle completion;
+    sim::SimTime started = 0.0;
+  };
+
+  using LocalResource::LocalResource;
+
+  bool outage() const { return outage_; }
+  /// Start `job`'s attempt now: begin_attempt plus its instruments and
+  /// span. The subclass records the returned attempt in its running set
+  /// once it has scheduled the completion.
+  Attempt start_attempt(GridJob& job);
+  /// End an attempt already taken out of the running set: bump the cause's
+  /// counter (completed, cancelled, outage, or the LRM's own kill
+  /// counter), close the span, start queued work (try_start), then
+  /// finish() the job.
+  void end_attempt(const Attempt& attempt, FailureCause cause,
+                   std::string reason);
+  /// Binds the six instruments in snapshot order; every subclass
+  /// constructor calls it last.
+  void on_observability() override;
+
+ private:
+  // Subclass hooks: the queue, the running set and what drives them.
+  virtual void enqueue(GridJob& job) = 0;
+  /// Take a queued job out of the queue, or nullptr if none is queued.
+  virtual GridJob* unqueue(std::uint64_t job_id) = 0;
+  /// Take a running attempt out of the running set (job nullptr if none).
+  virtual Attempt stop(std::uint64_t job_id) = 0;
+  /// Move every queued job and every running attempt out, the running
+  /// ones in the resource's own order.
+  virtual void drain(std::vector<GridJob*>& queued,
+                     std::vector<Attempt>& running) = 0;
+  /// Start queued work on free slots; a no-op during an outage.
+  virtual void try_start() = 0;
+  /// Register the LRM's own kill counter (a literal metric name).
+  virtual obs::Counter& kill_counter(obs::MetricsRegistry& metrics) = 0;
+
+  /// A held or submitted job fails with the resource down.
+  void fail_for_outage(GridJob& job);
+
+  bool outage_ = false;
+
+  obs::Counter* obs_started_ = nullptr;
+  obs::Counter* obs_completed_ = nullptr;
+  obs::Counter* obs_kills_ = nullptr;
+  obs::Counter* obs_cancelled_ = nullptr;
+  obs::Counter* obs_outage_kills_ = nullptr;
+  obs::Histogram* obs_queue_wait_ = nullptr;
+};
+
 /// Dedicated cluster under a FIFO batch LRM (PBS or SGE). Slots = nodes x
 /// cores; every node has the same speed, memory, and platform. Stable: jobs
 /// run to completion unless cancelled or the optional walltime limit hits.
-class BatchQueueResource : public LocalResource {
+class BatchQueueResource : public QueuedResource {
  public:
   struct Config {
     std::size_t nodes = 16;
@@ -150,42 +226,28 @@ class BatchQueueResource : public LocalResource {
   BatchQueueResource(sim::Simulation& sim, std::string name, Config config);
 
   void info_into(ResourceInfo& out) const override;
-  void submit(GridJob& job) override;
-  void cancel(std::uint64_t job_id) override;
-  void set_outage(bool down) override;
 
   const Config& config() const { return config_; }
 
  private:
-  struct Running {
-    GridJob* job;
-    sim::EventHandle completion;
-    sim::SimTime started;
-  };
-
-  void try_start();
-  void finish(std::uint64_t job_id, bool walltime_killed);
-  void fail_all_for_outage();
-  void on_observability() override;
+  void enqueue(GridJob& job) override { queue_.push_back(&job); }
+  GridJob* unqueue(std::uint64_t job_id) override;
+  Attempt stop(std::uint64_t job_id) override;
+  void drain(std::vector<GridJob*>& queued,
+             std::vector<Attempt>& running) override;
+  void try_start() override;
+  obs::Counter& kill_counter(obs::MetricsRegistry& metrics) override;
 
   Config config_;
   std::deque<GridJob*> queue_;
-  std::vector<Running> running_;
-  bool outage_ = false;
-
-  obs::Counter* obs_started_ = nullptr;
-  obs::Counter* obs_completed_ = nullptr;
-  obs::Counter* obs_walltime_kills_ = nullptr;
-  obs::Counter* obs_cancelled_ = nullptr;
-  obs::Counter* obs_outage_kills_ = nullptr;
-  obs::Histogram* obs_queue_wait_ = nullptr;
+  std::vector<Attempt> running_;
 };
 
 /// Institutional desktop pool under Condor. Machines cycle between
 /// owner-idle (available) and owner-busy; a running grid job is preempted
 /// and fails when the owner returns (vanilla-universe semantics). Machine
 /// speeds are heterogeneous.
-class CondorPool : public LocalResource {
+class CondorPool : public QueuedResource {
  public:
   struct Config {
     std::size_t machines = 50;
@@ -209,9 +271,6 @@ class CondorPool : public LocalResource {
   CondorPool(sim::Simulation& sim, std::string name, Config config);
 
   void info_into(ResourceInfo& out) const override;
-  void submit(GridJob& job) override;
-  void cancel(std::uint64_t job_id) override;
-  void set_outage(bool down) override;
 
   /// True machine speeds (exposed for calibration experiments).
   std::vector<double> machine_speeds() const;
@@ -224,7 +283,7 @@ class CondorPool : public LocalResource {
     return machines_[machine].owner_busy;
   }
   const GridJob* running(std::size_t machine) const {
-    return machines_[machine].job;
+    return machines_[machine].attempt.job;
   }
 
  private:
@@ -232,9 +291,7 @@ class CondorPool : public LocalResource {
     double speed = 1.0;
     double memory_gb = 2.0;
     bool owner_busy = false;
-    GridJob* job = nullptr;
-    sim::EventHandle completion;
-    sim::SimTime job_started = 0.0;
+    Attempt attempt;  // job == nullptr while no grid job runs here
   };
 
   /// Queued job with its requirements expression parsed once at submit —
@@ -248,10 +305,13 @@ class CondorPool : public LocalResource {
   void schedule_owner_cycle(std::size_t machine);
   void owner_arrives(std::size_t machine);
   void owner_leaves(std::size_t machine);
-  void try_start();
-  void complete(std::size_t machine);
-  void fail_all_for_outage();
-  void on_observability() override;
+  void enqueue(GridJob& job) override;
+  GridJob* unqueue(std::uint64_t job_id) override;
+  Attempt stop(std::uint64_t job_id) override;
+  void drain(std::vector<GridJob*>& queued,
+             std::vector<Attempt>& running) override;
+  void try_start() override;
+  obs::Counter& kill_counter(obs::MetricsRegistry& metrics) override;
 
   Config config_;
   util::Rng rng_;
@@ -262,14 +322,6 @@ class CondorPool : public LocalResource {
   std::deque<QueuedJob> queue_;
   /// try_start's scratch: the machines still idle in the current pass.
   std::vector<std::size_t> idle_;
-  bool outage_ = false;
-
-  obs::Counter* obs_started_ = nullptr;
-  obs::Counter* obs_completed_ = nullptr;
-  obs::Counter* obs_preemptions_ = nullptr;
-  obs::Counter* obs_cancelled_ = nullptr;
-  obs::Counter* obs_outage_kills_ = nullptr;
-  obs::Histogram* obs_queue_wait_ = nullptr;
 };
 
 }  // namespace lattice::grid

@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/trace.hpp"
+
 namespace lattice::obs {
 
 std::string_view metric_kind_name(MetricKind kind) {
@@ -176,16 +178,6 @@ std::string MetricsRegistry::snapshot_csv() const {
 }
 
 namespace {
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  return out;
-}
-
 void append_number(std::ostringstream& out, double value) {
   if (value == std::numeric_limits<double>::infinity()) {
     out << "\"inf\"";

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -10,6 +11,7 @@ namespace {
 constexpr int kSimPid = 1;
 constexpr int kWallPid = 2;
 constexpr double kSecondsToMicros = 1e6;
+}  // namespace
 
 std::string json_escape(std::string_view text) {
   std::string out;
@@ -33,7 +35,6 @@ std::string json_escape(std::string_view text) {
   }
   return out;
 }
-}  // namespace
 
 Tracer& Tracer::null() {
   static Tracer tracer{NullTag{}};

@@ -28,6 +28,10 @@
 
 namespace lattice::obs {
 
+/// `text` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped. Shared by the trace and metrics exporters.
+std::string json_escape(std::string_view text);
+
 /// One key/value annotation on a trace event ("args" in the Chrome
 /// format). Values are emitted as JSON strings.
 using TraceArg = std::pair<std::string, std::string>;

@@ -37,17 +37,12 @@ class IslandGaSearch {
   /// Returns the best individual across islands.
   const Individual& run(util::ThreadPool* pool = nullptr);
 
-  /// One migration round; returns false once terminated.
+  /// One migration round; returns false once terminated. The pool fans
+  /// out the islands only: each island's likelihood evaluation stays
+  /// serial, because nesting it on the same pool measured slower at 1, 2
+  /// and 4 workers (docs/PERFORMANCE.md, "Island GA without a nested
+  /// pool").
   bool round(util::ThreadPool* pool = nullptr);
-
-  /// Fan each island's likelihood evaluation across `pool` workers (the
-  /// same pool `round` uses across islands — parallel_for is reentrant
-  /// and every (island, category, block-chunk) cell is written by exactly
-  /// one task, so any `--pool-threads` value yields bit-identical
-  /// rounds). Borrowed, not owned; nullptr returns to serial engines.
-  void set_thread_pool(util::ThreadPool* pool) {
-    for (auto& island : islands_) island->set_thread_pool(pool);
-  }
 
   /// Pin every island's likelihood engine to one ISA kernel tier
   /// (clamped to host support). Tiers are bit-identical, so this cannot

@@ -4,6 +4,9 @@
 // accounting, and the BOINC workunit template.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "boinc/adapter.hpp"
 #include "boinc/server.hpp"
 #include "net/model.hpp"
@@ -199,6 +202,38 @@ TEST(Boinc, CancelAbortsOutstandingWork) {
   sim.after(3600.0, [&] { server.cancel(1); });
   sim.run(2.0 * 86400.0);
   EXPECT_TRUE(cancelled);
+}
+
+TEST(Boinc, CancelReachesTheLiveWorkunitOfARetriedJob) {
+  // A job that failed here and was placed here again owns an older,
+  // decided workunit too; cancel must find the live one.
+  sim::Simulation sim;
+  BoincPoolConfig config = reliable_pool(4);
+  config.max_total_results = 1;
+  BoincServer server(sim, "boinc", config);
+  std::vector<std::string> reasons;
+  auto job = make_job(1, 100000.0);
+  server.set_completion_callback(
+      [&](grid::GridJob& done, const grid::JobOutcome& outcome) {
+        reasons.push_back(outcome.reason);
+        if (reasons.size() == 1) server.submit(done, 30.0 * 86400.0);
+      });
+  // A 1 s bound times out at the first transitioner tick with no result
+  // left to reissue.
+  server.submit(job, 1.0);
+  sim.run(1800.0);
+  ASSERT_EQ(reasons, std::vector<std::string>{"result cap exhausted"});
+  ASSERT_EQ(job.state, grid::JobState::kRunning);
+  ASSERT_EQ(server.workunits().size(), 2u);
+
+  server.cancel(job.id);
+  EXPECT_EQ(job.state, grid::JobState::kCancelled);
+  EXPECT_EQ(reasons.back(), "cancelled");
+  EXPECT_EQ(server.workunits().rbegin()->second.state,
+            WorkunitState::kCancelled);
+  // Nothing is live any more: a second cancel is a no-op.
+  server.cancel(job.id);
+  EXPECT_EQ(reasons.size(), 2u);
 }
 
 TEST(Boinc, PerJobDeadlineOverride) {

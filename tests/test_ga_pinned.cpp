@@ -115,7 +115,6 @@ Outcome run_islands(DataType type, std::size_t pool_workers) {
   config.max_rounds = 4;
   IslandGaSearch search(*data.patterns, data.spec, config);
   util::ThreadPool* workers = pool ? &*pool : nullptr;
-  search.set_thread_pool(workers);
   const Individual& best = search.run(workers);
   std::uint64_t evaluations = 0;
   for (std::size_t i = 0; i < search.n_islands(); ++i) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <tuple>
 #include <vector>
 
 #include "grid/adapter.hpp"
@@ -13,6 +14,8 @@
 #include "grid/mds.hpp"
 #include "grid/resource.hpp"
 #include "grid/rsl.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -205,6 +208,84 @@ TEST(BatchQueue, CancelQueuedAndRunning) {
   EXPECT_DOUBLE_EQ(a.wasted_cpu_seconds, 10.0);
 }
 
+// The LRM outage protocol, which the cluster and the Condor pool share.
+// Two slots: jobs 1 and 2 start at t=0 and jobs 3..5 queue; cancelling
+// job 1 at t=10 starts job 3 in its slot. The outage at t=100 fails the
+// queued jobs 4 and 5 first with no CPU, then the running attempts in the
+// resource's own order (`running_order`), their CPU wasted. Job 4's
+// resubmission from inside its callback bounces at once, and so does a
+// fresh submission; once the outage ends, submitted work runs again.
+void expect_outage_protocol(sim::Simulation& sim, LocalResource& lrm,
+                            const std::vector<std::uint64_t>& running_order) {
+  obs::MetricsRegistry metrics;
+  lrm.set_observability(metrics, obs::Tracer::null());
+  std::vector<GridJob> jobs;
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    jobs.push_back(make_job(id, 1000.0));
+  }
+  using Ended = std::tuple<std::uint64_t, FailureCause, double>;
+  std::vector<Ended> ended;
+  bool resubmitted = false;
+  lrm.set_completion_callback([&](GridJob& job, const JobOutcome& outcome) {
+    ended.emplace_back(job.id, outcome.cause, outcome.cpu_seconds);
+    if (outcome.cause == FailureCause::kOutage && !resubmitted) {
+      resubmitted = true;
+      lrm.submit(job);
+    }
+  });
+  for (std::size_t i = 0; i < 5; ++i) lrm.submit(jobs[i]);
+  sim.after(10.0, [&] { lrm.cancel(1); });
+  sim.after(100.0, [&] { lrm.set_outage(true); });
+  sim.run(200.0);
+
+  const double cpu[] = {0.0, 10.0, 100.0, 90.0};  // by job id
+  const std::vector<Ended> expected = {
+      {1, FailureCause::kCancelled, 10.0},
+      {4, FailureCause::kOutage, 0.0},
+      {4, FailureCause::kOutage, 0.0},  // the resubmission bounced
+      {5, FailureCause::kOutage, 0.0},
+      {running_order[0], FailureCause::kOutage, cpu[running_order[0]]},
+      {running_order[1], FailureCause::kOutage, cpu[running_order[1]]},
+  };
+  EXPECT_EQ(ended, expected);
+  EXPECT_EQ(metrics.counter_total("grid.outage_kills"), 5u);
+  EXPECT_EQ(metrics.counter_total("grid.attempts_cancelled"), 1u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    const double wasted = i < 3 ? cpu[i + 1] : 0.0;
+    EXPECT_DOUBLE_EQ(jobs[i].wasted_cpu_seconds, wasted) << "job " << i + 1;
+  }
+  EXPECT_EQ(lrm.info().queued_jobs, 0u);
+  EXPECT_EQ(lrm.info().free_slots, 2u);
+
+  // The killed attempts' completions were cancelled.
+  sim.run(20000.0);
+  EXPECT_EQ(ended.size(), expected.size());
+
+  lrm.submit(jobs[5]);
+  EXPECT_EQ(ended.back(), (Ended{6, FailureCause::kOutage, 0.0}));
+  EXPECT_EQ(jobs[5].state, JobState::kFailed);
+  EXPECT_EQ(jobs[5].resource, lrm.name());
+  EXPECT_EQ(metrics.counter_total("grid.outage_kills"), 6u);
+
+  lrm.set_outage(false);
+  for (std::size_t i = 3; i < 6; ++i) lrm.submit(jobs[i]);
+  sim.run(40000.0);
+  for (std::size_t i = 3; i < 6; ++i) {
+    EXPECT_EQ(jobs[i].state, JobState::kCompleted) << "job " << i + 1;
+  }
+  EXPECT_EQ(metrics.counter_total("grid.attempts_completed"), 3u);
+}
+
+TEST(BatchQueue, OutageFailsQueuedThenRunningInStartOrder) {
+  sim::Simulation sim;
+  BatchQueueResource::Config config;
+  config.nodes = 1;
+  config.cores_per_node = 2;
+  config.job_overhead_seconds = 0.0;
+  BatchQueueResource cluster(sim, "hpc", config);
+  expect_outage_protocol(sim, cluster, {2, 3});
+}
+
 TEST(BatchQueue, InfoReflectsConfig) {
   sim::Simulation sim;
   BatchQueueResource::Config config;
@@ -280,6 +361,19 @@ TEST(Condor, PreemptsWhenOwnerReturns) {
   for (auto& job : jobs) pool.submit(job);
   sim.run(400.0 * 3600.0);
   EXPECT_GT(preemptions, 0);
+}
+
+TEST(Condor, OutageFailsQueuedThenRunningInMachineOrder) {
+  sim::Simulation sim;
+  CondorPool::Config config;
+  config.machines = 2;
+  config.speed_sigma = 0.0;
+  config.mean_idle_hours = 1e6;  // owners effectively never return
+  config.mean_busy_hours = 1e-6;
+  CondorPool pool(sim, "condor", config);
+  ASSERT_FALSE(pool.owner_busy(0) || pool.owner_busy(1));
+  // Job 3 takes machine 0 after job 1's cancel, ahead of job 2's machine 1.
+  expect_outage_protocol(sim, pool, {3, 2});
 }
 
 TEST(Condor, InfoCountsIdleMachines) {

@@ -227,6 +227,18 @@ class JsonChecker {
   std::size_t pos_ = 0;
 };
 
+TEST(MetricsRegistry, SnapshotJsonEscapesControlCharactersInLabels) {
+  // A label is a resource name, i.e. a scenario section name, which may
+  // hold any byte but the ends' whitespace.
+  obs::MetricsRegistry registry;
+  registry.counter("a.count", "events", "help", "a\tb").inc();
+  registry.gauge("a.level", "jobs", "line one\nline two", "c\"d\\").set(1.0);
+  const std::string json = registry.snapshot_json();
+  EXPECT_NO_THROW(JsonChecker(json).check()) << json;
+  EXPECT_NE(json.find("a\\tb"), std::string::npos);
+  EXPECT_EQ(obs::json_escape("\x01"), "\\u0001");
+}
+
 TEST(Tracer, EmitsWellFormedChromeTraceJson) {
   obs::Tracer tracer;
   ASSERT_TRUE(tracer.enabled());
