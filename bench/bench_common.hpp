@@ -1,6 +1,6 @@
-// Shared fixtures for the benchmark harnesses: the paper-shaped resource
-// inventory (four clusters, four Condor pools, one volunteer pool — §IV),
-// workload generation, and uniform result printing.
+// Shared fixtures for the benchmark harnesses: estimator training,
+// workload generation, and uniform result printing. The paper-shaped
+// resource inventory (§IV) is core::lattice_inventory.
 #pragma once
 
 #include <cstdint>
@@ -126,19 +126,6 @@ inline void section(const std::string& title) {
 /// Print a paper-vs-measured annotation line.
 inline void paper_note(const std::string& note) {
   std::cout << "[paper] " << note << "\n";
-}
-
-/// The canonical paper inventory now lives in core::lattice_inventory
-/// (src/core/inventory.hpp); the bench-local builder is a thin alias so
-/// existing bench code keeps compiling unchanged.
-using InventoryOptions = core::InventoryOptions;
-
-/// The Lattice Project's §IV inventory: clusters at four institutions
-/// (PBS/SGE, differing speeds and memory), four Condor pools, and the
-/// international BOINC pool.
-inline void build_inventory(core::LatticeSystem& system,
-                            const InventoryOptions& options = {}) {
-  core::build_inventory(system, options);
 }
 
 /// Train the system's estimator on a synthetic "previously submitted jobs"

@@ -88,7 +88,7 @@ SweepResult run_once(std::size_t hosts, int batches,
   // silently change what "before" means (see GarliCostModel::Params).
   config.cost_params = core::GarliCostModel::Params::scalar_client();
   core::LatticeSystem system(config);
-  bench::InventoryOptions inventory;
+  core::InventoryOptions inventory;
   inventory.boinc_hosts = hosts;
   inventory.include_boinc = hosts > 0;
   if (transfers) {
@@ -106,7 +106,7 @@ SweepResult run_once(std::size_t hosts, int batches,
     inventory.boinc_flaky_fraction = 0.15;
     inventory.boinc_delay_bound = 2.0 * 86400.0;
   }
-  bench::build_inventory(system, inventory);
+  core::build_inventory(system, inventory);
   system.calibrate_speeds();
   bench::train_estimator(system, estimator_corpus, estimator_trees);
   core::Portal portal(system);

@@ -77,10 +77,10 @@ RowResult run_once(std::size_t users, std::size_t n_batches,
   config.fair_share.order_queue = true;
   config.fair_share.backlog_per_slot = 4.0;
   core::LatticeSystem system(config);
-  bench::InventoryOptions inventory;
+  core::InventoryOptions inventory;
   inventory.boinc_hosts = boinc_hosts;
   inventory.include_boinc = boinc_hosts > 0;
-  bench::build_inventory(system, inventory);
+  core::build_inventory(system, inventory);
   system.calibrate_speeds();
   bench::train_estimator(system, estimator_corpus, estimator_trees);
 

@@ -41,7 +41,7 @@ int main() {
     core::LatticeSystem system(config);
     obs::MetricsRegistry obs_metrics;
     system.enable_observability(obs_metrics, obs::Tracer::null());
-    bench::build_inventory(system);
+    core::build_inventory(system, core::InventoryOptions{});
     system.calibrate_speeds();
     if (mode == core::SchedulingMode::kEstimateAware) {
       bench::train_estimator(system, 150);

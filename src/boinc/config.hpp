@@ -45,11 +45,11 @@ struct BoincPoolConfig {
   double transitioner_period = 600.0;
   /// Fixed wall-clock cost per result on the host (scheduler RPC round
   /// trips, client bookkeeping) — what replicate bundling amortizes.
-  double result_overhead_seconds = 120.0;
+  static constexpr double kResultOverheadSeconds = 120.0;
   /// Volunteer last-mile bandwidth for the free-staging fold: with the
   /// transfer model off, job data time is charged against the work ledger
   /// at this rate instead of being simulated.
-  double host_mb_per_second = 0.5;
+  static constexpr double kHostMbPerSecond = 0.5;
   /// Transfer cost model (docs/NETWORKING.md). Disabled by default: the
   /// free-staging fold above stays bit-identical. When enabled, downloads
   /// and uploads become contended net::Transfer events and the fold is off.

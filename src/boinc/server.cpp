@@ -38,18 +38,6 @@ double churn_far_window(const BoincPoolConfig& config) {
 }
 }  // namespace
 
-std::string_view result_state_name(ResultState state) {
-  switch (state) {
-    case ResultState::kUnsent: return "unsent";
-    case ResultState::kInProgress: return "in_progress";
-    case ResultState::kSuccess: return "success";
-    case ResultState::kTimedOut: return "timed_out";
-    case ResultState::kAborted: return "aborted";
-    case ResultState::kError: return "error";
-  }
-  return "?";
-}
-
 BoincServer::BoincServer(sim::Simulation& sim, std::string name,
                          BoincPoolConfig config)
     : grid::LocalResource(sim, std::move(name)),
@@ -354,11 +342,12 @@ bool BoincServer::request_work(std::uint32_t key) {
     double staging = 0.0;
     if (network_ == nullptr && wu->grid_job != nullptr) {
       staging = (wu->grid_job->input_mb + wu->grid_job->output_mb) /
-                config_.host_mb_per_second;
+                BoincPoolConfig::kHostMbPerSecond;
     }
     assign(key, result->id,
            wu->reference_work +
-               (config_.result_overhead_seconds + staging) * hosts_[key].speed,
+               (BoincPoolConfig::kResultOverheadSeconds + staging) *
+                   hosts_[key].speed,
            wu->input_mb, wu->output_mb);
     return FeederQueue::Probe::kTake;
   });
@@ -813,7 +802,6 @@ BoincServer::credit_leaderboard(std::size_t top_n) const {
 void BoincServer::finish_workunit(Workunit& wu, bool success,
                                   const std::string& why) {
   wu.state = success ? WorkunitState::kValidated : WorkunitState::kError;
-  wu.validated_time = sim_.now();
   (success ? obs_wu_validated_ : obs_wu_failed_)->inc();
   if (tracer().enabled()) {
     tracer().async_end("workunit", "boinc.wu", wu.id, sim_.now(),

@@ -23,8 +23,6 @@ enum class ResultState : std::uint8_t {
   kError,       // host failed the computation
 };
 
-std::string_view result_state_name(ResultState state);
-
 struct Result {
   std::uint64_t id = 0;
   std::uint64_t workunit_id = 0;
@@ -69,7 +67,6 @@ struct Workunit {
   WorkunitState state = WorkunitState::kActive;
   std::vector<Result> results;
   sim::SimTime created = 0.0;
-  sim::SimTime validated_time = 0.0;
 
   int outstanding() const {
     int n = 0;

@@ -14,12 +14,12 @@ struct DeadlinePolicy {
   /// Slack multiplier applied to the estimated wall time.
   double slack = 4.0;
   /// Conservative speed assumed for the host that gets the task.
-  double typical_host_speed = 0.5;
+  static constexpr double kTypicalHostSpeed = 0.5;
   /// Fraction of wall-clock time a typical host is on and computing.
-  double typical_availability = 0.33;
+  static constexpr double kTypicalAvailability = 0.33;
   /// Deadlines never drop below this (client scheduling needs headroom).
   double min_deadline_seconds = 6.0 * 3600.0;
-  double max_deadline_seconds = 30.0 * 86400.0;
+  static constexpr double kMaxDeadlineSeconds = 30.0 * 86400.0;
   /// Assumed staging bandwidth (Mbit/s) on the typical host's link, used
   /// to budget deadline headroom for the job's data transfers. Zero
   /// disables the transfer term (free staging, pre-lattice::net behavior).
@@ -33,12 +33,12 @@ struct DeadlinePolicy {
   double deadline_seconds(double estimated_reference_runtime,
                           double data_mb = 0.0) const {
     double wall = estimated_reference_runtime /
-                  (typical_host_speed * typical_availability);
+                  (kTypicalHostSpeed * kTypicalAvailability);
     if (typical_mbps > 0.0 && data_mb > 0.0) {
       wall += data_mb * 8.0 / typical_mbps;
     }
     return std::clamp(slack * wall, min_deadline_seconds,
-                      max_deadline_seconds);
+                      kMaxDeadlineSeconds);
   }
 };
 

@@ -5,11 +5,9 @@
 namespace lattice::core {
 
 double FairShareLedger::decayed(const Entry& entry) const {
-  if (config_.half_life_seconds <= 0.0) return entry.value;
   const double age = now_ - entry.as_of;
   if (age <= 0.0) return entry.value;
-  return entry.value *
-         std::exp2(-age / config_.half_life_seconds);
+  return entry.value * std::exp2(-age / FairShareConfig::kHalfLifeSeconds);
 }
 
 }  // namespace lattice::core

@@ -21,9 +21,8 @@ namespace lattice::core {
 
 struct FairShareConfig {
   /// Half-life of the usage odometer (seconds). A charge loses half its
-  /// scheduling weight this long after it was applied; <= 0 disables decay
-  /// (usage accumulates forever).
-  double half_life_seconds = 6.0 * 3600.0;
+  /// scheduling weight this long after it was applied.
+  static constexpr double kHalfLifeSeconds = 6.0 * 3600.0;
   /// When true, the grid-level pump orders its pending queue by (decayed
   /// user usage, job id) each period, so a light user's batch overtakes a
   /// heavy user's backlog. Off by default: the baseline FIFO drain is
@@ -41,8 +40,6 @@ struct FairShareConfig {
 
 class FairShareLedger {
  public:
-  explicit FairShareLedger(FairShareConfig config = {}) : config_(config) {}
-
   /// Advance the decay clock. Charges and reads are interpreted "as of"
   /// the latest settled time; the pump settles to sim-now once per period.
   void settle(double now) {
@@ -67,7 +64,6 @@ class FairShareLedger {
   }
 
   double now() const { return now_; }
-  const FairShareConfig& config() const { return config_; }
 
  private:
   struct Entry {
@@ -77,7 +73,6 @@ class FairShareLedger {
 
   double decayed(const Entry& entry) const;
 
-  FairShareConfig config_;
   double now_ = 0.0;
   std::map<UserId, Entry> entries_;
 };

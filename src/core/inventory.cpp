@@ -42,7 +42,6 @@ std::vector<ResourceSpec> lattice_inventory(const InventoryOptions& options) {
     config.node_memory_gb = memory;
     config.kind = kind;
     config.mpi_capable = true;
-    config.job_overhead_seconds = options.cluster_overhead;
     config.software = {"java"};
     specs.push_back(ResourceSpec::cluster(name, std::move(config)));
   };
@@ -56,10 +55,8 @@ std::vector<ResourceSpec> lattice_inventory(const InventoryOptions& options) {
   const double pool_speeds[4] = {1.0, 0.7, 0.6, 0.9};
   for (int i = 0; i < 4; ++i) {
     grid::CondorPool::Config config;
-    config.machines = options.condor_machines_per_pool;
+    config.machines = 40;  // per pool
     config.mean_speed = pool_speeds[i];
-    config.machine_memory_gb = 2.0;
-    config.job_overhead_seconds = options.condor_overhead;
     config.seed = options.seed + static_cast<std::uint64_t>(i) * 101;
     specs.push_back(ResourceSpec::condor(pool_names[i], std::move(config)));
   }

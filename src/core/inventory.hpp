@@ -1,16 +1,11 @@
 // Unified resource construction: a declarative ResourceSpec naming any of
 // the grid's resource kinds (batch cluster, Condor pool, BOINC volunteer
 // pool) plus one build_inventory() that instantiates a list of specs into
-// a LatticeSystem. Subsumes the per-example construction boilerplate and
-// the benchmark-local inventory builder — the paper's §IV federation is
-// now data (lattice_inventory()), not code repeated per harness.
+// a LatticeSystem; the paper's §IV federation is data (lattice_inventory).
 //
 // Layering: inventory lives in core — the orchestration layer — because a
 // ResourceSpec names configs from grid AND boinc, and only core sits above
-// both in the module DAG (tools/lattice-lint/layering.ini). Its earlier
-// home in src/grid was the tree's one layering back-edge (grid including
-// boinc/config.hpp while boinc includes grid), which lattice-lint's
-// include-graph pass now rejects as a module cycle.
+// both in the module DAG (tools/lattice-lint/layering.ini).
 #pragma once
 
 #include <string>
@@ -47,10 +42,7 @@ struct ResourceSpec {
 /// Knobs for the canonical paper inventory (lattice_inventory).
 struct InventoryOptions {
   std::size_t boinc_hosts = 300;
-  std::size_t condor_machines_per_pool = 40;
   bool include_boinc = true;
-  double cluster_overhead = 30.0;
-  double condor_overhead = 60.0;
   std::uint64_t seed = 1;
   /// Volunteer-pool redundancy/reliability knobs (BoincPoolConfig
   /// defaults when left alone). Raising quorum and the flaky fraction

@@ -20,19 +20,18 @@ double retry_backoff_seconds(const RetryPolicy& policy, int failed_attempts,
   }
   delay = std::min(delay, policy.backoff_cap_seconds);
   const double factor =
-      1.0 + policy.backoff_jitter * (2.0 * jitter_draw - 1.0);
+      1.0 + RetryPolicy::kBackoffJitter * (2.0 * jitter_draw - 1.0);
   return delay * factor;
 }
 
 LatticeSystem::LatticeSystem(LatticeConfig config)
     : config_(config),
       sim_(),
-      mds_(sim_, config.mds_ttl),
+      mds_(sim_, LatticeConfig::kMdsTtl),
       speeds_(600.0),
       cost_model_(config.cost_params),
       estimator_(),
       scheduler_(mds_, config.scheduler),
-      fair_share_ledger_(config.fair_share),
       rng_(config.seed),
       obs_metrics_(&obs::MetricsRegistry::null()),
       obs_tracer_(&obs::Tracer::null()) {
@@ -56,7 +55,7 @@ void LatticeSystem::add_resource(
       [this](grid::GridJob& job, const grid::JobOutcome& outcome) {
         on_outcome(job, outcome);
       });
-  mds_.attach_provider(ref, config_.mds_report_period);
+  mds_.attach_provider(ref, LatticeConfig::kMdsReportPeriod);
   ref.set_observability(*obs_metrics_, *obs_tracer_);
 }
 

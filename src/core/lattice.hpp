@@ -42,7 +42,7 @@ struct RetryPolicy {
   /// Uniform jitter fraction: the delay is scaled by a factor drawn from
   /// [1 - jitter, 1 + jitter] so synchronized failures don't resubmit as a
   /// thundering herd.
-  double backoff_jitter = 0.25;
+  static constexpr double kBackoffJitter = 0.25;
   /// After this many failed attempts on unstable (desktop/volunteer)
   /// resources, restrict the job to stable resources; 0 disables demotion.
   int demote_after_failures = 0;
@@ -58,8 +58,8 @@ struct LatticeConfig {
   /// Meta-scheduler pump period (seconds).
   double scheduler_period = 60.0;
   /// MDS provider report period and entry TTL.
-  double mds_report_period = 120.0;
-  double mds_ttl = 300.0;
+  static constexpr double kMdsReportPeriod = 120.0;
+  static constexpr double kMdsTtl = 300.0;
   SchedulerPolicy scheduler;
   DeadlinePolicy deadline;
   RetryPolicy retry;

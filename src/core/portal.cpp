@@ -47,10 +47,10 @@ SubmitReceipt Portal::submit(const SubmissionRequest& request) {
   if (request.replicates == 0) {
     receipt.problems.push_back("at least one replicate is required");
   }
-  if (request.replicates > config_.max_replicates) {
+  if (request.replicates > PortalConfig::kMaxReplicates) {
     receipt.problems.push_back(util::format(
         "{} replicates exceeds the limit of {}", request.replicates,
-        config_.max_replicates));
+        PortalConfig::kMaxReplicates));
   }
   if (request.alignment != nullptr) {
     const phylo::GarliValidation v =
@@ -121,7 +121,7 @@ SubmitReceipt Portal::submit(const SubmissionRequest& request) {
     bundle = static_cast<std::size_t>(
         std::ceil(config_.bundle_target_seconds /
                   std::max(*per_replicate, 1.0)));
-    bundle = std::clamp<std::size_t>(bundle, 1, config_.max_bundle);
+    bundle = std::clamp<std::size_t>(bundle, 1, PortalConfig::kMaxBundle);
     bundle = std::min(bundle, request.replicates);
   }
 

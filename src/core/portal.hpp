@@ -41,13 +41,13 @@ struct UserQuota {
 };
 
 struct PortalConfig {
-  std::size_t max_replicates = 2000;
+  static constexpr std::size_t kMaxReplicates = 2000;
   /// Replicates whose estimated runtime is below this are "very short"
   /// and get bundled.
   double bundle_threshold_seconds = 600.0;
   /// Bundle size targets this much work per grid job.
   double bundle_target_seconds = 3600.0;
-  std::size_t max_bundle = 100;
+  static constexpr std::size_t kMaxBundle = 100;
 
   /// Admission quotas by user class (zero = unlimited).
   UserQuota quota_guest;
@@ -110,7 +110,7 @@ struct BatchRecord {
 };
 
 /// What submit() hands back: the admission verdict plus the shape the
-/// batch took on acceptance (formerly the submit half of PortalOutcome).
+/// batch took on acceptance.
 struct SubmitReceipt {
   bool accepted = false;
   std::vector<std::string> problems;
@@ -120,10 +120,9 @@ struct SubmitReceipt {
   std::optional<double> eta_seconds;
 };
 
-/// Point-in-time progress of an accepted batch (formerly the progress half
-/// of PortalOutcome). `found` distinguishes "no such batch" from every
-/// real state — a rejected submission never gets a batch id, so an
-/// unknown id is a lookup error, not a rejection.
+/// Point-in-time progress of an accepted batch. `found` distinguishes "no
+/// such batch" from every real state — a rejected submission never gets a
+/// batch id, so an unknown id is a lookup error, not a rejection.
 struct BatchProgress {
   bool found = false;
   std::uint64_t batch_id = 0;

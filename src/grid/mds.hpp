@@ -57,9 +57,6 @@ class MdsDirectory {
   /// one TTL and the scheduler stops considering it — the paper's "no new
   /// jobs are scheduled there" path, without the resource itself failing.
   void set_heartbeat_blackout(const std::string& resource, bool blackout);
-  bool heartbeat_blackout(const std::string& resource) const {
-    return blackout_.count(resource) != 0;
-  }
 
   /// Entries whose last report is within the TTL (the resources the
   /// scheduler may consider).

@@ -192,7 +192,7 @@ void BatchQueueResource::try_start() {
     Attempt attempt = start_attempt(*job);
 
     const double staging =
-        (job->input_mb + job->output_mb) / config_.stage_mb_per_second;
+        (job->input_mb + job->output_mb) / Config::kStageMbPerSecond;
     const double wall = config_.job_overhead_seconds + staging +
                         job->true_reference_runtime / config_.node_speed;
     const bool walltime_killed =
@@ -256,11 +256,11 @@ CondorPool::CondorPool(sim::Simulation& sim, std::string name, Config config)
                          rng_.lognormal(-0.5 * sigma * sigma, sigma);
     machines_[m].memory_gb =
         config_.memory_sigma > 0.0
-            ? config_.machine_memory_gb *
+            ? Config::kMachineMemoryGb *
                   rng_.lognormal(-0.5 * config_.memory_sigma *
                                      config_.memory_sigma,
                                  config_.memory_sigma)
-            : config_.machine_memory_gb;
+            : Config::kMachineMemoryGb;
     // Start a fraction of machines owner-busy so the pool does not begin
     // artificially empty.
     const double busy_fraction =
@@ -332,7 +332,7 @@ void CondorPool::info_into(ResourceInfo& out) const {
   }
   out.free_slots = free;
   out.queued_jobs = queue_.size();
-  out.node_memory_gb = config_.machine_memory_gb;
+  out.node_memory_gb = Config::kMachineMemoryGb;
   out.platforms.assign(1, config_.platform);
   out.mpi_capable = false;
   out.software = config_.software;
@@ -417,7 +417,7 @@ void CondorPool::try_start() {
       machine.attempt = start_attempt(*job);
       const double duration =
           config_.job_overhead_seconds +
-          (job->input_mb + job->output_mb) / config_.stage_mb_per_second +
+          (job->input_mb + job->output_mb) / Config::kStageMbPerSecond +
           job->true_reference_runtime / machine.speed;
       machine.attempt.completion = sim_.after(duration, [this, m] {
         end_attempt(std::exchange(machines_[m].attempt, Attempt{}),

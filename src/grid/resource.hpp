@@ -72,7 +72,6 @@ class LocalResource {
   LocalResource& operator=(const LocalResource&) = delete;
 
   const std::string& name() const { return name_; }
-  sim::Simulation& simulation() { return sim_; }
 
   /// The resource's current snapshot. Fills every field of `out` in
   /// place, so periodic reporters reusing one ResourceInfo hit its
@@ -220,7 +219,7 @@ class BatchQueueResource : public QueuedResource {
     /// This is the overhead that replicate bundling amortizes (§VI.A).
     double job_overhead_seconds = 30.0;
     /// Data-staging bandwidth between the grid node and compute nodes.
-    double stage_mb_per_second = 50.0;
+    static constexpr double kStageMbPerSecond = 50.0;
   };
 
   BatchQueueResource(sim::Simulation& sim, std::string name, Config config);
@@ -253,18 +252,18 @@ class CondorPool : public QueuedResource {
     std::size_t machines = 50;
     double mean_speed = 1.0;
     double speed_sigma = 0.3;      // lognormal sigma around mean_speed
-    double machine_memory_gb = 2.0;
+    static constexpr double kMachineMemoryGb = 2.0;
     PlatformSpec platform;
     std::vector<std::string> software;
     double mean_idle_hours = 8.0;  // owner-away stretch
     double mean_busy_hours = 3.0;  // owner-at-keyboard stretch
-    /// Lognormal sigma of per-machine memory around machine_memory_gb
+    /// Lognormal sigma of per-machine memory around kMachineMemoryGb
     /// (institutional desktops are not uniform).
     double memory_sigma = 0.0;
     /// Fixed per-attempt cost (file transfer to the execute machine).
     double job_overhead_seconds = 60.0;
     /// Campus-LAN staging bandwidth to desktop machines.
-    double stage_mb_per_second = 10.0;
+    static constexpr double kStageMbPerSecond = 10.0;
     std::uint64_t seed = 1;
   };
 

@@ -27,10 +27,11 @@ struct LinkClassSpec {
 };
 
 /// A pool's transfer profile. Disabled by default: every existing
-/// configuration keeps the free-staging fold (data time charged against the
-/// work ledger at `host_mb_per_second`) bit-identically. The server pipe
-/// capacities bound the *sum* of concurrent flow rates in each direction
-/// (downloads ride server_down_mbps, uploads ride server_up_mbps).
+/// configuration keeps the free-staging fold (data time charged against
+/// the work ledger at `BoincPoolConfig::kHostMbPerSecond`) bit-identically.
+/// The server pipe capacities bound the *sum* of concurrent flow rates in
+/// each direction (downloads ride server_down_mbps, uploads ride
+/// server_up_mbps).
 struct NetConfig {
   bool enabled = false;
   double server_down_mbps = 400.0;

@@ -55,7 +55,6 @@ class NetworkModel {
   /// pipe pair. Both are epochs: progress accrues first, then rates change.
   void set_class_bandwidth_scale(std::uint32_t link_class, double scale);
   void set_uplink_outage(bool outage);
-  bool uplink_outage() const { return uplink_outage_; }
 
   /// Index of the named class in config().classes, if present.
   std::optional<std::uint32_t> class_index(std::string_view name) const;

@@ -40,8 +40,7 @@ class IslandGaSearch {
   /// One migration round; returns false once terminated. The pool fans
   /// out the islands only: each island's likelihood evaluation stays
   /// serial, because nesting it on the same pool measured slower at 1, 2
-  /// and 4 workers (docs/PERFORMANCE.md, "Island GA without a nested
-  /// pool").
+  /// and 4 workers (docs/PERFORMANCE.md, "Measured results").
   bool round(util::ThreadPool* pool = nullptr);
 
   /// Pin every island's likelihood engine to one ISA kernel tier

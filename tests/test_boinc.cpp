@@ -54,6 +54,27 @@ TEST(Boinc, CompletesWorkOnReliableHosts) {
   EXPECT_GT(server.total_cpu_seconds(), 0.0);
 }
 
+// The free-staging fold charges a fixed per-result overhead and the job's
+// data at the volunteer last-mile rate as wall time on the host: an
+// always-on host of speed v finishes reference work R at
+// R / v + 120 s + (in + out) / 0.5 MB/s, exactly.
+TEST(Boinc, ResultOverheadAndStagingAreHostWallTime) {
+  sim::Simulation sim;
+  BoincPoolConfig config = reliable_pool(1);
+  config.mean_speed = 0.5;
+  config.speed_sigma = 0.0;
+  BoincServer server(sim, "boinc", config);
+  server.set_completion_callback(
+      [](grid::GridJob&, const grid::JobOutcome&) {});
+  auto job = make_job(1, 3600.0);
+  job.input_mb = 30.0;
+  job.output_mb = 10.0;
+  server.submit(job);
+  sim.run(86400.0);
+  ASSERT_EQ(job.state, grid::JobState::kCompleted);
+  EXPECT_EQ(job.finish_time, 3600.0 / 0.5 + 120.0 + (30.0 + 10.0) / 0.5);
+}
+
 TEST(Boinc, ChurnDelaysButCheckpointingPreservesProgress) {
   sim::Simulation sim;
   BoincPoolConfig config;

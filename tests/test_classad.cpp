@@ -132,7 +132,6 @@ TEST(CondorMatchmaking, MemoryHungryJobWaitsForBigMachine) {
   sim::Simulation sim;
   CondorPool::Config config;
   config.machines = 30;
-  config.machine_memory_gb = 2.0;
   config.memory_sigma = 0.6;  // heterogeneous desktops
   config.mean_idle_hours = 10000.0;
   config.mean_busy_hours = 0.001;
@@ -171,7 +170,6 @@ TEST(CondorMatchmaking, UnsatisfiableJobDoesNotBlockQueue) {
   sim::Simulation sim;
   CondorPool::Config config;
   config.machines = 5;
-  config.machine_memory_gb = 2.0;
   config.mean_idle_hours = 10000.0;
   config.mean_busy_hours = 0.001;
   config.seed = 7;

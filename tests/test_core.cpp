@@ -307,9 +307,9 @@ TEST(Deadline, ScalesWithEstimateAndClamps) {
   EXPECT_DOUBLE_EQ(short_deadline, policy.min_deadline_seconds);
   const double medium = policy.deadline_seconds(8.0 * 3600.0);
   EXPECT_GT(medium, policy.min_deadline_seconds);
-  EXPECT_LT(medium, policy.max_deadline_seconds);
+  EXPECT_LT(medium, DeadlinePolicy::kMaxDeadlineSeconds);
   const double huge = policy.deadline_seconds(1e9);
-  EXPECT_DOUBLE_EQ(huge, policy.max_deadline_seconds);
+  EXPECT_DOUBLE_EQ(huge, DeadlinePolicy::kMaxDeadlineSeconds);
 }
 
 TEST(Deadline, MoreSlackMeansLaterDeadline) {
@@ -329,8 +329,8 @@ TEST(Deadline, StagedDataExtendsTheDeadline) {
   policy.typical_mbps = 0.5;
   // Staging wall time at link speed joins the duty-cycled compute time
   // before the slack multiplier; both values sit inside the clamp here.
-  const double compute = estimate / (policy.typical_host_speed *
-                                     policy.typical_availability);
+  const double compute = estimate / (DeadlinePolicy::kTypicalHostSpeed *
+                                     DeadlinePolicy::kTypicalAvailability);
   EXPECT_DOUBLE_EQ(policy.deadline_seconds(estimate, bulk_mb),
                    policy.slack * (compute + bulk_mb * 8.0 / 0.5));
   EXPECT_GT(policy.deadline_seconds(estimate, bulk_mb),
@@ -343,7 +343,7 @@ TEST(Deadline, StagedDataExtendsTheDeadline) {
 
   // The clamp bounds the transfer term too.
   EXPECT_DOUBLE_EQ(policy.deadline_seconds(estimate, 1e9),
-                   policy.max_deadline_seconds);
+                   DeadlinePolicy::kMaxDeadlineSeconds);
   EXPECT_DOUBLE_EQ(policy.deadline_seconds(60.0, 0.01),
                    policy.min_deadline_seconds);
 }

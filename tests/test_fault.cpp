@@ -213,7 +213,6 @@ TEST(RetryBackoff, GrowsDoublesAndCaps) {
   core::RetryPolicy policy;
   policy.backoff_base_seconds = 10.0;
   policy.backoff_cap_seconds = 100.0;
-  policy.backoff_jitter = 0.0;
   EXPECT_DOUBLE_EQ(core::retry_backoff_seconds(policy, 1, 0.5), 10.0);
   EXPECT_DOUBLE_EQ(core::retry_backoff_seconds(policy, 2, 0.5), 20.0);
   EXPECT_DOUBLE_EQ(core::retry_backoff_seconds(policy, 3, 0.5), 40.0);
@@ -226,10 +225,8 @@ TEST(RetryBackoff, JitterStaysInsideTheBand) {
   core::RetryPolicy policy;
   policy.backoff_base_seconds = 60.0;
   policy.backoff_cap_seconds = 3600.0;
-  policy.backoff_jitter = 0.25;
   for (int attempt = 1; attempt <= 8; ++attempt) {
-    const double mid = core::retry_backoff_seconds(
-        {60.0, 3600.0, 0.0, 0}, attempt, 0.5);
+    const double mid = core::retry_backoff_seconds(policy, attempt, 0.5);
     for (const double draw : {0.0, 0.25, 0.5, 0.75, 0.999}) {
       const double delay =
           core::retry_backoff_seconds(policy, attempt, draw);

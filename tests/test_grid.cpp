@@ -149,12 +149,11 @@ TEST(BatchQueue, DataStagingAddsTransferTime) {
   config.cores_per_node = 1;
   config.node_speed = 1.0;
   config.job_overhead_seconds = 10.0;
-  config.stage_mb_per_second = 5.0;
   BatchQueueResource cluster(sim, "hpc", config);
   cluster.set_completion_callback([](GridJob&, const JobOutcome&) {});
   auto job = make_job(1, 100.0);
-  job.input_mb = 40.0;   // 8 s at 5 MB/s
-  job.output_mb = 10.0;  // 2 s
+  job.input_mb = 400.0;   // 8 s at 50 MB/s
+  job.output_mb = 100.0;  // 2 s
   cluster.submit(job);
   sim.run();
   EXPECT_DOUBLE_EQ(job.finish_time, 100.0 + 10.0 + 8.0 + 2.0);
@@ -276,6 +275,56 @@ void expect_outage_protocol(sim::Simulation& sim, LocalResource& lrm,
   EXPECT_EQ(metrics.counter_total("grid.attempts_completed"), 3u);
 }
 
+// Cancelling most of a long local queue, which the cluster and the Condor
+// pool share. One slot runs job 1 while jobs 2..2000 queue. Cancelling the
+// odd queued jobs, then every fourth, cancels exactly those and keeps the
+// queued count exact; the survivors then run in submission order.
+void expect_batch_cancel(sim::Simulation& sim, LocalResource& lrm) {
+  constexpr std::uint64_t kJobs = 2000;
+  std::deque<GridJob> jobs;  // stable addresses
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    jobs.push_back(make_job(id, 10.0));
+  }
+  std::vector<std::uint64_t> completed;
+  std::size_t cancelled = 0;
+  lrm.set_completion_callback([&](GridJob& job, const JobOutcome& outcome) {
+    if (outcome.completed()) completed.push_back(job.id);
+    if (outcome.cause == FailureCause::kCancelled) ++cancelled;
+  });
+  for (GridJob& job : jobs) lrm.submit(job);
+  ASSERT_EQ(jobs[0].state, JobState::kRunning);
+  ASSERT_EQ(lrm.info().queued_jobs, kJobs - 1);
+
+  for (GridJob& job : jobs) {
+    if (job.id > 1 && job.id % 2 == 1) lrm.cancel(job.id);
+  }
+  EXPECT_EQ(cancelled, 999u);
+  EXPECT_EQ(lrm.info().queued_jobs, 1000u);
+  for (GridJob& job : jobs) {
+    if (job.id % 4 == 0) lrm.cancel(job.id);
+  }
+  EXPECT_EQ(cancelled, 1499u);
+  EXPECT_EQ(lrm.info().queued_jobs, 500u);
+  lrm.cancel(3);  // already cancelled: a no-op
+  EXPECT_EQ(cancelled, 1499u);
+  EXPECT_EQ(jobs[0].state, JobState::kRunning);
+
+  sim.run(1e6);
+  std::vector<std::uint64_t> expected = {1};
+  for (std::uint64_t id = 2; id <= kJobs; id += 4) expected.push_back(id);
+  EXPECT_EQ(completed, expected);
+  EXPECT_EQ(lrm.info().queued_jobs, 0u);
+}
+
+TEST(BatchQueue, CancelLargeQueuedBatchKeepsSurvivorOrder) {
+  sim::Simulation sim;
+  BatchQueueResource::Config config;
+  config.nodes = 1;
+  config.cores_per_node = 1;
+  BatchQueueResource cluster(sim, "hpc", config);
+  expect_batch_cancel(sim, cluster);
+}
+
 TEST(BatchQueue, OutageFailsQueuedThenRunningInStartOrder) {
   sim::Simulation sim;
   BatchQueueResource::Config config;
@@ -376,6 +425,17 @@ TEST(Condor, OutageFailsQueuedThenRunningInMachineOrder) {
   expect_outage_protocol(sim, pool, {3, 2});
 }
 
+TEST(Condor, CancelLargeQueuedBatchKeepsSurvivorOrder) {
+  sim::Simulation sim;
+  CondorPool::Config config;
+  config.machines = 1;
+  config.mean_idle_hours = 1e6;  // the owner effectively never returns
+  config.mean_busy_hours = 1e-6;
+  CondorPool pool(sim, "condor", config);
+  ASSERT_FALSE(pool.owner_busy(0));
+  expect_batch_cancel(sim, pool);
+}
+
 TEST(Condor, InfoCountsIdleMachines) {
   sim::Simulation sim;
   CondorPool::Config config;
@@ -420,7 +480,6 @@ TEST(Condor, MatchmakingIsFirstFitOverIdleMachines) {
     sim::Simulation sim;
     CondorPool::Config config;
     config.machines = 24;
-    config.machine_memory_gb = 2.0;
     config.memory_sigma = 0.6;
     config.mean_idle_hours = 1.0;
     config.mean_busy_hours = 1.0;

@@ -284,7 +284,7 @@ TEST(Integration, MdsOutageStopsPlacementThenRecovers) {
 
   // Knock the resource "offline" by backdating its MDS entry: queue a job
   // after the TTL has expired with no fresh report. Providers report every
-  // mds_report_period, so instead verify the offline logic directly: a
+  // report period, so instead verify the offline logic directly: a
   // resource that stops reporting is skipped by the scheduler.
   grid::ResourceInfo ghost;
   ghost.name = "ghost";
@@ -297,8 +297,8 @@ TEST(Integration, MdsOutageStopsPlacementThenRecovers) {
   system.mds().report(ghost);  // reported once, then silence
 
   // After the TTL the ghost is gone and jobs land on the live cluster.
-  system.simulation().at(system.config().mds_ttl + 1.0, [] {});
-  system.simulation().run(system.config().mds_ttl + 1.0);
+  system.simulation().at(system.mds().ttl() + 1.0, [] {});
+  system.simulation().run(system.mds().ttl() + 1.0);
   GarliFeatures f;
   const std::uint64_t id = system.submit_garli_job(f);
   system.run_until_drained(90.0 * 86400.0);

@@ -222,8 +222,6 @@ struct WalltimeRun {
     LatticeConfig config;
     config.scheduler.mode = SchedulingMode::kOracle;
     config.scheduler_period = 60.0;
-    config.mds_report_period = 30.0;
-    config.mds_ttl = 45.0;
     config.max_attempts = 2;
     return config;
   }

@@ -272,7 +272,7 @@ TEST(MetaScheduler, FairShareKeepsIndexedAndLinearChoiceIdentical) {
       build_directory(sim, mds, rng, 25);
       core::SpeedCalibrator speeds(3600.0);
       calibrate_some(rng, mds, speeds, 25);
-      core::FairShareLedger ledger{core::FairShareConfig{}};
+      core::FairShareLedger ledger;
       for (core::UserId user = 1; user <= 8; ++user) {
         ledger.charge(user, rng.uniform(0.0, 400.0 * 3600.0));
       }
