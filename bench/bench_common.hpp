@@ -12,11 +12,6 @@
 #include <utility>
 #include <vector>
 
-#if __has_include(<sys/resource.h>)
-#include <sys/resource.h>
-#define LATTICE_BENCH_HAS_GETRUSAGE 1
-#endif
-
 #include "core/cost_model.hpp"
 #include "core/estimator.hpp"
 #include "core/lattice.hpp"
@@ -26,20 +21,6 @@
 #include "util/table.hpp"
 
 namespace lattice::bench {
-
-/// Peak resident-set size of this process in kilobytes (getrusage
-/// ru_maxrss; 0 where the platform has no getrusage). A scalability bench
-/// records this next to throughput so a memory blow-up at 10^5 hosts is
-/// as visible as a slowdown.
-inline std::uint64_t rss_peak_kb() {
-#ifdef LATTICE_BENCH_HAS_GETRUSAGE
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0 && usage.ru_maxrss > 0) {
-    return static_cast<std::uint64_t>(usage.ru_maxrss);
-  }
-#endif
-  return 0;
-}
 
 /// Machine-readable benchmark results: collects key/value metrics and
 /// writes BENCH_<name>.json into the working directory on destruction, so
@@ -65,21 +46,6 @@ class JsonReport {
   }
   void set_flag(const std::string& key, bool value) {
     entries_.emplace_back(key, value ? "true" : "false");
-  }
-
-  /// Record an event-throughput pair: `<prefix>_events` and
-  /// `<prefix>_events_per_sec` (0 when the wall time is degenerate).
-  void set_events_per_sec(const std::string& prefix, std::uint64_t events,
-                          double wall_seconds) {
-    set(prefix + "_events", events);
-    set(prefix + "_events_per_sec",
-        wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds
-                           : 0.0);
-  }
-
-  /// Record the process peak RSS under `key` (see bench::rss_peak_kb).
-  void set_rss_peak_kb(const std::string& key = "rss_peak_kb") {
-    set(key, bench::rss_peak_kb());
   }
 
   /// Record which host produced the numbers: core count, the likelihood

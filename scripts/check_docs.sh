@@ -50,13 +50,10 @@ if [ ! -f "$perf" ]; then
   fail=1
 else
   for anchor in match_online 'deadline heap' 'feeder' 'census' \
-                'far band' 'ns/decision' 'MetaScheduler::choose' \
-                'lookahead barrier' 'weak-scaled' \
-                'vector_speedup' 'LATTICE_FORCE_ISA' 'scalar_client' \
-                'island_ga_identical' \
-                'BENCH_portal_scale' 'p99_turnaround_h' \
-                'submissions_per_wall_s' 'per-user ledger' \
-                'aggregate demand'; do
+                'far band' 'MetaScheduler::choose' 'lookahead barrier' \
+                'vector_speedup' 'LATTICE_FORCE_ISA' \
+                'island_ga_identical' 'per-user ledger' \
+                'aggregate demand' 'MillionUserP99TurnaroundStaysWithin'; do
     if ! grep -qiF "$anchor" "$perf"; then
       echo "check_docs: $perf lost its '$anchor' budget entry" >&2
       fail=1
@@ -76,7 +73,8 @@ else
   for anchor in 'link class' 'fair share' 'finish_key' 'attained' \
                 'snap' 'epoch' 'server pipe' 'fraction' 'latency' \
                 'zero-size' 'staging_mbps' 'typical_mbps' \
-                'net_overhead_ratio' 'slow_link_smoke' 'bit-identical'; do
+                'EachTransferFiresOnePipeEventPlusItsDelivery' \
+                'slow_link_smoke' 'bit-identical'; do
     if ! grep -qiF "$anchor" "$networking"; then
       echo "check_docs: $networking lost its '$anchor' section" >&2
       fail=1

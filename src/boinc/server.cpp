@@ -620,7 +620,7 @@ void BoincServer::report_error(std::uint64_t result_id, double cpu_seconds) {
     issue_result(*wu);
     try_dispatch();
     if (wu->outstanding() == 0) {
-      finish_workunit(*wu, false, "too many errors");
+      finish_workunit(*wu, "too many errors");
     }
   }
 }
@@ -644,7 +644,7 @@ void BoincServer::reissue_after_timeouts(Workunit& wu) {
   issue_result(wu);
   if (static_cast<int>(wu.results.size()) >= wu.max_total_results &&
       wu.outstanding() == 0) {
-    finish_workunit(wu, false, "result cap exhausted");
+    finish_workunit(wu, "result cap exhausted");
   }
 }
 
@@ -733,9 +733,15 @@ void BoincServer::validate(Workunit& wu) {
   for (const Result& result : wu.results) {
     if (result.state == ResultState::kSuccess) tally_vote(result.output_hash);
   }
+  // The canonical output is the hash with the maximal count; ties go to
+  // the smallest hash, so the choice does not depend on tally order.
   int best = 0;
+  std::uint64_t canonical = 0;
   for (const auto& [hash, count] : votes_scratch_) {
-    best = std::max(best, count);
+    if (count > best || (count == best && hash < canonical)) {
+      best = count;
+      canonical = hash;
+    }
   }
 
   // Adaptive replication: a lone quorum-1 result from an unproven host
@@ -754,7 +760,7 @@ void BoincServer::validate(Workunit& wu) {
   }
 
   if (best >= required) {
-    finish_workunit(wu, true, "validated");
+    finish_workunit(wu, "validated", canonical);
     return;
   }
   // Not decidable yet (too few returns, or a split vote). If nothing is in
@@ -766,7 +772,7 @@ void BoincServer::validate(Workunit& wu) {
       issue_result(wu);
       try_dispatch();
     } else {
-      finish_workunit(wu, false, "result cap exhausted");
+      finish_workunit(wu, "result cap exhausted");
     }
   }
 }
@@ -799,8 +805,9 @@ BoincServer::credit_leaderboard(std::size_t top_n) const {
   return board;
 }
 
-void BoincServer::finish_workunit(Workunit& wu, bool success,
-                                  const std::string& why) {
+void BoincServer::finish_workunit(Workunit& wu, const std::string& why,
+                                  std::optional<std::uint64_t> canonical) {
+  const bool success = canonical.has_value();
   wu.state = success ? WorkunitState::kValidated : WorkunitState::kError;
   (success ? obs_wu_validated_ : obs_wu_failed_)->inc();
   if (tracer().enabled()) {
@@ -810,27 +817,11 @@ void BoincServer::finish_workunit(Workunit& wu, bool success,
   if (success) {
     // Grant credit to hosts whose result carried the canonical output
     // fingerprint (the validator's majority hash).
-    votes_scratch_.clear();
-    for (const Result& result : wu.results) {
-      if (result.state == ResultState::kSuccess) {
-        tally_vote(result.output_hash);
-      }
-    }
-    // Smallest hash with the maximal count, matching the ascending-key
-    // iteration of the std::map tally this flat scratch replaced.
-    std::uint64_t canonical = 0;
-    int best = 0;
-    for (const auto& [hash, count] : votes_scratch_) {
-      if (count > best || (count == best && best > 0 && hash < canonical)) {
-        best = count;
-        canonical = hash;
-      }
-    }
-    if (canonical != 0) ++corrupted_;
+    if (*canonical != 0) ++corrupted_;
     for (const Result& result : wu.results) {
       if (result.state != ResultState::kSuccess) continue;
       VolunteerHost& host = hosts_[host_key(result)];
-      if (result.output_hash == canonical) {
+      if (result.output_hash == *canonical) {
         // Cobblestone-ish: reference CPU-seconds of validated work.
         host.credit += wu.reference_work / 100.0;
         host.credited = true;

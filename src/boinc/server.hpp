@@ -24,6 +24,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -314,7 +315,10 @@ class BoincServer final : public grid::LocalResource {
   void issue_result(Workunit& wu);
   void try_dispatch();
   void validate(Workunit& wu);
-  void finish_workunit(Workunit& wu, bool success, const std::string& why);
+  /// Close `wu`: validated with `canonical` as its majority output hash,
+  /// or failed for `why` when there is none.
+  void finish_workunit(Workunit& wu, const std::string& why,
+                       std::optional<std::uint64_t> canonical = std::nullopt);
   /// Abort every outstanding result of `wu` (server-side cancel on next
   /// contact, modeled as immediate): in-progress ones close their span with
   /// `reason` and leave their host; unsent ones just stop being sendable.
@@ -391,7 +395,7 @@ class BoincServer final : public grid::LocalResource {
   /// Scratch for one transition's overdue set, sorted to the full-sweep
   /// visit order (workunit id, then result id).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> overdue_scratch_;
-  /// Scratch output-hash tally for validate()/finish_workunit().
+  /// Scratch output-hash tally for validate().
   std::vector<std::pair<std::uint64_t, int>> votes_scratch_;
   std::unique_ptr<sim::PeriodicTask> transitioner_;
   bool transitioner_full_sweep_ = false;

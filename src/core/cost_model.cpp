@@ -59,17 +59,6 @@ GarliFeatures features_from_job(const phylo::GarliJob& job,
   return f;
 }
 
-GarliCostModel::Params GarliCostModel::Params::scalar_client() {
-  Params p;
-  // The pre-vectorization constants, verbatim: what the defaults were
-  // before the kernel speedups divided base_seconds and rescaled the
-  // per-data-type factors (see the Params doc comments).
-  p.base_seconds = 2.0e-2;
-  p.aa_factor = 5.5;
-  p.codon_factor = 12.0;
-  return p;
-}
-
 double GarliCostModel::expected_runtime(const GarliFeatures& f) const {
   const Params& p = params_;
   double cost = p.base_seconds;

@@ -61,7 +61,6 @@ class GarliCostModel {
     /// speedup of ~4.1x over the scalar client divides the old
     /// 2.0e-2 base down to 4.8e-3, keeping typical web jobs in the
     /// paper's "hours, weeks, or months" range on modern vector hosts.
-    /// The pre-vectorization surface survives as scalar_client().
     double base_seconds = 4.8e-3;
     double taxa_exponent = 1.3;
     /// Per-pattern cost multipliers by data type, rescaled by each
@@ -87,12 +86,6 @@ class GarliCostModel {
     double starting_tree_factor = 0.72;
     /// sigma of the lognormal run-to-run noise.
     double noise_sigma = 0.2;
-
-    /// The pre-vectorization (scalar-client) surface: the constants every
-    /// BENCH_grid_scale row before the kernel work was measured against.
-    /// Benches that must stay comparable across that boundary pin these
-    /// via LatticeConfig::cost_params.
-    static Params scalar_client();
   };
 
   /// Staged data per attempt implied by the features (docs/NETWORKING.md):

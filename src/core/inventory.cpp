@@ -61,7 +61,7 @@ std::vector<ResourceSpec> lattice_inventory(const InventoryOptions& options) {
     specs.push_back(ResourceSpec::condor(pool_names[i], std::move(config)));
   }
 
-  if (options.include_boinc && options.boinc_hosts > 0) {
+  if (options.boinc_hosts > 0) {
     boinc::BoincPoolConfig config;
     config.hosts = options.boinc_hosts;
     config.mean_speed = 0.8;
@@ -69,8 +69,6 @@ std::vector<ResourceSpec> lattice_inventory(const InventoryOptions& options) {
     config.seed = options.seed + 999;
     config.min_quorum = options.boinc_min_quorum;
     config.target_nresults = options.boinc_target_nresults;
-    config.flaky_host_fraction = options.boinc_flaky_fraction;
-    config.default_delay_bound = options.boinc_delay_bound;
     config.network = options.boinc_network;
     specs.push_back(ResourceSpec::boinc_pool("lattice-boinc", config));
   }

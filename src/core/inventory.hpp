@@ -41,17 +41,13 @@ struct ResourceSpec {
 
 /// Knobs for the canonical paper inventory (lattice_inventory).
 struct InventoryOptions {
+  /// Volunteer hosts; 0 leaves the BOINC pool out.
   std::size_t boinc_hosts = 300;
-  bool include_boinc = true;
   std::uint64_t seed = 1;
-  /// Volunteer-pool redundancy/reliability knobs (BoincPoolConfig
-  /// defaults when left alone). Raising quorum and the flaky fraction
-  /// drives the validator, transitioner, and reissue paths — what the
-  /// grid-scale smoke runs under the sanitizers.
+  /// Volunteer-pool redundancy (BoincPoolConfig defaults when left
+  /// alone): quorum 2 drives the validator and reissue paths.
   int boinc_min_quorum = 1;
   int boinc_target_nresults = 1;
-  double boinc_flaky_fraction = 0.0;
-  double boinc_delay_bound = 14.0 * 86400.0;
   /// Data-transfer model for the volunteer pool (docs/NETWORKING.md).
   /// Disabled by default: staging stays free and the event stream is
   /// bit-identical to pre-lattice::net builds.

@@ -71,9 +71,7 @@ struct LatticeConfig {
   int max_attempts = 12;
   std::uint64_t seed = 1;
   /// Runtime cost surface the system prices jobs with. Defaults to the
-  /// vectorized-client calibration; pin
-  /// GarliCostModel::Params::scalar_client() to reproduce rows measured
-  /// before the kernel vectorization (e.g. BENCH_grid_scale history).
+  /// vectorized-client calibration.
   GarliCostModel::Params cost_params{};
 };
 

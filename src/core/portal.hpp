@@ -41,7 +41,7 @@ struct UserQuota {
 };
 
 struct PortalConfig {
-  static constexpr std::size_t kMaxReplicates = 2000;
+  static constexpr std::size_t kMaxReplicates = phylo::kMaxSearchReplicates;
   /// Replicates whose estimated runtime is below this are "very short"
   /// and get bundled.
   double bundle_threshold_seconds = 600.0;

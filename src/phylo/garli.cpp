@@ -177,8 +177,9 @@ GarliValidation validate_garli_job(const GarliJob& job,
   if (job.search_replicates == 0) {
     problem("searchreps must be at least 1");
   }
-  if (job.search_replicates > 2000) {
-    problem("searchreps exceeds the portal limit of 2000");
+  if (job.search_replicates > kMaxSearchReplicates) {
+    problem(util::format("searchreps exceeds the portal limit of {}",
+                         kMaxSearchReplicates));
   }
   if (job.genthresh == 0) {
     problem("genthreshfortopoterm must be positive");

@@ -19,6 +19,11 @@
 
 namespace lattice::phylo {
 
+/// The portal's per-submission replicate cap (the web interface's
+/// maximum): validate_garli_job rejects searchreps above it, and
+/// core::PortalConfig::kMaxReplicates is this value.
+inline constexpr std::size_t kMaxSearchReplicates = 2000;
+
 struct GarliJob {
   ModelSpec model;
   /// Independent GA searches bundled into this job (predictor #7; the

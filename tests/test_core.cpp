@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -686,6 +687,8 @@ TEST(PortalTest, RejectsOversizedAndInvalid) {
   auto receipt = fx.portal.submit(
       make_request("user@example.org", UserClass::kGuest, job, 2001, 50, 500));
   EXPECT_FALSE(receipt.accepted);
+  EXPECT_EQ(receipt.problems, std::vector<std::string>{
+                                  "2001 replicates exceeds the limit of 2000"});
 
   receipt = fx.portal.submit(
       make_request("", UserClass::kGuest, job, 10, 50, 500));

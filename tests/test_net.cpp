@@ -157,6 +157,37 @@ TEST(Net, ZeroSizeTransferTakesTheLatencyOnlyFastPath) {
   EXPECT_EQ(net.transfers_completed(), 1u);
 }
 
+TEST(Net, EachTransferFiresOnePipeEventPlusItsDelivery) {
+  // The event budget (docs/NETWORKING.md): however many flows share the
+  // pipes, a transfer costs the kernel exactly one pipe event (the firing
+  // that retires it) plus one delivery event (its latency timer). 64
+  // transfers of distinct sizes alternate direction and link class, each
+  // started by its own staggered event, so flows keep joining pipes that
+  // already have a completion pending.
+  NetConfig config = shared_pipe_config(80.0);
+  config.classes[0].fraction = 0.5;
+  config.classes.push_back(LinkClassSpec{"slow", 4.0, 1.0, 0.3, 0.5});
+  sim::Simulation sim;
+  NetworkModel net(sim, config);
+  constexpr std::uint64_t kTransfers = 64;
+  std::uint64_t delivered = 0;
+  for (std::uint64_t i = 0; i < kTransfers; ++i) {
+    sim.at(0.25 * static_cast<double>(i), [&net, &delivered, i] {
+      net.start(i % 2 == 0 ? Direction::kDown : Direction::kUp,
+                static_cast<std::uint32_t>(i / 2 % 2),
+                5.0 + 1.5 * static_cast<double>(i),
+                [&delivered] { ++delivered; });
+    });
+  }
+  sim.run(1e6);
+  ASSERT_EQ(delivered, kTransfers);
+  EXPECT_EQ(net.transfers_completed(), kTransfers);
+  EXPECT_EQ(net.active_transfers(), 0u);
+  // The staggered starts are the test's own events; the rest is the net
+  // engine's.
+  EXPECT_EQ(sim.events_fired() - kTransfers, 2 * kTransfers);
+}
+
 TEST(Net, CancelReleasesShareToSurvivors) {
   // Two 100 MB flows at 5 MB/s each; cancelling one at t=5 (attained 25)
   // lets the survivor run at 10 MB/s: 75 MB remain -> finishes at 12.5 s.

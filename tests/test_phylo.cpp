@@ -8,6 +8,8 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "phylo/alignment.hpp"
 #include "phylo/datatype.hpp"
@@ -1150,9 +1152,14 @@ TEST(GarliJobTest, ValidationCatchesProblems) {
   const auto dataset = simulate_dataset(5, 60, ModelSpec{}, rng);
 
   GarliJob job;
-  job.search_replicates = 3000;  // over the portal cap
+  job.search_replicates = kMaxSearchReplicates;  // at the portal cap
   auto v = validate_garli_job(job, dataset.alignment);
+  EXPECT_TRUE(v.ok);
+  job.search_replicates = 3000;  // over it
+  v = validate_garli_job(job, dataset.alignment);
   EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.problems, std::vector<std::string>{
+                            "searchreps exceeds the portal limit of 2000"});
 
   job = GarliJob{};
   job.model.data_type = DataType::kAminoAcid;  // mismatched data type

@@ -2,7 +2,8 @@
 // fair-share queue ordering, the pump pass's per-epoch deferral memo, the
 // user-population workload generator, the per-user trace columns, and
 // twin-run determinism plus a golden placement digest of a 10^4-user
-// portal workload (DESIGN.md §15).
+// portal workload, and scale invariance of batch turnaround from 10^4 to
+// 10^6 users under fixed demand (DESIGN.md §15).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,15 +11,20 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "core/estimator.hpp"
+#include "core/inventory.hpp"
 #include "core/lattice.hpp"
 #include "core/portal.hpp"
 #include "core/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fmt.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace lattice::core {
 namespace {
@@ -472,6 +478,80 @@ TEST(PortalScale, TwinRunsOfATenThousandUserWorkloadAreBitIdentical) {
   EXPECT_EQ(first.placement_digest, second.placement_digest);
   EXPECT_GT(first.completed, 0u);
   EXPECT_GT(first.accepted, 0u);
+}
+
+/// p99 batch turnaround, in simulated hours, of one fixed aggregate demand
+/// spread across `users` portal users (90/9/1% guest/registered/power):
+/// 1500 batches at ~600 a day with 30/50/20% class shares and heavy-tailed
+/// sizes, on the paper inventory with a 5000-host volunteer pool. Per-user
+/// rates scale inversely with the population, so a larger population adds
+/// ledger entries (quota map, fair-share odometers), not work.
+double p99_batch_turnaround_h(std::size_t users) {
+  LatticeConfig config;
+  config.scheduler.mode = SchedulingMode::kEstimateAware;
+  config.seed = 9;
+  config.scheduler_period = 300.0;
+  config.scheduler.fair_share_weight = 0.5;
+  config.fair_share.order_queue = true;
+  config.fair_share.backlog_per_slot = 4.0;
+  LatticeSystem system(config);
+  InventoryOptions inventory;
+  inventory.boinc_hosts = 5000;
+  build_inventory(system, inventory);
+  system.calibrate_speeds();
+  RuntimeEstimator::Config estimator;
+  estimator.forest.n_trees = 300;
+  estimator.retrain_every = 0;
+  system.estimator() = RuntimeEstimator(estimator);
+  util::Rng corpus_rng(4242);
+  system.estimator().train(
+      generate_corpus(150, system.cost_model(), corpus_rng));
+
+  PortalConfig portal_config;
+  portal_config.quota_guest = {2, 100};
+  portal_config.quota_registered = {10, 2000};
+  portal_config.quota_power = {30, 10000};
+  portal_config.shed_backlog_watermark = 50000;
+  Portal portal(system, portal_config);
+
+  UserPopulationConfig pop;
+  pop.guests = {users * 90 / 100, 0.0, 1.4, 1};
+  pop.registered = {users * 9 / 100, 0.0, 1.3, 4};
+  pop.power = {users - pop.guests.users - pop.registered.users, 0.0, 1.8,
+               50};
+  for (auto [mix, share] : {std::pair{&pop.guests, 0.30},
+                            std::pair{&pop.registered, 0.50},
+                            std::pair{&pop.power, 0.20}}) {
+    mix->batches_per_user_day =
+        share * 600.0 / static_cast<double>(mix->users);
+  }
+  pop.max_replicates = PortalConfig::kMaxReplicates;
+  pop.max_expected_hours = 4.0;
+  util::Rng rng(41);
+  const auto trace = UserPopulation(pop).generate(
+      1500, GarliCostModel(config.cost_params), rng);
+  submit_portal_workload(portal, trace);
+  system.run(trace.back().arrival_seconds + 1.0);
+  system.run_until_drained(400.0 * 86400.0);
+
+  std::vector<double> turnaround_h;
+  for (const auto& [id, record] : portal.batches()) {
+    if (record.done) {
+      turnaround_h.push_back((record.finished - record.submitted) / 3600.0);
+    }
+  }
+  return turnaround_h.empty() ? 0.0 : util::quantile(turnaround_h, 0.99);
+}
+
+TEST(PortalScale, MillionUserP99TurnaroundStaysWithinThreeTimesTenThousand) {
+  // Same demand, 100x the users: the portal layer must stay scale-
+  // invariant. Both figures are simulated time, so the bound is exact.
+  const double small = p99_batch_turnaround_h(10000);
+  const double large = p99_batch_turnaround_h(1000000);
+  ASSERT_GT(small, 0.0) << "no batch completed at 10^4 users";
+  EXPECT_LE(large, 3.0 * small)
+      << "p99 batch turnaround " << small << " h at 10^4 users, " << large
+      << " h at 10^6 users";
 }
 
 }  // namespace
