@@ -31,15 +31,19 @@ struct alignas(64) ChurnState {
   std::uint8_t departed = 0;
   /// In the server's idle list (set on push, cleared on pop) — O(1) dedup.
   std::uint8_t idle_listed = 0;
-  /// The host holds a task (its VolunteerHost::task is live). The only
-  /// such flag, kept here so census updates, dispatch probes and idle
-  /// flips need not touch the cold record.
+  /// The host holds a task (its HostTask slot is live). The only such
+  /// flag, kept here so census updates, dispatch probes and idle flips
+  /// need not touch the task pool.
   std::uint8_t has_task = 0;
   // Cached census contribution last pushed to the server.
   std::uint8_t census_online = 0;
   std::uint8_t census_free = 0;
   std::uint8_t census_departed = 0;
+  /// Index of the host's slot in `BoincServer::task_slots_`; meaningful
+  /// only while has_task is set. Sits in the tail padding.
+  std::uint32_t task_slot = 0;
 };
+static_assert(sizeof(ChurnState) == 64, "one cache line per churn record");
 
 /// Task lifecycle with the transfer model on: kDownload (input staging
 /// in flight) -> kCompute -> kUpload (output in flight; the report fires
@@ -61,8 +65,24 @@ struct Task {
   TaskPhase phase = TaskPhase::kCompute;
 };
 
+/// What a host holds only while it holds a task, pooled in
+/// `BoincServer::task_slots_` (one slot per concurrent task, reused
+/// through a free list), so a host without a task carries none of it.
+struct HostTask {
+  Task task;
+  sim::SimTime compute_started = 0.0;
+  /// When the compute phase ends at the host's speed; kNever while the
+  /// task is not computing (downloading, uploading or paused offline).
+  sim::SimTime completion_at = kNever;
+  /// The host's one kernel event, armed at min(churn step, completion_at)
+  /// (see BoincServer::arm_churn).
+  sim::EventHandle timer;
+
+  static constexpr sim::SimTime kNever = sim::Simulation::kForever;
+};
+
 /// Cold per-host record, indexed by host key in `BoincServer::hosts_`:
-/// what only dispatch, a task-holding host or the validator reads.
+/// what only dispatch or the validator reads.
 struct VolunteerHost {
   double speed = 1.0;  // relative to the reference machine
   /// Flaky class (BoincPoolConfig::flaky_host_fraction): the host takes
@@ -76,12 +96,7 @@ struct VolunteerHost {
   int valid_streak = 0;
   /// Credit granted for canonical results (cobblestone-style).
   double credit = 0.0;
-  /// Live while the churn record's has_task is set.
-  Task task;
-  sim::SimTime compute_started = 0.0;
-  sim::EventHandle completion;
-  /// Exact-time churn event while computing (see BoincServer::arm_churn).
-  sim::EventHandle wake;
 };
+static_assert(sizeof(VolunteerHost) <= 24, "cold host record stays small");
 
 }  // namespace lattice::boinc

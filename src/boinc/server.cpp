@@ -375,21 +375,19 @@ void BoincServer::depart(std::uint32_t key) {
   ChurnState& st = churn_state_[key];
   if (st.departed != 0) return;
   st.departed = 1;
-  VolunteerHost& host = hosts_[key];
   if (st.has_task != 0) {
-    if (host.task.phase == TaskPhase::kCompute && st.online != 0) pause(key);
-    if (host.task.transfer != 0) network_->cancel(host.task.transfer);
+    const Task& task = task_of(st).task;
+    if (task.phase == TaskPhase::kCompute && st.online != 0) pause(key);
+    if (task.transfer != 0) network_->cancel(task.transfer);
     // The host will never report; the transitioner handles the reissue
     // when the deadline passes (exactly the paper's motivation for
     // accurate deadlines — a departed host otherwise stalls the batch).
     util::log_debug("boinc", "host departed holding result {}",
-                    host.task.result_id);
-    st.has_task = 0;
+                    task.result_id);
+    release_task_slot(st);
   }
   st.online = 0;
   sync_census(st);
-  sim_.cancel(host.wake);
-  sim_.cancel(host.completion);
   calendar_.cancel(key);
 }
 
@@ -399,19 +397,39 @@ void BoincServer::seek_work(std::uint32_t key) {
   if (!request_work(key)) register_idle(key, st);
 }
 
+HostTask& BoincServer::take_task_slot(ChurnState& st) {
+  if (free_task_slots_.empty()) {
+    st.task_slot = static_cast<std::uint32_t>(task_slots_.size());
+    task_slots_.emplace_back();
+  } else {
+    st.task_slot = free_task_slots_.back();
+    free_task_slots_.pop_back();
+  }
+  st.has_task = 1;
+  HostTask& slot = task_of(st);
+  slot = HostTask{};
+  return slot;
+}
+
+void BoincServer::release_task_slot(ChurnState& st) {
+  sim_.cancel(task_of(st).timer);
+  free_task_slots_.push_back(st.task_slot);
+  st.has_task = 0;
+}
+
 void BoincServer::assign(std::uint32_t key, std::uint64_t result_id,
                          double reference_work, double input_mb,
                          double output_mb) {
   ChurnState& st = churn_state_[key];
   assert(st.online != 0 && st.departed == 0 && st.has_task == 0);
-  Task& task = hosts_[key].task;
-  task = Task{result_id, reference_work};
-  st.has_task = 1;
+  Task& task = take_task_slot(st).task;
+  task.result_id = result_id;
+  task.remaining_work = reference_work;
   sync_census(st);
-  // Taking a task: churn leaves the calendar for an exact kernel event.
+  // Taking a task: churn leaves the calendar for the host's kernel timer.
   calendar_.cancel(key);
-  arm_churn(key);
   if (network_ != nullptr) {
+    arm_churn(key);
     // Stage the input through the contended downlink first; compute starts
     // from the transfer callback. The upload size waits in the task.
     task.phase = TaskPhase::kDownload;
@@ -423,43 +441,50 @@ void BoincServer::assign(std::uint32_t key, std::uint64_t result_id,
     return;
   }
   resume(key);
+  arm_churn(key);
 }
 
 void BoincServer::on_download_complete(std::uint32_t key,
                                        std::uint64_t result_id) {
   const ChurnState& st = churn_state_[key];
-  Task& task = hosts_[key].task;
-  if (st.has_task == 0 || task.result_id != result_id ||
-      task.phase != TaskPhase::kDownload) {
-    return;  // stale delivery: the task moved on before the callback fired
+  if (st.has_task == 0) return;  // stale delivery: the task moved on
+  Task& task = task_of(st).task;
+  if (task.result_id != result_id || task.phase != TaskPhase::kDownload) {
+    return;  // stale delivery: another task, or this one moved on
   }
   task.transfer = 0;
   task.phase = TaskPhase::kCompute;
   // Finished while the host is off: park as a checkpointed compute task;
   // the next online flip resumes it.
-  if (st.online != 0) resume(key);
+  if (st.online != 0) {
+    resume(key);
+    arm_churn(key);
+  }
 }
 
 void BoincServer::resume(std::uint32_t key) {
-  VolunteerHost& host = hosts_[key];
-  host.compute_started = sim_.now();
-  host.completion = sim_.after(host.task.remaining_work / host.speed,
-                               [this, key] { complete(key); });
+  HostTask& slot = task_of(churn_state_[key]);
+  slot.compute_started = sim_.now();
+  slot.completion_at =
+      sim_.now() +
+      std::max(slot.task.remaining_work / hosts_[key].speed, 0.0);
 }
 
 void BoincServer::pause(std::uint32_t key) {
-  VolunteerHost& host = hosts_[key];
-  const double elapsed = sim_.now() - host.compute_started;
-  host.task.remaining_work -= elapsed * host.speed;
-  host.task.cpu_spent += elapsed;
-  sim_.cancel(host.completion);
+  HostTask& slot = task_of(churn_state_[key]);
+  const double elapsed = sim_.now() - slot.compute_started;
+  slot.task.remaining_work -= elapsed * hosts_[key].speed;
+  slot.task.cpu_spent += elapsed;
+  slot.completion_at = HostTask::kNever;
 }
 
 void BoincServer::complete(std::uint32_t key) {
   ChurnState& st = churn_state_[key];
-  VolunteerHost& host = hosts_[key];
-  Task& task = host.task;
-  task.cpu_spent += sim_.now() - host.compute_started;
+  const VolunteerHost& host = hosts_[key];
+  HostTask& slot = task_of(st);
+  Task& task = slot.task;
+  task.cpu_spent += sim_.now() - slot.compute_started;
+  slot.completion_at = HostTask::kNever;
   const std::uint64_t result_id = task.result_id;
   const double cpu = task.cpu_spent;
   // Fault injection: outright compute failure, reported through the error
@@ -485,11 +510,13 @@ void BoincServer::complete(std::uint32_t key) {
     // Return the output through the contended uplink; the report fires on
     // upload completion and the host stays busy until then (matching a
     // client that cannot fetch new work while its result is in flight).
+    // The timer that fired was the completion; it goes back to the flip.
     task.phase = TaskPhase::kUpload;
     task.pending_hash = hash;
     task.transfer = network_->start(
         net::Direction::kUp, task.link_class, task.output_mb,
         [this, key, result_id] { on_upload_complete(key, result_id); });
+    arm_churn(key);
     return;
   }
   clear_task(key);
@@ -499,9 +526,10 @@ void BoincServer::complete(std::uint32_t key) {
 
 void BoincServer::on_upload_complete(std::uint32_t key,
                                      std::uint64_t result_id) {
-  const Task& task = hosts_[key].task;
-  if (churn_state_[key].has_task == 0 || task.result_id != result_id ||
-      task.phase != TaskPhase::kUpload) {
+  const ChurnState& st = churn_state_[key];
+  if (st.has_task == 0) return;  // stale delivery
+  const Task& task = task_of(st).task;
+  if (task.result_id != result_id || task.phase != TaskPhase::kUpload) {
     return;  // stale delivery
   }
   const double cpu = task.cpu_spent;
@@ -513,8 +541,9 @@ void BoincServer::on_upload_complete(std::uint32_t key,
 
 void BoincServer::abort_task(std::uint32_t key, std::uint64_t result_id) {
   const ChurnState& st = churn_state_[key];
-  const Task& task = hosts_[key].task;
-  if (st.has_task == 0 || task.result_id != result_id) return;
+  if (st.has_task == 0) return;
+  const Task& task = task_of(st).task;
+  if (task.result_id != result_id) return;
   // Account the partial progress of the in-flight slice as well.
   if (task.phase == TaskPhase::kCompute && st.online != 0) pause(key);
   if (task.transfer != 0) network_->cancel(task.transfer);
@@ -525,10 +554,9 @@ void BoincServer::abort_task(std::uint32_t key, std::uint64_t result_id) {
 
 void BoincServer::clear_task(std::uint32_t key) {
   ChurnState& st = churn_state_[key];
-  st.has_task = 0;
+  release_task_slot(st);
   sync_census(st);
   if (st.departed != 0) return;
-  sim_.cancel(hosts_[key].wake);
   arm_churn(key);
 }
 

@@ -111,6 +111,9 @@ class BoincServer final : public grid::LocalResource {
   /// Deadline-heap entries currently alive (including lazily deleted
   /// stragglers awaiting pop). Exposed for tests.
   std::size_t deadline_heap_entries() const { return deadline_heap_.size(); }
+  /// Task-state slots the pool has ever allocated: the high-water mark of
+  /// concurrently held tasks (freed slots are reused). Exposed for tests.
+  std::size_t task_slots() const { return task_slots_.size(); }
 
   /// Credit granted to a host (cobblestone-style: normalized CPU-seconds
   /// of *validated* work — results whose output matched the canonical
@@ -187,9 +190,9 @@ class BoincServer final : public grid::LocalResource {
   /// Apply the churn event due at min(next_transition, lifetime_end) — an
   /// on/off flip or the permanent departure — drawing the following
   /// interval from the flip time, then re-arm. The one flip for both
-  /// paths: the calendar fires it for idle hosts, a kernel event for
-  /// task-holding ones. Only a task-holding host's flip reads the cold
-  /// record (to pause or resume compute), so the idle edge touches one
+  /// paths: the calendar fires it for idle hosts, the host's kernel timer
+  /// for task-holding ones. Only a task-holding host's flip reads its task
+  /// slot (to pause or resume compute), so the idle edge touches one
   /// churn record plus the census counters, idle list and calendar
   /// re-arm. Defined in-class so the calendar's templated advance()
   /// inlines the idle edge.
@@ -207,7 +210,7 @@ class BoincServer final : public grid::LocalResource {
     if (st.online != 0) {
       // Only the compute phase pauses with the host; in-flight transfers
       // keep moving (the BOINC client networks in the background).
-      if (st.has_task != 0 && hosts_[key].task.phase == TaskPhase::kCompute) {
+      if (st.has_task != 0 && task_of(st).task.phase == TaskPhase::kCompute) {
         pause(key);
       }
       st.online = 0;
@@ -219,7 +222,7 @@ class BoincServer final : public grid::LocalResource {
       sync_census(st);
       if (st.has_task == 0) {
         register_idle(key, st);
-      } else if (hosts_[key].task.phase == TaskPhase::kCompute) {
+      } else if (task_of(st).task.phase == TaskPhase::kCompute) {
         // Resumes compute, including a download that completed while the
         // host was off and parked as a checkpointed kCompute task;
         // kDownload/kUpload tasks are still waiting on their transfer.
@@ -230,21 +233,44 @@ class BoincServer final : public grid::LocalResource {
     }
     arm_churn(key);
   }
+  /// When the host's next churn step (flip or departure) is due.
+  static sim::SimTime churn_due(const ChurnState& st) {
+    return std::min(st.next_transition, st.lifetime_end);
+  }
   /// Arm the next churn step: a task-holding host needs its flip at the
-  /// exact time (it pauses the kernel-visible completion event), so it
-  /// gets a kernel event; an idle host's flip only moves census counts
+  /// exact time (it pauses and resumes the compute that completes it), so
+  /// its one kernel timer fires at min(churn step, completion_at) and
+  /// on_timer picks the edge; an idle host's flip only moves census counts
   /// and idle-list membership, which no one observes before the next pool
   /// interaction — it parks in the pool calendar and is batch-advanced at
-  /// that barrier.
+  /// that barrier. Re-arming a task holder replaces its pending timer.
   void arm_churn(std::uint32_t key) {
     const ChurnState& st = churn_state_[key];
-    const sim::SimTime due = std::min(st.next_transition, st.lifetime_end);
-    if (st.has_task != 0) {
-      hosts_[key].wake = sim_.at(due, [this, key] { flip(key); });
+    if (st.has_task == 0) {
+      calendar_.schedule(churn_due(st), key);
+      return;
+    }
+    HostTask& slot = task_of(st);
+    sim_.cancel(slot.timer);
+    slot.timer = sim_.at(std::min(churn_due(st), slot.completion_at),
+                         [this, key] { on_timer(key); });
+  }
+  /// A task holder's timer: its compute completes when that is strictly
+  /// earlier than the churn step, so a tie goes to the flip.
+  void on_timer(std::uint32_t key) {
+    const ChurnState& st = churn_state_[key];
+    if (task_of(st).completion_at < churn_due(st)) {
+      complete(key);
     } else {
-      calendar_.schedule(due, key);
+      flip(key);
     }
   }
+  /// The task slot of a host holding a task (has_task set).
+  HostTask& task_of(const ChurnState& st) { return task_slots_[st.task_slot]; }
+  /// Give the host a fresh task slot (the free list first).
+  HostTask& take_task_slot(ChurnState& st);
+  /// Return the host's slot to the free list, cancelling its timer.
+  void release_task_slot(ChurnState& st);
 
   // Host behaviour, keyed by host key (id - 1) --------------------------
   /// Begin a host's life: seeds the lifetime clock and the first
@@ -267,6 +293,8 @@ class BoincServer final : public grid::LocalResource {
   /// into `reference_work` (free staging).
   void assign(std::uint32_t key, std::uint64_t result_id,
               double reference_work, double input_mb, double output_mb);
+  /// Start (or restart) the compute phase: sets completion_at. Like
+  /// pause, it leaves re-arming the timer to the caller.
   void resume(std::uint32_t key);
   /// Checkpointing: progress to date is preserved across downtime.
   void pause(std::uint32_t key);
@@ -280,8 +308,8 @@ class BoincServer final : public grid::LocalResource {
   /// Server-side abort (timeout, or workunit cancelled/decided elsewhere):
   /// the partial progress is discarded and the host seeks new work.
   void abort_task(std::uint32_t key, std::uint64_t result_id);
-  /// Drop the host's task: census update, and churn moves from the kernel
-  /// event back to the pool calendar.
+  /// Drop the host's task: the slot returns to the pool, the census
+  /// updates, and churn moves from the kernel timer back to the calendar.
   void clear_task(std::uint32_t key);
   /// A host finished a task. Subject to the config's report-path faults:
   /// the report may be silently dropped (the transitioner recovers via the
@@ -365,10 +393,17 @@ class BoincServer final : public grid::LocalResource {
   double churn_life_scale_ = 0.0;
   /// Cold per-host records, indexed by host key (id - 1); hosts are never
   /// removed. A deque rather than one reserved vector: at 10⁶ hosts a
-  /// single ~100 MB block sits above malloc's mmap threshold, so every
-  /// pool build page-faults it in fresh, while the deque's small blocks
-  /// are reused from the allocator's free lists across builds.
+  /// single 24 MB block sits above malloc's mmap threshold, so every pool
+  /// build page-faults it in fresh, while the deque's small blocks are
+  /// reused from the allocator's free lists across builds.
   std::deque<VolunteerHost> hosts_;
+  /// Task state of the hosts holding one, indexed by
+  /// ChurnState::task_slot: a slot is live iff its host's has_task is
+  /// set. A deque, so growing it neither copies the live slots nor asks
+  /// for one large block; freed slots wait in free_task_slots_ for the
+  /// next assign.
+  std::deque<HostTask> task_slots_;
+  std::vector<std::uint32_t> free_task_slots_;
   std::map<std::uint64_t, Workunit> workunits_;
   /// Grid job id → its undecided workunit (nullptr: none), for cancel: a
   /// job the grid level placed here again after a failure has older,

@@ -42,12 +42,12 @@ std::optional<double> RuntimeEstimator::predict(
 
 void RuntimeEstimator::observe(const GarliFeatures& features, double runtime,
                                util::ThreadPool* pool) {
+  // Only rebuild() reads the corpus, and with retraining off it never
+  // runs again, so the example would be kept for nothing.
+  if (config_.retrain_every == 0) return;
   corpus_.push_back(TrainingExample{features, runtime});
   ++observations_since_train_;
-  if (config_.retrain_every != 0 &&
-      observations_since_train_ >= config_.retrain_every) {
-    rebuild(pool);
-  }
+  if (observations_since_train_ >= config_.retrain_every) rebuild(pool);
 }
 
 double RuntimeEstimator::variance_explained() const {

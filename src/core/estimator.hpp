@@ -53,6 +53,9 @@ class RuntimeEstimator {
   /// Equal ids mean predict() is the same function, so callers may cache
   /// estimates keyed on it.
   std::uint64_t model_id() const { return model_id_; }
+  /// Examples the model is refitted from: the training corpus plus every
+  /// observation since. With retrain_every == 0 observations are not kept
+  /// (nothing would read them), so this stays at the training size.
   std::size_t corpus_size() const { return corpus_.size(); }
 
   /// Predicted runtime in reference seconds. Returns nullopt before the
@@ -60,7 +63,8 @@ class RuntimeEstimator {
   std::optional<double> predict(const GarliFeatures& features) const;
 
   /// Record a completed job's observed reference runtime (§VI.E). Triggers
-  /// a retrain when `retrain_every` observations have accumulated.
+  /// a retrain when `retrain_every` observations have accumulated; a no-op
+  /// when `retrain_every` is 0.
   void observe(const GarliFeatures& features, double runtime,
                util::ThreadPool* pool = nullptr);
 

@@ -214,8 +214,11 @@ std::uint64_t LatticeSystem::submit_job_with_runtime(
     grid::JobRequirements requirements, std::uint64_t batch_id,
     JobData data, UserId user_id) {
   const std::uint64_t id = next_job_id_++;
+  if (feature_runs_.empty() || !(feature_runs_.back() == features)) {
+    feature_runs_.push_back(features);
+  }
   JobRecord& record = jobs_.emplace_back();
-  record.features = features;
+  record.features = static_cast<std::uint32_t>(feature_runs_.size() - 1);
   grid::GridJob& job = record.job;
   job.id = id;
   job.batch_id = batch_id;
@@ -569,7 +572,7 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
     // reference runtime is the attempt's CPU time scaled by the calibrated
     // resource speed.
     const double speed = speeds_.speed_or_default(job.resource);
-    estimator_.observe(jobs_[job.id - 1].features,
+    estimator_.observe(feature_runs_[jobs_[job.id - 1].features],
                        outcome.cpu_seconds * speed);
     if (terminal_hook_) terminal_hook_(job, true);
     return;

@@ -245,15 +245,19 @@ class LatticeSystem {
   };
   std::map<std::string, ResourceEntry> resources_;
 
-  /// A job and the features its estimate and §VI.E observation use.
+  /// A job and the features its estimate and §VI.E observation use, as
+  /// an index into feature_runs_.
   struct JobRecord {
     grid::GridJob job;
-    GarliFeatures features;
+    std::uint32_t features = 0;
   };
   /// Every job ever submitted, indexed by id - 1: ids are handed out
   /// densely from 1 and never erased. A deque, because resources and
   /// workunits hold GridJob pointers and push_back never moves elements.
   std::deque<JobRecord> jobs_;
+  /// The features of consecutive jobs, stored once per run of equal ones:
+  /// a batch's replicates share theirs, as its jobs share a PendingRun.
+  std::vector<GarliFeatures> feature_runs_;
 
   /// Everything choose() and the backpressure test read from a job besides
   /// its rank estimate. Interned to a dense id (GridJob::decision_class)

@@ -191,6 +191,22 @@ const BatchRecord* Portal::batch(std::uint64_t id) const {
   return it == batches_.end() ? nullptr : &it->second;
 }
 
+std::vector<std::string> Portal::result_manifest(std::uint64_t batch_id) const {
+  std::vector<std::string> manifest;
+  const BatchRecord* record = batch(batch_id);
+  if (record == nullptr || !record->done) return manifest;
+  manifest.reserve(record->job_ids.size());
+  for (const std::uint64_t job_id : record->job_ids) {
+    const grid::GridJob* member = system_.job(job_id);
+    if (member == nullptr) continue;
+    manifest.push_back(util::format(
+        "job-{}.{}", member->id,
+        member->state == grid::JobState::kCompleted ? "best_tree.tre"
+                                                    : "FAILED"));
+  }
+  return manifest;
+}
+
 BatchProgress Portal::progress(std::uint64_t batch_id) const {
   BatchProgress progress;
   const BatchRecord* record = batch(batch_id);
@@ -255,17 +271,10 @@ void Portal::on_job_terminal(const grid::GridJob& job, bool completed) {
   }
   if (record.completed_jobs + record.failed_jobs < record.grid_jobs) return;
 
-  // Post-processing: collate results into the downloadable bundle.
+  // Every member is terminal, so the bundle's listing is fixed from here
+  // on; result_manifest() formats it when asked.
   record.done = true;
   record.finished = system_.simulation().now();
-  for (const std::uint64_t job_id : record.job_ids) {
-    const grid::GridJob* member = system_.job(job_id);
-    if (member == nullptr) continue;
-    record.result_manifest.push_back(util::format(
-        "job-{}.{}", member->id,
-        member->state == grid::JobState::kCompleted ? "best_tree.tre"
-                                                    : "FAILED"));
-  }
   record.notifications.push_back(Notification{
       record.finished, "completed",
       util::format("batch {}: results ready ({} of {} jobs succeeded)",

@@ -104,9 +104,6 @@ struct BatchRecord {
   sim::SimTime submitted = 0.0;
   sim::SimTime finished = 0.0;
   bool done = false;
-
-  /// The "single zip file": per-job result listing, available when done.
-  std::vector<std::string> result_manifest;
 };
 
 /// What submit() hands back: the admission verdict plus the shape the
@@ -148,6 +145,11 @@ class Portal {
   SubmitReceipt submit(const SubmissionRequest& request);
 
   const BatchRecord* batch(std::uint64_t id) const;
+
+  /// The "single zip file": one "job-<id>.best_tree.tre" or
+  /// "job-<id>.FAILED" line per member job, in submission order. Empty
+  /// until the batch is done, and for unknown ids.
+  std::vector<std::string> result_manifest(std::uint64_t batch_id) const;
 
   /// Point-in-time progress of a batch: completed/failed so far, members
   /// still queued at the grid level, and the degradation flag (pending

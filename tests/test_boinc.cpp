@@ -54,6 +54,55 @@ TEST(Boinc, CompletesWorkOnReliableHosts) {
   EXPECT_GT(server.total_cpu_seconds(), 0.0);
 }
 
+// Event budget: a task-holding host keeps exactly one kernel event, armed
+// at min(churn step, compute completion), however often it flips. K
+// long jobs on K hosts that are off for seconds every ~2 h leave K host
+// timers plus the transitioner pending at every barrier.
+TEST(Boinc, OneKernelEventPerTaskHoldingHost) {
+  constexpr std::size_t kJobs = 16;
+  sim::Simulation sim;
+  BoincPoolConfig config = reliable_pool(kJobs);
+  config.mean_on_hours = 2.0;
+  BoincServer server(sim, "boinc", config);
+  server.set_completion_callback(
+      [](grid::GridJob&, const grid::JobOutcome&) {});
+  std::vector<grid::GridJob> jobs;
+  jobs.reserve(kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    jobs.push_back(make_job(i + 1, 1000.0 * 86400.0));
+  }
+  for (auto& job : jobs) server.submit(job);
+  for (int hour = 1; hour <= 48; ++hour) {
+    sim.run(hour * 3600.0);
+    ASSERT_EQ(server.info().free_slots, 0u) << "hour " << hour;
+    EXPECT_EQ(sim.pending(), kJobs + 1) << "hour " << hour;
+  }
+  // The busy hosts did flip: beyond the transitioner's 288 ticks, their
+  // timers fired (about one on/off pair per host every 2 h).
+  EXPECT_GT(sim.events_fired(), 288u + 10u * kJobs);
+}
+
+// Task state lives in a pool with one slot per concurrent task: three jobs
+// run back to back through one host reuse a single slot.
+TEST(Boinc, SequentialTasksOnOneHostReuseOneTaskSlot) {
+  sim::Simulation sim;
+  BoincServer server(sim, "boinc", reliable_pool(1));
+  int completed = 0;
+  server.set_completion_callback(
+      [&](grid::GridJob&, const grid::JobOutcome& outcome) {
+        if (outcome.completed()) ++completed;
+      });
+  std::vector<grid::GridJob> jobs;
+  jobs.reserve(3);
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    jobs.push_back(make_job(id, 3600.0));
+  }
+  for (auto& job : jobs) server.submit(job);
+  sim.run(30.0 * 86400.0);
+  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(server.task_slots(), 1u);
+}
+
 // The free-staging fold charges a fixed per-result overhead and the job's
 // data at the volunteer last-mile rate as wall time on the host: an
 // always-on host of speed v finishes reference work R at

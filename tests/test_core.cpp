@@ -229,6 +229,26 @@ TEST(Estimator, OnlineObservationsTriggerRetrain) {
   EXPECT_TRUE(estimator.predict(GarliFeatures{}).has_value());
 }
 
+TEST(Estimator, ObserveKeepsNoCorpusWhenRetrainIsOff) {
+  GarliCostModel model;
+  util::Rng rng(5);
+  RuntimeEstimator::Config config;
+  config.forest.n_trees = 20;
+  config.retrain_every = 0;
+  RuntimeEstimator estimator(config);
+  estimator.train(generate_corpus(50, model, rng));
+  const std::size_t trained = estimator.corpus_size();
+  const std::uint64_t model_id = estimator.model_id();
+  const double before = *estimator.predict(GarliFeatures{});
+  for (int i = 0; i < 100; ++i) {
+    const GarliFeatures f = random_features(rng);
+    estimator.observe(f, model.sample_runtime(f, rng));
+  }
+  EXPECT_EQ(estimator.corpus_size(), trained);
+  EXPECT_EQ(estimator.model_id(), model_id);
+  EXPECT_EQ(*estimator.predict(GarliFeatures{}), before);
+}
+
 TEST(Estimator, ImportanceRanksRateHetAndDataTypeHighest) {
   GarliCostModel model;
   util::Rng rng(6);
@@ -733,11 +753,18 @@ TEST(PortalTest, AcceptsAndTracksBatch) {
   EXPECT_EQ(record->grid_jobs, outcome.grid_jobs);
   EXPECT_EQ(record->notifications.size(), 1u);
   EXPECT_EQ(record->notifications[0].kind, "submitted");
+  EXPECT_TRUE(fx.portal.result_manifest(outcome.batch_id).empty());
 
   fx.system.run_until_drained(400.0 * 86400.0);
   EXPECT_TRUE(record->done);
   EXPECT_EQ(record->completed_jobs, record->grid_jobs);
-  EXPECT_EQ(record->result_manifest.size(), record->grid_jobs);
+  const std::vector<std::string> manifest =
+      fx.portal.result_manifest(outcome.batch_id);
+  ASSERT_EQ(manifest.size(), record->grid_jobs);
+  for (std::size_t i = 0; i < manifest.size(); ++i) {
+    EXPECT_EQ(manifest[i],
+              "job-" + std::to_string(record->job_ids[i]) + ".best_tree.tre");
+  }
   EXPECT_EQ(record->notifications.back().kind, "completed");
 }
 

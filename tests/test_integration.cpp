@@ -79,8 +79,10 @@ TEST(Integration, FormToFinishedBatch) {
   EXPECT_TRUE(record->done);
   EXPECT_EQ(record->completed_jobs, record->grid_jobs);
   EXPECT_EQ(record->notifications.back().kind, "completed");
-  EXPECT_EQ(record->result_manifest.size(), record->grid_jobs);
-  for (const std::string& entry : record->result_manifest) {
+  const std::vector<std::string> manifest =
+      portal.result_manifest(outcome.batch_id);
+  EXPECT_EQ(manifest.size(), record->grid_jobs);
+  for (const std::string& entry : manifest) {
     EXPECT_NE(entry.find("best_tree"), std::string::npos);
   }
 }
