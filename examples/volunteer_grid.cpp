@@ -7,10 +7,9 @@
 // per file, and scripts/determinism.sh runs each twice.
 //
 // Usage: volunteer_grid --scenario=FILE [--metrics-out=FILE]
-//                       [--trace-out=FILE] [--pool-threads=N]
+//                       [--trace-out=FILE]
 // writes a metrics snapshot (.csv or .json) and a Chrome trace for Perfetto
-// (docs/OBSERVABILITY.md); --pool-threads=N also runs the pooled-likelihood
-// self-test on N threads (0: serial), whose output must not depend on N.
+// (docs/OBSERVABILITY.md). Any other flag prints the usage line and exits 2.
 //
 // Scenario schema; every key is optional unless noted. An unknown section
 // or key, a bad kind or an unparsable value exits 2 naming file and line.
@@ -38,14 +37,12 @@
 // Values every scenario shares stay constants here: volunteer and Condor
 // host behaviour, the pool seed, the population shape, the drain horizon.
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -61,12 +58,9 @@
 #include "net/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "phylo/likelihood.hpp"
-#include "phylo/simulate.hpp"
 #include "util/fmt.hpp"
 #include "util/ini.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
@@ -246,47 +240,10 @@ std::vector<core::WorkloadEntry> portal_traffic(const PortalSpec& spec,
   return core::UserPopulation(pop).generate(spec.batches, model, rng);
 }
 
-/// The pooled-likelihood self-test: one seeded dataset on a pool of
-/// `threads` workers, with branch-length perturbations to drive the
-/// dirty-partial path. Its output and phylo.* counters cannot depend on
-/// the pool size (DESIGN.md §7: disjoint tiles, serial reduction).
-void likelihood_self_test(int threads, obs::MetricsRegistry& metrics,
-                          obs::Tracer& tracer) {
-  util::Rng rng(20260806);
-  phylo::ModelSpec spec;
-  spec.rate_het = phylo::RateHet::kGamma;
-  spec.n_rate_categories = 4;
-  const auto dataset = phylo::simulate_dataset(12, 240, spec, rng, 0.1);
-  const phylo::PatternizedAlignment patterns(dataset.alignment);
-  const phylo::SubstitutionModel model(spec);
-  phylo::LikelihoodEngine engine(patterns);
-  engine.enable_matrix_cache();
-  engine.set_observability(metrics, tracer);
-  util::ThreadPool pool(threads > 0 ? static_cast<std::size_t>(threads) : 1);
-  if (threads > 0) engine.set_thread_pool(&pool);
-
-  phylo::Tree tree = dataset.tree;
-  double sum = engine.log_likelihood(tree, model);
-  for (int step = 0; step < 8; ++step) {
-    const int node = static_cast<int>(
-        (static_cast<std::size_t>(step) * 5) % tree.n_nodes());
-    if (node != tree.root()) {
-      tree.set_branch_length(
-          node, std::clamp(tree.branch_length(node) * 1.1, 1e-8, 10.0));
-    }
-    sum += engine.log_likelihood(tree, model);
-  }
-  std::cout << util::format(
-      "likelihood self-test: sum logL = {:.10f} ({} evaluations, {} "
-      "partials recomputed)\n",
-      sum, engine.evaluations(), engine.partials_recomputed());
-}
-
 struct Options {
   std::string scenario;
   std::string metrics_out;
   std::string trace_out;
-  int pool_threads = -1;  // -1: self-test off
 };
 
 int run(const Scenario& s, const Options& options) {
@@ -439,9 +396,6 @@ int run(const Scenario& s, const Options& options) {
             util::format("expect: no {} job ran on a volunteer pool", name));
   }
 
-  if (options.pool_threads >= 0) {
-    likelihood_self_test(options.pool_threads, metrics, bound_tracer);
-  }
   require(options.metrics_out.empty() ||
               obs::write_metrics(metrics, options.metrics_out),
           "cannot write " + options.metrics_out);
@@ -459,17 +413,15 @@ int run(const Scenario& s, const Options& options) {
 
 int main(int argc, char** argv) {
   Options options;
-  std::string pool_threads;
   const auto usage = [] {
     std::cerr << "usage: volunteer_grid --scenario=FILE [--metrics-out=FILE] "
-                 "[--trace-out=FILE] [--pool-threads=N]\n";
+                 "[--trace-out=FILE]\n";
     return 2;
   };
   const std::pair<std::string_view, std::string*> flags[] = {
       {"--scenario", &options.scenario},
       {"--metrics-out", &options.metrics_out},
-      {"--trace-out", &options.trace_out},
-      {"--pool-threads", &pool_threads}};
+      {"--trace-out", &options.trace_out}};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const std::size_t eq = arg.find('=');
@@ -482,14 +434,6 @@ int main(int argc, char** argv) {
       return usage();
     }
     *flag->second = arg.substr(eq + 1);
-  }
-  if (!pool_threads.empty()) {
-    const char* end = pool_threads.data() + pool_threads.size();
-    const auto [ptr, error] =
-        std::from_chars(pool_threads.data(), end, options.pool_threads);
-    if (error != std::errc{} || ptr != end || options.pool_threads < 0) {
-      return usage();
-    }
   }
   if (options.scenario.empty()) return usage();
 

@@ -7,8 +7,8 @@ namespace lattice::boinc {
 std::string workunit_template(const grid::GridJob& job,
                               const BoincPoolConfig& config) {
   std::string out = "<workunit>\n";
-  out += util::format("  <name>{}-{}</name>\n", job.application, job.id);
-  out += util::format("  <app_name>{}</app_name>\n", job.application);
+  out += util::format("  <name>{}-{}</name>\n", grid::kApplication, job.id);
+  out += util::format("  <app_name>{}</app_name>\n", grid::kApplication);
   if (job.estimated_reference_runtime) {
     // rsc_fpops_est feeds client-side completion estimates; the reference
     // machine is defined as 1 GFLOP/s for this conversion.

@@ -8,7 +8,7 @@ namespace lattice::grid {
 std::string condor_submit_file(const GridJob& job) {
   std::string out;
   out += util::format("universe = vanilla\n");
-  out += util::format("executable = {}\n", job.application);
+  out += util::format("executable = {}\n", kApplication);
   out += util::format("requirements = {}\n",
                       condor_requirements_expression(job));
   if (job.requirements.min_memory_gb > 0.0) {
@@ -21,7 +21,7 @@ std::string condor_submit_file(const GridJob& job) {
 
 std::string pbs_script(const GridJob& job) {
   std::string out = "#!/bin/sh\n";
-  out += util::format("#PBS -N {}-{}\n", job.application, job.id);
+  out += util::format("#PBS -N {}-{}\n", kApplication, job.id);
   out += "#PBS -l nodes=1:ppn=1";
   if (job.requirements.min_memory_gb > 0.0) {
     out += util::format(",mem={:.0f}mb",
@@ -36,13 +36,13 @@ std::string pbs_script(const GridJob& job) {
         static_cast<long long>((padded - static_cast<double>(hours) * 3600.0) / 60.0) % 60;
     out += util::format("#PBS -l walltime={}:{:2d}:00\n", hours, minutes);
   }
-  out += util::format("{}\n", job.application);
+  out += util::format("{}\n", kApplication);
   return out;
 }
 
 std::string sge_script(const GridJob& job) {
   std::string out = "#!/bin/sh\n";
-  out += util::format("#$ -N {}-{}\n", job.application, job.id);
+  out += util::format("#$ -N {}-{}\n", kApplication, job.id);
   out += "#$ -cwd\n";
   if (job.requirements.min_memory_gb > 0.0) {
     out += util::format("#$ -l mem_free={:.1f}G\n",
@@ -51,7 +51,7 @@ std::string sge_script(const GridJob& job) {
   if (job.requirements.needs_mpi) {
     out += "#$ -pe mpi 1\n";
   }
-  out += util::format("{}\n", job.application);
+  out += util::format("{}\n", kApplication);
   return out;
 }
 

@@ -128,7 +128,7 @@ RslDocument parse_rsl(std::string_view text) {
 
 std::string to_rsl(const GridJob& job) {
   std::string out = "&";
-  out += util::format("(executable=\"{}\")", job.application);
+  out += util::format("(executable=\"{}\")", kApplication);
   for (const auto& platform : job.requirements.platforms) {
     out += util::format("(platform={})", platform_name(platform));
   }

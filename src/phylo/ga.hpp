@@ -99,13 +99,6 @@ class GaSearch {
     return engine_.cache_misses();
   }
 
-  /// Fan likelihood rate categories across `pool` workers (mirrors
-  /// rf::Forest). Borrowed, not owned; results stay bit-identical to
-  /// serial evaluation. Pass nullptr to go back to serial.
-  void set_thread_pool(util::ThreadPool* pool) {
-    engine_.set_thread_pool(pool);
-  }
-
   /// Pin this search's likelihood engine to one ISA kernel tier (clamped
   /// to host support; see LikelihoodEngine::force_isa). All tiers are
   /// bit-identical, so the search trajectory does not depend on it.

@@ -2,8 +2,8 @@
 // every LikelihoodEngine the same kernel table for the whole process.
 // Reading an environment variable is deterministic configuration, not
 // ambient state: the same (binary, environment) pair always resolves the
-// same tier, and determinism.sh pins `LATTICE_FORCE_ISA=scalar` and
-// `=avx2` in two lanes to prove the tiers are bit-identical end to end.
+// same tier, and ctest runs test_ga_pinned under `LATTICE_FORCE_ISA=scalar`
+// and `=avx2` to prove the tiers reach the same pinned GA bits.
 #include <cstdlib>
 #include <stdexcept>
 #include <string>

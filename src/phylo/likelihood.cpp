@@ -10,7 +10,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/threadpool.hpp"
 
 namespace lattice::phylo {
 
@@ -190,10 +189,9 @@ void LikelihoodEngine::collect_dirty(const Tree& tree, bool full) {
 
 void LikelihoodEngine::gather_matrices(const Tree& tree,
                                        const SubstitutionModel& model) {
-  // Serial phase: the matrix cache is shared mutable state, so matrices
-  // are resolved here and copied into a dense per-evaluation buffer the
-  // parallel kernels read without touching the cache (whose entries may
-  // also be evicted mid-gather).
+  // One serial pass out of the P(t) cache: matrices are resolved here and
+  // copied into a dense per-evaluation buffer, so the kernels never hold a
+  // pointer to a cache entry that a later miss may evict mid-gather.
   const auto categories = model.categories();
   const std::size_t nn = n_states_ * n_states_;
   edge_mats_.resize(dirty_nodes_.size() * 2 * n_cat_ * nn);
@@ -215,8 +213,7 @@ void LikelihoodEngine::gather_matrices(const Tree& tree,
   }
 }
 
-void LikelihoodEngine::compute_range(std::size_t cat, std::size_t blk_lo,
-                                     std::size_t blk_hi) {
+void LikelihoodEngine::compute_partials(std::size_t cat) {
   const std::size_t ns = n_states_;
   const std::size_t nn = ns * ns;
   const std::size_t n_patterns = data_->n_patterns();
@@ -246,7 +243,7 @@ void LikelihoodEngine::compute_range(std::size_t cat, std::size_t blk_lo,
             ? tips_.data() + static_cast<std::size_t>(dn.right) * n_pad_
             : nullptr;
 
-    for (std::size_t b = blk_lo; b < blk_hi; ++b) {
+    for (std::size_t b = 0; b < n_blocks_; ++b) {
       double* block = partial + b * ns * kB;
       ops.apply_child_assign(
           block, left_partial ? left_partial + b * ns * kB : nullptr,
@@ -320,29 +317,7 @@ double LikelihoodEngine::evaluate(const Tree& tree,
   if (!dirty_nodes_.empty()) {
     gather_matrices(tree, model);
 
-    const std::size_t n_units = n_cat_ * n_blocks_;
-    if (pool_ != nullptr && n_units > 1) {
-      // Units are (category, block-chunk) cells. The partitioning depends
-      // only on the workload shape, every cell is written by exactly one
-      // task, and the mixing reduction below is serial — so thread count
-      // and scheduling cannot change the result.
-      const std::size_t target_units = 4 * (pool_->size() + 1);
-      const std::size_t want_per_cat =
-          std::max<std::size_t>(1, target_units / n_cat_);
-      const std::size_t chunk = std::max<std::size_t>(
-          1, (n_blocks_ + want_per_cat - 1) / want_per_cat);
-      const std::size_t chunks_per_cat = (n_blocks_ + chunk - 1) / chunk;
-      pool_->parallel_for(n_cat_ * chunks_per_cat, [&](std::size_t unit) {
-        const std::size_t cat = unit / chunks_per_cat;
-        const std::size_t blk_lo = (unit % chunks_per_cat) * chunk;
-        const std::size_t blk_hi = std::min(n_blocks_, blk_lo + chunk);
-        compute_range(cat, blk_lo, blk_hi);
-      });
-    } else {
-      for (std::size_t cat = 0; cat < n_cat_; ++cat) {
-        compute_range(cat, 0, n_blocks_);
-      }
-    }
+    for (std::size_t cat = 0; cat < n_cat_; ++cat) compute_partials(cat);
 
     for (const DirtyNode& dn : dirty_nodes_) {
       cached_revision_[static_cast<std::size_t>(dn.node)] =

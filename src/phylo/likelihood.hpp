@@ -3,7 +3,7 @@
 // the GPU library the paper's group built; here it is a portable CPU
 // implementation).
 //
-// Three stacked optimizations make the GA's hot loop cheap:
+// Two stacked optimizations make the GA's hot loop cheap:
 //   1. Dirty-partial caching: per-(node, category) conditional likelihoods
 //      are kept across calls, tagged with the tree's per-node revision;
 //      only nodes on the path from a mutated edge to the root recompute.
@@ -12,11 +12,8 @@
 //      storage, dispatched at runtime to the best ISA tier the host
 //      supports (scalar / AVX2 / AVX-512, src/phylo/kernels/) — every
 //      tier bit-identical by construction (DESIGN.md §14).
-//   3. Optional thread pool: rate categories — crossed with pattern-block
-//      chunks — fan out across workers; every (category, pattern) cell is
-//      computed by exactly one task with the same kernel code, and the
-//      final mixing reduction is serial, so results are bit-identical to
-//      the single-threaded evaluation.
+// Evaluation is serial: a search's parallelism lives in its islands
+// (phylo/island.hpp), never inside one evaluation.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +26,6 @@
 #include "phylo/model.hpp"
 #include "phylo/tree.hpp"
 #include "util/aligned.hpp"
-
-namespace lattice::util {
-class ThreadPool;
-}
 
 namespace lattice::obs {
 class Counter;
@@ -75,12 +68,6 @@ class LikelihoodEngine {
   std::uint64_t partials_reused() const { return partials_reused_; }
   std::uint64_t partials_recomputed() const { return partials_recomputed_; }
 
-  /// Optional worker pool (mirroring rf::Forest): categories — or pattern
-  /// blocks when there is only one category — are evaluated in parallel.
-  /// The pool is borrowed, not owned; pass nullptr to go back to serial.
-  /// Pooled results are bit-identical to serial ones.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-
   /// Pin this engine to one ISA kernel tier (clamped to what the host
   /// supports). The process-wide default is kernels::active_tier() — the
   /// best supported tier unless LATTICE_FORCE_ISA overrides it; this
@@ -112,9 +99,8 @@ class LikelihoodEngine {
   /// Mirror the engine's statistics into obs instruments: counter deltas
   /// are published at the end of every log_likelihood call, and when the
   /// tracer is enabled each evaluation also emits a wall-clock span
-  /// (likelihood evaluation is real compute, not simulated time). Counters
-  /// are touched only from the calling thread, so the mirror is safe with
-  /// a thread pool attached. Defaults to the null sinks.
+  /// (likelihood evaluation is real compute, not simulated time). Defaults
+  /// to the null sinks.
   void set_observability(obs::MetricsRegistry& metrics, obs::Tracer& tracer);
 
  private:
@@ -136,11 +122,9 @@ class LikelihoodEngine {
   void resize_workspace(const Tree& tree, const SubstitutionModel& model);
   void collect_dirty(const Tree& tree, bool full);
   void gather_matrices(const Tree& tree, const SubstitutionModel& model);
-  /// Recompute the partials of every dirty node for one category over the
-  /// block range [blk_lo, blk_hi). The only code path for partials — used
-  /// by the serial and pooled drivers alike, which is what makes pooled
-  /// evaluation bit-identical.
-  void compute_range(std::size_t cat, std::size_t blk_lo, std::size_t blk_hi);
+  /// Recompute the partials of every dirty node for one category, block
+  /// by block: the only code path for partials.
+  void compute_partials(std::size_t cat);
 
   double* partial_ptr(int node, std::size_t cat) {
     return partials_.data() +
@@ -177,7 +161,6 @@ class LikelihoodEngine {
   bool incremental_enabled_ = true;
   std::uint64_t partials_reused_ = 0;
   std::uint64_t partials_recomputed_ = 0;
-  util::ThreadPool* pool_ = nullptr;
 
   bool cache_enabled_ = false;
   std::size_t cache_capacity_ = 0;

@@ -1,8 +1,8 @@
 // Fixed-size worker pool with a parallel_for helper. Used for embarrassingly
 // parallel work inside a single process: training the trees of a random
-// forest and evaluating independent likelihood replicates. The simulation
-// kernel itself is single-threaded and deterministic; parallelism lives only
-// in these leaf computations.
+// forest and advancing the islands of an island GA. One likelihood
+// evaluation is serial, and so is the simulation kernel; parallelism lives
+// only in these independent units.
 //
 // Thread safety and shutdown/enqueue contract (mirrors log.hpp):
 //
@@ -17,7 +17,7 @@
 //    submit() throws std::runtime_error instead of accepting a task whose
 //    future could never resolve. Consequently submit() racing the
 //    destructor is a caller lifetime bug — the caller must ensure (as
-//    rf::Forest and LikelihoodEngine do, by joining parallel_for before
+//    rf::Forest and IslandGaSearch do, by joining parallel_for before
 //    releasing the pool) that no producer outlives the pool. The throw
 //    turns such a bug into a loud failure instead of a silent hang, and is
 //    asserted by test_util's EnqueueAfterStopThrows.

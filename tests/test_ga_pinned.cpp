@@ -1,6 +1,6 @@
-// Pinned GA trajectories: fixed-seed GaSearch and IslandGaSearch runs on
-// DNA, amino-acid and codon data, serial and on a two-worker pool, must
-// end on the recorded best log-likelihood bits, likelihood-evaluation
+// Pinned GA trajectories: fixed-seed GaSearch runs and IslandGaSearch
+// runs (serial and on a two-worker pool) on DNA, amino-acid and codon data
+// must end on the recorded best log-likelihood bits, likelihood-evaluation
 // count and generation count. The values were captured from the search
 // that compiled a fresh SubstitutionModel for every evaluation and built
 // P(t) with a plain triple loop, so they hold the compiled-model reuse and
@@ -9,7 +9,9 @@
 // codon search must serve most of its P(t) matrices from the cache.
 //
 // Set LATTICE_PRINT_PINNED=1 to print each case's values instead of only
-// comparing them (how the table below is re-captured).
+// comparing them (how the table below is re-captured). tests/CMakeLists.txt
+// also runs this binary under LATTICE_FORCE_ISA=scalar and =avx2, so every
+// kernel tier must reach the same bits.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -93,12 +95,9 @@ void expect_outcome(const char* name, const Outcome& got,
   EXPECT_EQ(got.generations, want.generations) << name;
 }
 
-Outcome run_single(DataType type, std::size_t pool_workers) {
+Outcome run_single(DataType type) {
   const Data data = make_data(type);
-  std::optional<util::ThreadPool> pool;
-  if (pool_workers > 0) pool.emplace(pool_workers);
   GaSearch search(*data.patterns, data.spec, ga_config(7));
-  if (pool) search.set_thread_pool(&*pool);
   const Individual& best = search.run();
   return {std::bit_cast<std::uint64_t>(best.log_likelihood),
           search.likelihood_evaluations(), search.generation()};
@@ -133,24 +132,20 @@ constexpr Outcome kAaIslands{0xc08dd0cada6b308bULL, 252, 60};
 constexpr Outcome kCodonIslands{0xc07f154a8f262ac7ULL, 252, 60};
 constexpr Outcome kCodonResumed{0xc08028a6927b68e2ULL, 100, 40};
 
+// A single search evaluates serially; its cases keep their historical
+// names (they once also ran the engine on a pool).
 TEST(GaPinned, DnaSearchSerialAndPooled) {
-  expect_outcome("dna single serial", run_single(DataType::kNucleotide, 0),
-                 kDnaSingle);
-  expect_outcome("dna single pool2", run_single(DataType::kNucleotide, 2),
+  expect_outcome("dna single serial", run_single(DataType::kNucleotide),
                  kDnaSingle);
 }
 
 TEST(GaPinned, AminoAcidSearchSerialAndPooled) {
-  expect_outcome("aa single serial", run_single(DataType::kAminoAcid, 0),
-                 kAaSingle);
-  expect_outcome("aa single pool2", run_single(DataType::kAminoAcid, 2),
+  expect_outcome("aa single serial", run_single(DataType::kAminoAcid),
                  kAaSingle);
 }
 
 TEST(GaPinned, CodonSearchSerialAndPooled) {
-  expect_outcome("codon single serial", run_single(DataType::kCodon, 0),
-                 kCodonSingle);
-  expect_outcome("codon single pool2", run_single(DataType::kCodon, 2),
+  expect_outcome("codon single serial", run_single(DataType::kCodon),
                  kCodonSingle);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the incremental likelihood engine: dirty-partial reuse must be
 // indistinguishable from full recomputation across arbitrary mutation
-// sequences, pooled evaluation must be bit-identical to serial, and the
-// matrix cache's second-chance eviction must keep serving the hot set.
+// sequences, and the matrix cache's second-chance eviction must keep
+// serving the hot set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "phylo/likelihood.hpp"
 #include "phylo/simulate.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace lattice::phylo {
 namespace {
@@ -111,45 +110,6 @@ TEST(IncrementalLikelihood, SingleBranchPerturbationReusesMostPartials) {
   const std::uint64_t n_internal = tree.n_nodes() - tree.n_leaves();
   EXPECT_LT(second, n_internal * 4);  // strictly fewer than all (node, cat)
   EXPECT_GT(engine.partials_reused(), 0u);
-}
-
-TEST(IncrementalLikelihood, PooledEvaluationBitIdenticalToSerial) {
-  util::Rng rng(13);
-  ModelSpec spec;
-  spec.rate_het = RateHet::kGamma;
-  spec.n_rate_categories = 4;
-  const auto dataset = simulate_dataset(20, 400, spec, rng, 0.1);
-  const PatternizedAlignment patterns(dataset.alignment);
-  const SubstitutionModel model(spec);
-
-  util::ThreadPool pool(4);
-  LikelihoodEngine serial(patterns);
-  LikelihoodEngine pooled(patterns);
-  pooled.set_thread_pool(&pool);
-
-  Tree tree = dataset.tree;
-  util::Rng mut_rng(17);
-  for (int step = 0; step < 50; ++step) {
-    random_mutation(tree, mut_rng);
-    const double s = serial.log_likelihood(tree, model);
-    const double p = pooled.log_likelihood(tree, model);
-    ASSERT_EQ(s, p) << "pooled result diverged bit-wise at step " << step;
-  }
-}
-
-TEST(IncrementalLikelihood, PooledSingleCategoryUsesPatternBlocks) {
-  util::Rng rng(19);
-  ModelSpec spec;  // single rate category
-  const auto dataset = simulate_dataset(12, 600, spec, rng, 0.1);
-  const PatternizedAlignment patterns(dataset.alignment);
-  const SubstitutionModel model(spec);
-
-  util::ThreadPool pool(4);
-  LikelihoodEngine serial(patterns);
-  LikelihoodEngine pooled(patterns);
-  pooled.set_thread_pool(&pool);
-  EXPECT_EQ(serial.log_likelihood(dataset.tree, model),
-            pooled.log_likelihood(dataset.tree, model));
 }
 
 TEST(IncrementalLikelihood, AminoAcidAndCodonModelsStayConsistent) {
