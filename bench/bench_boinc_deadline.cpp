@@ -168,9 +168,9 @@ int main() {
       sim.run(120.0 * 86400.0);
       std::size_t validated = 0;
       std::size_t results = 0;
-      for (const auto& [id, wu] : server.workunits()) {
+      for (const boinc::Workunit& wu : server.workunits()) {
         if (wu.state == boinc::WorkunitState::kValidated) ++validated;
-        results += wu.results.size();
+        results += wu.result_count;
       }
       if (adaptive) {
         json.set("adaptive_results_per_wu",

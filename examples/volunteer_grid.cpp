@@ -378,7 +378,7 @@ int run(const Scenario& s, const Options& options) {
     bool all_stable = true;
     bool any_volunteer = false;
     for (const std::uint64_t id : cohort_ids[i]) {
-      grid::LocalResource* where = system.resource(system.job(id)->resource);
+      const grid::LocalResource* where = system.job(id)->resource;
       if (where == nullptr) {
         all_stable = false;
         continue;

@@ -107,7 +107,7 @@ if ! grep -qE '^## +(§ *)?10' "$design" 2>/dev/null; then
 else
   for anchor in 'match_online' 'sched_reference.hpp' 'deadline' \
                 'tombstone' 'generation' 'far_threshold_' \
-                'results_index_'; do
+                'ResultChain'; do
     if ! grep -qiF "$anchor" "$design"; then
       echo "check_docs: $design §10 lost its '$anchor' invalidation rule" >&2
       fail=1

@@ -224,41 +224,38 @@ void BoincServer::submit(grid::GridJob& job) {
 void BoincServer::submit(grid::GridJob& job, double delay_bound) {
   accept(job);
 
-  Workunit wu;
-  wu.id = next_workunit_id_++;
+  Workunit& wu = workunits_.emplace_back();
+  wu.id = workunits_.size();
   wu.grid_job = &job;
-  wu.reference_work = job.true_reference_runtime;
-  wu.input_mb = job.input_mb;
-  wu.output_mb = job.output_mb;
   wu.created = sim_.now();
-  wu.target_nresults = config_.target_nresults;
-  wu.min_quorum = config_.min_quorum;
-  wu.max_total_results = config_.max_total_results;
   wu.delay_bound = delay_bound;
-
-  auto [it, inserted] = workunits_.emplace(wu.id, std::move(wu));
-  assert(inserted);
   if (job.id >= live_workunits_.size()) live_workunits_.resize(job.id + 1);
-  live_workunits_[job.id] = &it->second;
+  live_workunits_[job.id] = &wu;
   obs_wu_created_->inc();
   if (tracer().enabled()) {
-    tracer().async_begin("workunit", "boinc.wu", it->second.id, sim_.now(),
+    tracer().async_begin("workunit", "boinc.wu", wu.id, sim_.now(),
                          {{"grid_job", std::to_string(job.id)}});
   }
-  for (int i = 0; i < it->second.target_nresults; ++i) {
-    issue_result(it->second);
-  }
+  for (int i = 0; i < config_.target_nresults; ++i) issue_result(wu);
   try_dispatch();
 }
 
 void BoincServer::issue_result(Workunit& wu) {
-  if (static_cast<int>(wu.results.size()) >= wu.max_total_results) return;
-  Result result;
-  result.id = next_result_id_++;
+  if (static_cast<int>(wu.result_count) >= config_.max_total_results) return;
+  // Link the new result behind the workunit's last (a chain of at most
+  // max_total_results).
+  Result* last = nullptr;
+  for (Result& sibling : chain(wu)) last = &sibling;
+  Result& result = results_.emplace_back();
+  result.id = results_.size();
   result.workunit_id = wu.id;
-  wu.results.push_back(result);
-  results_index_.push_back(
-      {&wu, static_cast<std::uint32_t>(wu.results.size() - 1)});
+  if (last == nullptr) {
+    wu.first_result = result.id;
+  } else {
+    assert(result.id - last->id <= UINT32_MAX);
+    last->next_gap = static_cast<std::uint32_t>(result.id - last->id);
+  }
+  ++wu.result_count;
   feeder_.enqueue(result.id);
   obs_results_issued_->inc();
 }
@@ -308,7 +305,7 @@ bool BoincServer::request_work(std::uint32_t key) {
     // BOINC's "one result per user per workunit" rule: replicas of the
     // same workunit must land on distinct hosts, or a single flawed host
     // could satisfy the quorum with two copies of the same wrong answer.
-    for (const Result& sibling : wu->results) {
+    for (const Result& sibling : chain(*wu)) {
       if (sibling.host_id == host_id &&
           sibling.state != ResultState::kUnsent) {
         return FeederQueue::Probe::kSkip;
@@ -331,24 +328,22 @@ bool BoincServer::request_work(std::uint32_t key) {
                            {{"host", std::to_string(host_id)},
                             {"workunit", std::to_string(wu->id)}});
     }
-    if (wu->grid_job != nullptr &&
-        wu->grid_job->state == grid::JobState::kQueued) {
-      begin_attempt(*wu->grid_job);
-    }
+    grid::GridJob& job = *wu->grid_job;
+    if (job.state == grid::JobState::kQueued) begin_attempt(job);
     // The per-result overhead and data staging are wall-clock on the host,
     // so they enter the work ledger scaled by host speed. With the transfer
     // model on, staging leaves the ledger entirely (zero free staging) and
     // becomes contended download/upload events around the compute phase.
     double staging = 0.0;
-    if (network_ == nullptr && wu->grid_job != nullptr) {
-      staging = (wu->grid_job->input_mb + wu->grid_job->output_mb) /
+    if (network_ == nullptr) {
+      staging = (job.input_mb + job.output_mb) /
                 BoincPoolConfig::kHostMbPerSecond;
     }
     assign(key, result->id,
-           wu->reference_work +
+           job.true_reference_runtime +
                (BoincPoolConfig::kResultOverheadSeconds + staging) *
                    hosts_[key].speed,
-           wu->input_mb, wu->output_mb);
+           job.input_mb, job.output_mb);
     return FeederQueue::Probe::kTake;
   });
 }
@@ -561,19 +556,29 @@ void BoincServer::clear_task(std::uint32_t key) {
 }
 
 Result* BoincServer::find_result(std::uint64_t result_id) {
-  if (result_id == 0 || result_id > results_index_.size()) return nullptr;
-  const ResultLoc& loc = results_index_[result_id - 1];
-  return &loc.workunit->results[loc.index];
+  if (result_id == 0 || result_id > results_.size()) return nullptr;
+  return &results_[result_id - 1];
 }
 
 Workunit* BoincServer::workunit_of_result(std::uint64_t result_id) {
-  if (result_id == 0 || result_id > results_index_.size()) return nullptr;
-  return results_index_[result_id - 1].workunit;
+  const Result* result = find_result(result_id);
+  return result == nullptr ? nullptr : workunit_of(result->workunit_id);
+}
+
+int BoincServer::outstanding(const Workunit& wu) const {
+  int n = 0;
+  for (const Result& r : results_of(wu)) {
+    if (r.state == ResultState::kUnsent ||
+        r.state == ResultState::kInProgress) {
+      ++n;
+    }
+  }
+  return n;
 }
 
 Workunit* BoincServer::workunit_of(std::uint64_t workunit_id) {
-  const auto it = workunits_.find(workunit_id);
-  return it == workunits_.end() ? nullptr : &it->second;
+  if (workunit_id == 0 || workunit_id > workunits_.size()) return nullptr;
+  return &workunits_[workunit_id - 1];
 }
 
 void BoincServer::report_result(std::uint64_t result_id, double cpu_seconds,
@@ -647,14 +652,13 @@ void BoincServer::report_error(std::uint64_t result_id, double cpu_seconds) {
     obs_results_reissued_->inc();
     issue_result(*wu);
     try_dispatch();
-    if (wu->outstanding() == 0) {
+    if (outstanding(*wu) == 0) {
       finish_workunit(*wu, "too many errors");
     }
   }
 }
 
-void BoincServer::time_out_result(Workunit& wu, Result& result) {
-  (void)wu;
+void BoincServer::time_out_result(Result& result) {
   observe_result_end(result, "timeout");
   result.state = ResultState::kTimedOut;
   ++timeouts_;
@@ -666,12 +670,12 @@ void BoincServer::time_out_result(Workunit& wu, Result& result) {
 }
 
 void BoincServer::reissue_after_timeouts(Workunit& wu) {
-  if (wu.outstanding() >= wu.min_quorum) return;
+  if (outstanding(wu) >= config_.min_quorum) return;
   ++reissued_;
   obs_results_reissued_->inc();
   issue_result(wu);
-  if (static_cast<int>(wu.results.size()) >= wu.max_total_results &&
-      wu.outstanding() == 0) {
+  if (static_cast<int>(wu.result_count) >= config_.max_total_results &&
+      outstanding(wu) == 0) {
     finish_workunit(wu, "result cap exhausted");
   }
 }
@@ -717,7 +721,7 @@ void BoincServer::transition() {
       if (result == nullptr || result->state != ResultState::kInProgress) {
         continue;
       }
-      time_out_result(*wu, *result);
+      time_out_result(*result);
       reissue_needed = true;
     }
     if (active && reissue_needed) reissue_after_timeouts(*wu);
@@ -729,13 +733,13 @@ void BoincServer::transition_full_sweep() {
   // The seed implementation, retained as the oracle for the deadline-heap
   // path (tests/test_sched_index.cpp runs twin scenarios under both and
   // requires identical outcomes): sweep every workunit, every result.
-  for (auto& [id, wu] : workunits_) {
+  for (Workunit& wu : workunits_) {
     if (wu.state != WorkunitState::kActive) continue;
     bool reissue_needed = false;
-    for (Result& result : wu.results) {
+    for (Result& result : chain(wu)) {
       if (result.state == ResultState::kInProgress &&
           sim_.now() > result.deadline) {
-        time_out_result(wu, result);
+        time_out_result(result);
         reissue_needed = true;
       }
     }
@@ -758,7 +762,7 @@ void BoincServer::validate(Workunit& wu) {
   // workunit validates when some fingerprint reaches the quorum. (Quorum 1
   // means any single return is trusted, the paper project's setting.)
   votes_scratch_.clear();
-  for (const Result& result : wu.results) {
+  for (const Result& result : results_of(wu)) {
     if (result.state == ResultState::kSuccess) tally_vote(result.output_hash);
   }
   // The canonical output is the hash with the maximal count; ties go to
@@ -774,10 +778,10 @@ void BoincServer::validate(Workunit& wu) {
 
   // Adaptive replication: a lone quorum-1 result from an unproven host
   // needs one agreeing replica before it validates.
-  int required = wu.min_quorum;
-  if (config_.adaptive_replication && wu.min_quorum == 1) {
+  int required = config_.min_quorum;
+  if (config_.adaptive_replication && config_.min_quorum == 1) {
     bool any_trusted_success = false;
-    for (const Result& result : wu.results) {
+    for (const Result& result : results_of(wu)) {
       if (result.state == ResultState::kSuccess &&
           host_trusted(result.host_id)) {
         any_trusted_success = true;
@@ -793,8 +797,8 @@ void BoincServer::validate(Workunit& wu) {
   }
   // Not decidable yet (too few returns, or a split vote). If nothing is in
   // flight, issue another instance — or give up at the result cap.
-  if (wu.outstanding() == 0) {
-    if (static_cast<int>(wu.results.size()) < wu.max_total_results) {
+  if (outstanding(wu) == 0) {
+    if (static_cast<int>(wu.result_count) < config_.max_total_results) {
       ++reissued_;
       obs_results_reissued_->inc();
       issue_result(wu);
@@ -846,12 +850,12 @@ void BoincServer::finish_workunit(Workunit& wu, const std::string& why,
     // Grant credit to hosts whose result carried the canonical output
     // fingerprint (the validator's majority hash).
     if (*canonical != 0) ++corrupted_;
-    for (const Result& result : wu.results) {
+    for (const Result& result : results_of(wu)) {
       if (result.state != ResultState::kSuccess) continue;
       VolunteerHost& host = hosts_[host_key(result)];
       if (result.output_hash == *canonical) {
         // Cobblestone-ish: reference CPU-seconds of validated work.
-        host.credit += wu.reference_work / 100.0;
+        host.credit += wu.grid_job->true_reference_runtime / 100.0;
         host.credited = true;
         ++host.valid_streak;
       } else {
@@ -861,11 +865,10 @@ void BoincServer::finish_workunit(Workunit& wu, const std::string& why,
     }
   }
   abort_outstanding(wu, "aborted");
-  if (wu.grid_job == nullptr) return;
   grid::GridJob& job = *wu.grid_job;
   live_workunits_[job.id] = nullptr;
   double cpu = 0.0;
-  for (const Result& result : wu.results) cpu += result.cpu_seconds;
+  for (const Result& result : results_of(wu)) cpu += result.cpu_seconds;
   grid::JobOutcome outcome;
   outcome.cpu_seconds = cpu;
   outcome.reason = why;
@@ -876,7 +879,7 @@ void BoincServer::finish_workunit(Workunit& wu, const std::string& why,
     // deadlines; otherwise every instance errored outright.
     bool any_success = false;
     bool any_timeout = false;
-    for (const Result& result : wu.results) {
+    for (const Result& result : results_of(wu)) {
       if (result.state == ResultState::kSuccess) any_success = true;
       if (result.state == ResultState::kTimedOut) any_timeout = true;
     }
@@ -888,7 +891,7 @@ void BoincServer::finish_workunit(Workunit& wu, const std::string& why,
 }
 
 void BoincServer::abort_outstanding(Workunit& wu, std::string_view reason) {
-  for (Result& result : wu.results) {
+  for (Result& result : chain(wu)) {
     if (result.state == ResultState::kInProgress) {
       observe_result_end(result, reason);
       abort_task(host_key(result), result.id);

@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,8 +58,11 @@ class BoincServer final : public grid::LocalResource {
   void cancel(std::uint64_t job_id) override;
 
   // Introspection for tests/benches ------------------------------------
-  const std::map<std::uint64_t, Workunit>& workunits() const {
-    return workunits_;
+  /// Every workunit, in id order: entry i is workunit i + 1.
+  const std::deque<Workunit>& workunits() const { return workunits_; }
+  /// The results issued for `wu`, in issuance order.
+  ResultChain<const std::deque<Result>> results_of(const Workunit& wu) const {
+    return {results_, wu};
   }
   /// Online hosts as of now() — advances the host calendar first so the
   /// incremental census is exact at the observation point.
@@ -141,14 +143,6 @@ class BoincServer final : public grid::LocalResource {
       if (deadline != other.deadline) return deadline > other.deadline;
       return result_id > other.result_id;
     }
-  };
-
-  /// Where a result lives: owning workunit (stable: workunits_ is a
-  /// node-based map) and position in its results vector (stable:
-  /// append-only).
-  struct ResultLoc {
-    Workunit* workunit;
-    std::uint32_t index;
   };
 
   /// Advance the host calendar to now() — the conservative lookahead
@@ -322,7 +316,7 @@ class BoincServer final : public grid::LocalResource {
   void transition_full_sweep();
   /// Apply the timeout protocol to one overdue in-progress result;
   /// `reissue_needed` accumulates per-workunit.
-  void time_out_result(Workunit& wu, Result& result);
+  void time_out_result(Result& result);
   /// Per-workunit reissue step after its timeouts this transition.
   void reissue_after_timeouts(Workunit& wu);
   void on_observability() override;
@@ -334,6 +328,12 @@ class BoincServer final : public grid::LocalResource {
   /// the in-progress state (report, error, timeout, abort).
   void observe_result_end(const Result& result, std::string_view reason);
   Result* find_result(std::uint64_t result_id);
+  /// The results of `wu`, writable, in issuance order.
+  ResultChain<std::deque<Result>> chain(const Workunit& wu) {
+    return {results_, wu};
+  }
+  /// Results of `wu` still unsent or in progress.
+  int outstanding(const Workunit& wu) const;
   Workunit* workunit_of(std::uint64_t workunit_id);
   Workunit* workunit_of_result(std::uint64_t result_id);
   /// Key of the host a dispatched result went to (ids are key + 1).
@@ -404,7 +404,10 @@ class BoincServer final : public grid::LocalResource {
   /// next assign.
   std::deque<HostTask> task_slots_;
   std::vector<std::uint32_t> free_task_slots_;
-  std::map<std::uint64_t, Workunit> workunits_;
+  /// Workunits indexed by id - 1: ids are handed out densely from 1 and
+  /// workunits are never erased. A deque, so live_workunits_ may
+  /// point into it: push_back moves no element.
+  std::deque<Workunit> workunits_;
   /// Grid job id → its undecided workunit (nullptr: none), for cancel: a
   /// job the grid level placed here again after a failure has older,
   /// decided workunits too, and cancel must reach the live one. Set at
@@ -412,10 +415,11 @@ class BoincServer final : public grid::LocalResource {
   /// id because grid job ids are dense from 1 (DESIGN.md §16); a std::map
   /// here cost the volunteer_1m benchmark ~20% of its job throughput.
   std::vector<Workunit*> live_workunits_;
-  /// Dense result-id → location index (ids are assigned sequentially from
-  /// 1, so entry i describes result i + 1): O(1) result lookup on every
-  /// report/dispatch/timeout instead of two tree searches.
-  std::vector<ResultLoc> results_index_;
+  /// Every result ever issued, indexed by id - 1 (ids are handed out
+  /// densely from 1): O(1) lookup on every report, dispatch and timeout. A
+  /// workunit's own results are a chain through it (ResultChain), so no
+  /// workunit allocates at any quorum.
+  std::deque<Result> results_;
   /// Unsent results awaiting dispatch. The pool is platform-homogeneous
   /// by construction (every host runs config_.platform), so one feeder
   /// serves every request.
@@ -435,8 +439,6 @@ class BoincServer final : public grid::LocalResource {
   std::unique_ptr<sim::PeriodicTask> transitioner_;
   bool transitioner_full_sweep_ = false;
 
-  std::uint64_t next_workunit_id_ = 1;
-  std::uint64_t next_result_id_ = 1;
   std::uint64_t reissued_ = 0;
   std::uint64_t timeouts_ = 0;
   double wasted_duplicate_ = 0.0;

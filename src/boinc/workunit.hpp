@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "grid/job.hpp"
 #include "sim/simulation.hpp"
@@ -28,6 +27,10 @@ struct Result {
   std::uint64_t workunit_id = 0;
   std::uint64_t host_id = 0;  // 0 while unsent
   ResultState state = ResultState::kUnsent;
+  /// Ids from this result to the next one its workunit issued (0: the
+  /// last so far): the sibling link ResultChain walks. Sits in the
+  /// padding after `state`.
+  std::uint32_t next_gap = 0;
   sim::SimTime sent_time = 0.0;
   sim::SimTime deadline = 0.0;
   sim::SimTime received_time = 0.0;
@@ -37,6 +40,9 @@ struct Result {
   /// compute errors return a perturbed value).
   std::uint64_t output_hash = 0;
 };
+// Three ids 24 + state 1 (+3 padding) + link 4 + three times, CPU and hash
+// 40 = 72 B; the server holds one per result ever issued.
+static_assert(sizeof(Result) <= 80, "Result grew");
 
 enum class WorkunitState : std::uint8_t {
   kActive,     // results outstanding or awaiting quorum
@@ -45,46 +51,60 @@ enum class WorkunitState : std::uint8_t {
   kError,      // exhausted max_total_results without quorum
 };
 
+/// One job's stay on the pool. The replication policy (target_nresults,
+/// min_quorum, max_total_results) is the pool's BoincPoolConfig; the paper's
+/// project ran with quorum 1, the benchmarks sweep it.
 struct Workunit {
   std::uint64_t id = 0;
+  /// The job this workunit computes (never null). Its compute demand
+  /// (true_reference_runtime, in reference-machine seconds) and staged
+  /// data sizes (input_mb downloaded before compute, output_mb uploaded
+  /// before reporting, per result instance) are read through it.
   grid::GridJob* grid_job = nullptr;
-  /// Compute demand in reference-machine seconds.
-  double reference_work = 0.0;
-  /// Staged data per attempt (copied from the grid job at submit): every
-  /// result instance downloads input_mb before compute and uploads
-  /// output_mb before reporting (free-staged when the transfer model is
-  /// off, contended net::Transfer events when it is on).
-  double input_mb = 0.0;
-  double output_mb = 0.0;
   /// Report deadline given to each result instance, in seconds from send.
   double delay_bound = 0.0;
-  /// Replication policy (the paper's project ran with quorum 1; the
-  /// benchmarks sweep it).
-  int target_nresults = 1;
-  int min_quorum = 1;
-  int max_total_results = 8;
-
-  WorkunitState state = WorkunitState::kActive;
-  std::vector<Result> results;
   sim::SimTime created = 0.0;
+  /// Id of the first result issued for it (0: none yet); the rest follow
+  /// along Result::next_gap in issuance order.
+  std::uint64_t first_result = 0;
+  /// Results issued for it so far.
+  std::uint32_t result_count = 0;
+  WorkunitState state = WorkunitState::kActive;
+};
+// Id, job, bound, created and first result 40 + count 4 + state 1 (+3
+// padding) = 48 B; the server holds one per workunit ever created.
+static_assert(sizeof(Workunit) <= 48, "Workunit grew");
 
-  int outstanding() const {
-    int n = 0;
-    for (const Result& r : results) {
-      if (r.state == ResultState::kUnsent ||
-          r.state == ResultState::kInProgress) {
-        ++n;
-      }
+/// A workunit's results in issuance order: a walk from its first result
+/// along the sibling links of a result table whose entry i is result
+/// i + 1. `Table` is `std::deque<Result>` or `const std::deque<Result>`.
+template <typename Table>
+class ResultChain {
+ public:
+  class iterator {
+   public:
+    iterator(Table* table, std::uint64_t id) : table_(table), id_(id) {}
+    auto& operator*() const { return (*table_)[id_ - 1]; }
+    iterator& operator++() {
+      const std::uint32_t gap = (**this).next_gap;
+      id_ = gap == 0 ? 0 : id_ + gap;
+      return *this;
     }
-    return n;
-  }
-  int successes() const {
-    int n = 0;
-    for (const Result& r : results) {
-      if (r.state == ResultState::kSuccess) ++n;
-    }
-    return n;
-  }
+    bool operator==(const iterator& other) const { return id_ == other.id_; }
+
+   private:
+    Table* table_;
+    std::uint64_t id_;  // 0: past the last result
+  };
+
+  ResultChain(Table& table, const Workunit& wu)
+      : table_(&table), first_(wu.first_result) {}
+  iterator begin() const { return {table_, first_}; }
+  iterator end() const { return {table_, 0}; }
+
+ private:
+  Table* table_;
+  std::uint64_t first_;
 };
 
 }  // namespace lattice::boinc

@@ -78,9 +78,9 @@ std::vector<std::string> audit(LatticeSystem& system,
     std::uint64_t open_results = 0;
     std::uint64_t results = 0;
     std::uint64_t results_with_host = 0;
-    for (const auto& [id, wu] : pool->workunits()) {
+    for (const boinc::Workunit& wu : pool->workunits()) {
       if (wu.state == boinc::WorkunitState::kActive) ++open_workunits;
-      for (const boinc::Result& result : wu.results) {
+      for (const boinc::Result& result : pool->results_of(wu)) {
         ++results;
         if (result.host_id != 0) ++results_with_host;
         if (result.state == boinc::ResultState::kUnsent ||

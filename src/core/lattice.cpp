@@ -223,13 +223,12 @@ std::uint64_t LatticeSystem::submit_job_with_runtime(
   job.id = id;
   job.batch_id = batch_id;
   job.user_id = user_id;
-  job.requirements = std::move(requirements);
   job.true_reference_runtime = true_reference_runtime;
   job.input_mb = data.input_mb;
   job.output_mb = data.output_mb;
   job.submit_time = sim_.now();
   job.estimated_reference_runtime = estimate_runtime(features);
-  job.decision_class = intern_decision_class(job);
+  intern_decision_class(job, requirements);
   ++pending_count_;
   enqueue(id, 1);
   ++metrics_.submitted;
@@ -284,11 +283,9 @@ bool LatticeSystem::cancel_job(std::uint64_t id) {
     }
     case grid::JobState::kQueued:
     case grid::JobState::kRunning: {
-      grid::LocalResource* where = resource(job.resource);
-      if (where == nullptr) return false;
       // The resource fires the completion callback with "cancelled", which
       // routes through on_outcome for bookkeeping.
-      where->cancel(id);
+      job.resource->cancel(id);
       return job.state == grid::JobState::kCancelled;
     }
   }
@@ -303,23 +300,23 @@ std::size_t LatticeSystem::grid_backlog() const {
   return backlog;
 }
 
-std::uint32_t LatticeSystem::intern_decision_class(
-    const grid::GridJob& job) {
+void LatticeSystem::intern_decision_class(
+    grid::GridJob& job, const grid::JobRequirements& requirements) {
   const double data_mb = job.input_mb + job.output_mb;
-  if (last_class_ != nullptr && last_class_->data_mb == data_mb &&
-      last_class_->require_stable == job.require_stable &&
-      last_class_->requirements == job.requirements) {
-    return last_class_id_;
+  if (last_class_ == nullptr || last_class_->data_mb != data_mb ||
+      last_class_->require_stable != job.require_stable ||
+      !(last_class_->requirements == requirements)) {
+    const auto it =
+        decision_classes_
+            .try_emplace(
+                DecisionClass{requirements, job.require_stable, data_mb},
+                static_cast<std::uint32_t>(decision_classes_.size()))
+            .first;
+    last_class_ = &it->first;
+    last_class_id_ = it->second;
   }
-  const auto it =
-      decision_classes_
-          .try_emplace(
-              DecisionClass{job.requirements, job.require_stable, data_mb},
-              static_cast<std::uint32_t>(decision_classes_.size()))
-          .first;
-  last_class_ = &it->first;
-  last_class_id_ = it->second;
-  return last_class_id_;
+  job.requirements = &last_class_->requirements;
+  job.decision_class = last_class_id_;
 }
 
 void LatticeSystem::enqueue(std::uint64_t first, std::uint64_t count) {
@@ -559,11 +556,11 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
     if (obs_tracer_->enabled()) {
       obs_tracer_->async_end("job", "lattice.job", job.id, sim_.now(),
                              {{"outcome", "completed"},
-                              {"resource", job.resource}});
+                              {"resource", job.resource->name()}});
     }
     if (job.estimated_reference_runtime) {
       const double measured =
-          outcome.cpu_seconds * speeds_.speed_or_default(job.resource);
+          outcome.cpu_seconds * speeds_.speed_or_default(job.resource->name());
       obs_predictor_error_->observe(
           std::abs(*job.estimated_reference_runtime - measured));
     }
@@ -571,7 +568,7 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
     // §VI.E: feed the observation back into the model. The measured
     // reference runtime is the attempt's CPU time scaled by the calibrated
     // resource speed.
-    const double speed = speeds_.speed_or_default(job.resource);
+    const double speed = speeds_.speed_or_default(job.resource->name());
     estimator_.observe(feature_runs_[jobs_[job.id - 1].features],
                        outcome.cpu_seconds * speed);
     if (terminal_hook_) terminal_hook_(job, true);
@@ -612,12 +609,11 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
   // mean this job keeps losing its progress to churn — route it to stable
   // resources from now on.
   if (config_.retry.demote_after_failures > 0 && !job.require_stable) {
-    grid::LocalResource* where = resource(job.resource);
-    if (where != nullptr && !where->info().stable) {
+    if (!job.resource->info().stable) {
       ++job.unstable_failures;
       if (job.unstable_failures >= config_.retry.demote_after_failures) {
         job.require_stable = true;
-        job.decision_class = intern_decision_class(job);
+        intern_decision_class(job, *job.requirements);
         obs_demotions_->inc();
         util::log_debug("lattice",
                         "job {} demoted to stable-only after {} unstable "

@@ -215,8 +215,11 @@ class LatticeSystem {
   /// order (FairShareConfig.order_queue). Runs are disjoint id ranges of
   /// one user each, so this is the (usage, job id) order of their members.
   void order_pending_by_usage();
-  /// The dense id of the job's decision class, interned on first sight.
-  std::uint32_t intern_decision_class(const grid::GridJob& job);
+  /// Point `job` at its decision class (with `requirements` and the job's
+  /// require_stable and data sizes), interned on first sight: sets
+  /// decision_class, and requirements to the class's own copy.
+  void intern_decision_class(grid::GridJob& job,
+                             const grid::JobRequirements& requirements);
   /// Append the run [first, first + count) to the pending queue, extending
   /// the last run when it ends at `first` and holds the same kind of job.
   /// During a pass only runs queued by that pass are extended.
@@ -261,7 +264,9 @@ class LatticeSystem {
 
   /// Everything choose() and the backpressure test read from a job besides
   /// its rank estimate. Interned to a dense id (GridJob::decision_class)
-  /// at submit and on demotion, so the pump compares classes as integers.
+  /// at submit and on demotion, so the pump compares classes as integers;
+  /// the job's requirements pointer names the key's copy (map nodes never
+  /// move, and classes are never erased).
   struct DecisionClass {
     grid::JobRequirements requirements;
     bool require_stable = false;

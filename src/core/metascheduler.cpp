@@ -47,7 +47,7 @@ void MetaScheduler::set_observability(obs::MetricsRegistry& metrics) {
 std::optional<std::string> MetaScheduler::choose(const grid::GridJob& job) {
   eligible_scratch_.clear();
   grid::MdsMatchStats stats;
-  mds_.match_online(job.requirements, eligible_scratch_, &stats);
+  mds_.match_online(*job.requirements, eligible_scratch_, &stats);
   candidates_scanned_->inc(stats.candidates_scanned);
   match_eligible_->inc(stats.eligible);
   // Demoted jobs (repeated unstable-resource failures) keep only stable

@@ -61,7 +61,8 @@ std::string job_attempts_report(const LatticeSystem& system,
   std::vector<Row> rows;
   system.for_each_job([&](const grid::GridJob& job) {
     rows.push_back(Row{job.id, job.state, job.attempts, job.last_failure,
-                       job.require_stable, job.resource});
+                       job.require_stable,
+                       std::string(grid::resource_name(job))});
   });
   // Most-retried jobs first; id ascending as the tie-break so the report
   // is deterministic.

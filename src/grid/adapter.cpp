@@ -11,9 +11,9 @@ std::string condor_submit_file(const GridJob& job) {
   out += util::format("executable = {}\n", kApplication);
   out += util::format("requirements = {}\n",
                       condor_requirements_expression(job));
-  if (job.requirements.min_memory_gb > 0.0) {
+  if (job.requirements->min_memory_gb > 0.0) {
     out += util::format("request_memory = {:.0f}MB\n",
-                        job.requirements.min_memory_gb * 1024.0);
+                        job.requirements->min_memory_gb * 1024.0);
   }
   out += "queue 1\n";
   return out;
@@ -23,9 +23,9 @@ std::string pbs_script(const GridJob& job) {
   std::string out = "#!/bin/sh\n";
   out += util::format("#PBS -N {}-{}\n", kApplication, job.id);
   out += "#PBS -l nodes=1:ppn=1";
-  if (job.requirements.min_memory_gb > 0.0) {
+  if (job.requirements->min_memory_gb > 0.0) {
     out += util::format(",mem={:.0f}mb",
-                        job.requirements.min_memory_gb * 1024.0);
+                        job.requirements->min_memory_gb * 1024.0);
   }
   out += "\n";
   if (job.estimated_reference_runtime) {
@@ -44,11 +44,11 @@ std::string sge_script(const GridJob& job) {
   std::string out = "#!/bin/sh\n";
   out += util::format("#$ -N {}-{}\n", kApplication, job.id);
   out += "#$ -cwd\n";
-  if (job.requirements.min_memory_gb > 0.0) {
+  if (job.requirements->min_memory_gb > 0.0) {
     out += util::format("#$ -l mem_free={:.1f}G\n",
-                        job.requirements.min_memory_gb);
+                        job.requirements->min_memory_gb);
   }
-  if (job.requirements.needs_mpi) {
+  if (job.requirements->needs_mpi) {
     out += "#$ -pe mpi 1\n";
   }
   out += util::format("{}\n", kApplication);

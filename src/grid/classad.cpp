@@ -347,9 +347,9 @@ AdValue AdExpression::evaluate(const ClassAd& ad) const {
 
 std::string condor_requirements_expression(const GridJob& job) {
   std::string expr;
-  if (!job.requirements.platforms.empty()) {
+  if (!job.requirements->platforms.empty()) {
     std::string platforms;
-    for (const auto& platform : job.requirements.platforms) {
+    for (const auto& platform : job.requirements->platforms) {
       if (!platforms.empty()) platforms += " || ";
       std::string opsys;
       switch (platform.os) {
@@ -368,9 +368,9 @@ std::string condor_requirements_expression(const GridJob& job) {
     }
     expr = "(" + platforms + ")";
   }
-  if (job.requirements.min_memory_gb > 0.0) {
+  if (job.requirements->min_memory_gb > 0.0) {
     const std::string memory = util::format(
-        "Memory >= {:.0f}", job.requirements.min_memory_gb * 1024.0);
+        "Memory >= {:.0f}", job.requirements->min_memory_gb * 1024.0);
     expr = expr.empty() ? memory : expr + " && " + memory;
   }
   return expr.empty() ? "TRUE" : expr;

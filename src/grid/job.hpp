@@ -75,6 +75,12 @@ std::string_view failure_cause_name(FailureCause cause);
 /// (Condor, PBS, SGE, RSL, BOINC workunit) print it.
 inline constexpr std::string_view kApplication = "garli";
 
+class LocalResource;
+
+/// The requirements of a job that has none. A job built outside
+/// LatticeSystem points here until it is given others.
+inline const JobRequirements kNoRequirements{};
+
 struct GridJob {
   std::uint64_t id = 0;
   /// Identifier of the portal submission this job belongs to (0 = none).
@@ -82,7 +88,10 @@ struct GridJob {
   /// Portal user the job is billed to for fair-share accounting (0 = no
   /// user attribution; such jobs are never charged or reordered).
   std::uint64_t user_id = 0;
-  JobRequirements requirements;
+  /// Matchmaking requirements; never null, and they outlive the job.
+  /// LatticeSystem points each job at the copy interned with its decision
+  /// class, so a batch's jobs share one record.
+  const JobRequirements* requirements = &kNoRequirements;
 
   /// True compute demand in seconds on the speed-1.0 reference machine.
   /// Only the execution simulation reads this.
@@ -96,34 +105,37 @@ struct GridJob {
   /// nullopt when no estimator is configured.
   std::optional<double> estimated_reference_runtime;
 
-  JobState state = JobState::kPending;
-  std::string resource;  // where it is (or last was) placed
+  /// The resource it is (or last was) placed on; null until first placed.
+  LocalResource* resource = nullptr;
   sim::SimTime submit_time = 0.0;
   /// When the current local resource accepted the job (per attempt; the
   /// local queue wait observed by obs is start_time - queued_time).
   sim::SimTime queued_time = 0.0;
   sim::SimTime start_time = 0.0;
   sim::SimTime finish_time = 0.0;
-  int attempts = 0;
   /// CPU-seconds burned by attempts that did not complete.
   double wasted_cpu_seconds = 0.0;
+  int attempts = 0;
 
   // Retry-policy state (maintained by the grid level's on_outcome path).
-  /// Cause of the most recent failed attempt (kNone until one fails).
-  FailureCause last_failure = FailureCause::kNone;
   /// Failed attempts on unstable (desktop/volunteer) resources.
   int unstable_failures = 0;
-  /// Set by the demotion policy: the meta-scheduler must place this job on
-  /// a stable resource only.
-  bool require_stable = false;
   /// Dense id of the job's decision class (requirements, require_stable,
   /// input + output MB), interned by the grid level at submit and on
   /// demotion: jobs with equal ids present the same static inputs to the
-  /// meta-scheduler. (Fits the struct's tail padding.)
+  /// meta-scheduler.
   std::uint32_t decision_class = 0;
+  JobState state = JobState::kPending;
+  /// Cause of the most recent failed attempt (kNone until one fails).
+  FailureCause last_failure = FailureCause::kNone;
+  /// Set by the demotion policy: the meta-scheduler must place this job on
+  /// a stable resource only.
+  bool require_stable = false;
 };
-// Every live job holds one, so a field added here costs bytes per job at
-// 10^6-job scale (232 bytes with libstdc++ on x86-64).
-static_assert(sizeof(GridJob) <= 232, "GridJob grew");
+// Every live job holds one: ids 24 + requirements 8 + runtime and data 24
+// + estimate 16 + resource 8 + four times and the waste 40 + two counts and
+// the class 12 + three one-byte fields (+1 padding) = 136 B with libstdc++ on
+// x86-64.
+static_assert(sizeof(GridJob) <= 136, "GridJob grew");
 
 }  // namespace lattice::grid

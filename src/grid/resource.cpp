@@ -33,7 +33,7 @@ void LocalResource::set_observability(obs::MetricsRegistry& metrics,
 
 void LocalResource::accept(GridJob& job) {
   job.state = JobState::kQueued;
-  job.resource = name();
+  job.resource = this;
   job.queued_time = sim_.now();
 }
 
@@ -84,7 +84,7 @@ void QueuedResource::submit(GridJob& job) {
     // The LRM front end is down: the submission bounces immediately and
     // the grid level reschedules (or backs off) on kOutage instead of
     // queueing into a black hole.
-    job.resource = name();
+    job.resource = this;
     fail_for_outage(job);
     return;
   }

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "grid/classad.hpp"
@@ -132,6 +133,12 @@ class LocalResource {
   obs::MetricsRegistry* metrics_;
   obs::Tracer* tracer_;
 };
+
+/// The name of the resource `job` is (or last was) placed on; empty until
+/// it is first placed.
+inline std::string_view resource_name(const GridJob& job) {
+  return job.resource == nullptr ? std::string_view{} : job.resource->name();
+}
 
 /// What the two local resource managers (LRMs) — the cluster batch queue
 /// and the Condor pool — do alike: the outage protocol (submit bounce,

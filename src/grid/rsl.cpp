@@ -129,14 +129,14 @@ RslDocument parse_rsl(std::string_view text) {
 std::string to_rsl(const GridJob& job) {
   std::string out = "&";
   out += util::format("(executable=\"{}\")", kApplication);
-  for (const auto& platform : job.requirements.platforms) {
+  for (const auto& platform : job.requirements->platforms) {
     out += util::format("(platform={})", platform_name(platform));
   }
-  if (job.requirements.min_memory_gb > 0.0) {
-    out += util::format("(memory>={:.3f})", job.requirements.min_memory_gb);
+  if (job.requirements->min_memory_gb > 0.0) {
+    out += util::format("(memory>={:.3f})", job.requirements->min_memory_gb);
   }
-  if (job.requirements.needs_mpi) out += "(mpi=yes)";
-  for (const auto& software : job.requirements.software) {
+  if (job.requirements->needs_mpi) out += "(mpi=yes)";
+  for (const auto& software : job.requirements->software) {
     out += util::format("(software={})", software);
   }
   if (job.estimated_reference_runtime) {

@@ -101,7 +101,7 @@ class PumpReference {
     std::map<Key, Deferral> deferred;
     for (const std::uint64_t id : ids) {
       grid::GridJob& job = s.jobs_[id - 1].job;
-      const Key key{&job.requirements, job.require_stable,
+      const Key key{job.requirements, job.require_stable,
                     s.scheduler_.rank_estimate(job),
                     job.input_mb + job.output_mb};
       std::optional<Deferral> cause;

@@ -87,7 +87,7 @@ class Scheduler {
 
   std::optional<std::string> choose(const grid::GridJob& job) {
     std::vector<grid::MdsEntry> candidates =
-        eligible(mds_, job.requirements);
+        eligible(mds_, *job.requirements);
     // Demoted jobs keep only stable resources: a hard filter.
     if (job.require_stable) {
       std::erase_if(candidates, [](const grid::MdsEntry& entry) {

@@ -10,6 +10,8 @@
 #include "boinc/adapter.hpp"
 #include "boinc/server.hpp"
 #include "net/model.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 
 namespace lattice::boinc {
@@ -20,6 +22,15 @@ grid::GridJob make_job(std::uint64_t id, double runtime) {
   job.id = id;
   job.true_reference_runtime = runtime;
   return job;
+}
+
+/// Results of `wu` reported back successfully.
+int successes(const BoincServer& server, const Workunit& wu) {
+  int n = 0;
+  for (const Result& result : server.results_of(wu)) {
+    if (result.state == ResultState::kSuccess) ++n;
+  }
+  return n;
 }
 
 BoincPoolConfig reliable_pool(std::size_t hosts) {
@@ -224,9 +235,9 @@ TEST(Boinc, QuorumTwoCatchesFlawedHosts) {
   sim.run(60.0 * 86400.0);
   EXPECT_EQ(completed, 6);
   // Each workunit needed >= 2 agreeing results.
-  for (const auto& [id, wu] : server.workunits()) {
+  for (const Workunit& wu : server.workunits()) {
     EXPECT_EQ(wu.state, WorkunitState::kValidated);
-    EXPECT_GE(wu.successes(), 2);
+    EXPECT_GE(successes(server, wu), 2);
   }
 }
 
@@ -299,7 +310,7 @@ TEST(Boinc, CancelReachesTheLiveWorkunitOfARetriedJob) {
   server.cancel(job.id);
   EXPECT_EQ(job.state, grid::JobState::kCancelled);
   EXPECT_EQ(reasons.back(), "cancelled");
-  EXPECT_EQ(server.workunits().rbegin()->second.state,
+  EXPECT_EQ(server.workunits().back().state,
             WorkunitState::kCancelled);
   // Nothing is live any more: a second cancel is a no-op.
   server.cancel(job.id);
@@ -315,10 +326,10 @@ TEST(Boinc, PerJobDeadlineOverride) {
   server.submit(job, 12345.0);
   const auto& workunits = server.workunits();
   ASSERT_EQ(workunits.size(), 1u);
-  EXPECT_DOUBLE_EQ(workunits.begin()->second.delay_bound, 12345.0);
+  EXPECT_DOUBLE_EQ(workunits.front().delay_bound, 12345.0);
   auto other = make_job(2, 600.0);
   server.submit(other);
-  EXPECT_DOUBLE_EQ(server.workunits().rbegin()->second.delay_bound,
+  EXPECT_DOUBLE_EQ(server.workunits().back().delay_bound,
                    server.config().default_delay_bound);
   sim.run(86400.0);
 }
@@ -353,7 +364,7 @@ TEST(Boinc, AdapterSubmitWithDeadline) {
   auto job = make_job(1, 600.0);
   server.submit(job, 9999.0);
   ASSERT_EQ(server.workunits().size(), 1u);
-  EXPECT_DOUBLE_EQ(server.workunits().begin()->second.delay_bound, 9999.0);
+  EXPECT_DOUBLE_EQ(server.workunits().front().delay_bound, 9999.0);
   sim.run(86400.0);
 }
 
@@ -461,9 +472,9 @@ TEST(Boinc, FlawedResultsEarnNoCredit) {
   ASSERT_EQ(job.state, grid::JobState::kCompleted);
   // Credit went only to the agreeing (correct) results: exactly the
   // canonical-vote count times the per-result credit.
-  const auto& wu = server.workunits().begin()->second;
+  const Workunit& wu = server.workunits().front();
   int canonical_count = 0;
-  for (const auto& result : wu.results) {
+  for (const Result& result : server.results_of(wu)) {
     if (result.state == ResultState::kSuccess && result.output_hash == 0) {
       ++canonical_count;
     }
@@ -493,9 +504,9 @@ TEST(Boinc, AdaptiveReplicationCrossChecksUnprovenHosts) {
   sim.run(10.0 * 86400.0);
   // Every workunit validated, but each needed >= 2 agreeing results while
   // all hosts were unproven.
-  for (const auto& [id, wu] : server.workunits()) {
+  for (const Workunit& wu : server.workunits()) {
     EXPECT_EQ(wu.state, WorkunitState::kValidated);
-    EXPECT_GE(wu.successes(), 2);
+    EXPECT_GE(successes(server, wu), 2);
   }
 }
 
@@ -523,12 +534,12 @@ TEST(Boinc, TrustedHostsSkipTheCrossCheck) {
   EXPECT_TRUE(server.host_trusted(1));
   EXPECT_TRUE(server.host_trusted(2));
   // ...early workunits were cross-checked, late ones validate singly.
-  const auto& first = server.workunits().begin()->second;
-  const auto& last = server.workunits().rbegin()->second;
+  const Workunit& first = server.workunits().front();
+  const Workunit& last = server.workunits().back();
   EXPECT_EQ(first.state, WorkunitState::kValidated);
-  EXPECT_GE(first.successes(), 2);
+  EXPECT_GE(successes(server, first), 2);
   EXPECT_EQ(last.state, WorkunitState::kValidated);
-  EXPECT_EQ(last.successes(), 1);
+  EXPECT_EQ(successes(server, last), 1);
 }
 
 TEST(Boinc, DisagreementResetsTrustStreak) {
@@ -626,6 +637,59 @@ TEST(Boinc, IncrementalCensusMatchesARecountAtEveryBarrier) {
   EXPECT_GT(server.timed_out_results(), 0u);
   EXPECT_GT(server.reissued_results(), 0u);
   EXPECT_GT(server.network()->transfers_completed(), 0u);
+}
+
+// The workunit and result tables: workunits are listed by id from 1, each
+// workunit's results come out in issuance order (ascending result id) even
+// after timeouts reissue some of them, and together the workunits hold
+// exactly the results issued. The transitioner's timeouts and aborts walk
+// a workunit's results in this order and can dispatch synchronously, so
+// the order is observable.
+TEST(Boinc, WorkunitResultsKeepIssuanceOrderAcrossReissues) {
+  sim::Simulation sim;
+  BoincPoolConfig config;
+  config.hosts = 40;
+  config.mean_on_hours = 2.0;
+  config.mean_off_hours = 6.0;
+  config.mean_lifetime_days = 2.0;
+  config.target_nresults = 2;
+  config.min_quorum = 2;
+  config.max_total_results = 6;
+  config.default_delay_bound = 3.0 * 3600.0;  // short: forces timeouts
+  config.seed = 29;
+  BoincServer server(sim, "boinc", config);
+  obs::MetricsRegistry metrics;
+  server.set_observability(metrics, obs::Tracer::null());
+  server.set_completion_callback(
+      [](grid::GridJob&, const grid::JobOutcome&) {});
+  std::vector<grid::GridJob> jobs(30);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i] = make_job(i + 1, 2.0 * 3600.0);
+    server.submit(jobs[i]);
+  }
+  sim.run(10.0 * 86400.0);
+  ASSERT_GT(server.timed_out_results(), 0u);
+  ASSERT_GT(server.reissued_results(), 0u);
+
+  std::uint64_t expected_id = 1;
+  std::uint64_t results = 0;
+  std::size_t reissued_workunits = 0;
+  for (const Workunit& wu : server.workunits()) {
+    EXPECT_EQ(wu.id, expected_id++);
+    std::uint64_t previous = 0;
+    std::size_t held = 0;
+    for (const Result& result : server.results_of(wu)) {
+      EXPECT_EQ(result.workunit_id, wu.id);
+      EXPECT_GT(result.id, previous) << "workunit " << wu.id;
+      previous = result.id;
+      ++held;
+    }
+    if (held > 2) ++reissued_workunits;
+    results += held;
+  }
+  EXPECT_EQ(expected_id, jobs.size() + 1);
+  EXPECT_GT(reissued_workunits, 0u);
+  EXPECT_EQ(results, metrics.counter_total("boinc.results_issued"));
 }
 
 }  // namespace

@@ -97,8 +97,10 @@ TEST(ClassAdExpr, ParseErrors) {
 TEST(ClassAdExpr, GeneratedRequirementsExpression) {
   GridJob job;
   EXPECT_EQ(condor_requirements_expression(job), "TRUE");
-  job.requirements.platforms = {PlatformSpec{OsType::kLinux, Arch::kX86_64}};
-  job.requirements.min_memory_gb = 2.0;
+  JobRequirements requirements;
+  requirements.platforms = {PlatformSpec{OsType::kLinux, Arch::kX86_64}};
+  requirements.min_memory_gb = 2.0;
+  job.requirements = &requirements;
   const std::string expr = condor_requirements_expression(job);
   const AdExpression parsed = AdExpression::parse(expr);
   EXPECT_TRUE(parsed.matches(linux_box(2048)));
@@ -109,10 +111,11 @@ TEST(ClassAdExpr, GeneratedRequirementsExpression) {
 }
 
 TEST(ClassAdExpr, MultiPlatformRequirements) {
+  JobRequirements requirements;
+  requirements.platforms = {PlatformSpec{OsType::kLinux, Arch::kX86_64},
+                            PlatformSpec{OsType::kMacOS, Arch::kX86}};
   GridJob job;
-  job.requirements.platforms = {
-      PlatformSpec{OsType::kLinux, Arch::kX86_64},
-      PlatformSpec{OsType::kMacOS, Arch::kX86}};
+  job.requirements = &requirements;
   const AdExpression parsed =
       AdExpression::parse(condor_requirements_expression(job));
   EXPECT_TRUE(parsed.matches(linux_box(128)));
@@ -154,7 +157,9 @@ TEST(CondorMatchmaking, MemoryHungryJobWaitsForBigMachine) {
   GridJob hungry;
   hungry.id = 1;
   hungry.true_reference_runtime = 600.0;
-  hungry.requirements.min_memory_gb = biggest / 1024.0 * 0.9;  // near-top
+  JobRequirements near_top;
+  near_top.min_memory_gb = biggest / 1024.0 * 0.9;
+  hungry.requirements = &near_top;
   pool.submit(hungry);
   GridJob modest;
   modest.id = 2;
@@ -182,7 +187,9 @@ TEST(CondorMatchmaking, UnsatisfiableJobDoesNotBlockQueue) {
   GridJob impossible;
   impossible.id = 1;
   impossible.true_reference_runtime = 60.0;
-  impossible.requirements.min_memory_gb = 1024.0;  // 1 TB desktop, sure
+  JobRequirements terabyte;
+  terabyte.min_memory_gb = 1024.0;  // 1 TB desktop, sure
+  impossible.requirements = &terabyte;
   pool.submit(impossible);
   GridJob normal;
   normal.id = 2;

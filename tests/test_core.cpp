@@ -420,34 +420,36 @@ TEST(Scheduler, MatchmakingFilters) {
   // into a one-entry directory and must come back from match_online.
   SchedulerFixture fx;
   grid::ResourceInfo info = fx.cluster("hpc", 10, 0);
+  grid::JobRequirements requirements;
   grid::GridJob job;
+  job.requirements = &requirements;
   const auto matches = [&] {
     fx.mds.report(info);
     std::vector<const grid::MdsEntry*> eligible;
-    fx.mds.match_online(job.requirements, eligible);
+    fx.mds.match_online(*job.requirements, eligible);
     return eligible.size() == 1;
   };
 
   // Platform mismatch.
-  job.requirements.platforms = {
+  requirements.platforms = {
       grid::PlatformSpec{grid::OsType::kWindows, grid::Arch::kX86}};
   EXPECT_FALSE(matches());
-  job.requirements.platforms.clear();
+  requirements.platforms.clear();
 
   // Memory.
-  job.requirements.min_memory_gb = 64.0;
+  requirements.min_memory_gb = 64.0;
   EXPECT_FALSE(matches());
-  job.requirements.min_memory_gb = 1.0;
+  requirements.min_memory_gb = 1.0;
 
   // MPI.
-  job.requirements.needs_mpi = true;
+  requirements.needs_mpi = true;
   info.mpi_capable = false;
   EXPECT_FALSE(matches());
   info.mpi_capable = true;
   EXPECT_TRUE(matches());
 
   // Software dependency.
-  job.requirements.software = {"java"};
+  requirements.software = {"java"};
   EXPECT_FALSE(matches());
   info.software = {"java"};
   EXPECT_TRUE(matches());
@@ -642,7 +644,7 @@ TEST(Lattice, BoincDispatchTakesEstimateDeadlineOrPoolDefault) {
 
   system.run(config.scheduler_period);  // one pump pass dispatches both
   std::map<std::uint64_t, double> bound_of_job;
-  for (const auto& [id, wu] : server.workunits()) {
+  for (const boinc::Workunit& wu : server.workunits()) {
     bound_of_job[wu.grid_job->id] = wu.delay_bound;
   }
   ASSERT_EQ(bound_of_job.size(), 2u);
@@ -940,6 +942,93 @@ TEST(EstimateMemo, ReplacedEstimatorRepricesAndUntrainedGivesNoEstimate) {
   system.estimator() = RuntimeEstimator(small_forest());
   const std::uint64_t c = system.submit_garli_job(features);
   EXPECT_FALSE(system.job(c)->estimated_reference_runtime.has_value());
+}
+
+// A job remembers the resource of its latest placement: after failing on
+// one cluster it reports the one that took it next, and cancel reaches it
+// there.
+TEST(Lattice, JobResourceFollowsTheLatestPlacement) {
+  LatticeSystem system(fast_config(SchedulingMode::kRoundRobin));
+  grid::BatchQueueResource::Config cluster;
+  cluster.nodes = 2;
+  system.add_cluster("east", cluster);
+  system.add_cluster("west", cluster);
+  const std::uint64_t id =
+      system.submit_job_with_runtime(GarliFeatures{}, 40.0 * 3600.0);
+  system.run(60.0);  // one pump places it
+  const grid::GridJob& job = *system.job(id);
+  ASSERT_EQ(job.state, grid::JobState::kRunning);
+  const std::string first(grid::resource_name(job));
+  const std::string second = first == "east" ? "west" : "east";
+  ASSERT_EQ(job.resource, system.resource(first));
+
+  // An outage fails the attempt; round-robin places the retry on the other
+  // cluster.
+  system.resource(first)->set_outage(true);
+  EXPECT_EQ(job.last_failure, grid::FailureCause::kOutage);
+  system.run(120.0);
+  ASSERT_EQ(job.state, grid::JobState::kRunning);
+  EXPECT_EQ(grid::resource_name(job), second);
+  EXPECT_EQ(job.resource, system.resource(second));
+  EXPECT_EQ(job.attempts, 2);
+
+  EXPECT_TRUE(system.cancel_job(id));
+  EXPECT_EQ(job.state, grid::JobState::kCancelled);
+  EXPECT_EQ(grid::resource_name(job), second);
+  const grid::ResourceInfo info = system.resource(second)->info();
+  EXPECT_EQ(info.free_slots, info.total_slots);
+}
+
+// Jobs with equal requirements point at one interned record; different
+// requirements get another, and demotion to stable-only resources keeps
+// the requirements a job was submitted with.
+TEST(Lattice, JobsOfABatchShareOneRequirementsRecord) {
+  LatticeConfig config;
+  config.seed = 21;
+  config.retry.backoff_base_seconds = 10.0;
+  config.retry.demote_after_failures = 2;
+  LatticeSystem system(config);
+  grid::BatchQueueResource::Config cluster;
+  cluster.nodes = 4;
+  cluster.cores_per_node = 2;
+  cluster.node_speed = 0.8;
+  system.add_cluster("steady", cluster);
+  grid::CondorPool::Config condor;
+  condor.machines = 24;
+  condor.mean_speed = 2.5;       // ranked first...
+  condor.mean_idle_hours = 0.2;  // ...but owners return almost at once
+  condor.mean_busy_hours = 12.0;
+  system.add_condor_pool("flaky", condor);
+  system.calibrate_speeds();
+
+  grid::JobRequirements small;
+  small.min_memory_gb = 0.5;
+  grid::JobRequirements large;
+  large.min_memory_gb = 1.0;
+  std::vector<std::uint64_t> batch;
+  for (int i = 0; i < 9; ++i) {
+    batch.push_back(system.submit_job_with_runtime(GarliFeatures{},
+                                                   2.0 * 3600.0, small, 1));
+  }
+  const std::uint64_t other =
+      system.submit_job_with_runtime(GarliFeatures{}, 2.0 * 3600.0, large, 2);
+  const grid::JobRequirements* shared = system.job(batch[0])->requirements;
+  EXPECT_EQ(*shared, small);
+  for (const std::uint64_t id : batch) {
+    EXPECT_EQ(system.job(id)->requirements, shared) << "job " << id;
+  }
+  EXPECT_NE(system.job(other)->requirements, shared);
+  EXPECT_EQ(*system.job(other)->requirements, large);
+
+  system.run_until_drained(60.0 * 86400.0);
+  std::size_t demoted = 0;
+  system.for_each_job([&](const grid::GridJob& job) {
+    EXPECT_EQ(*job.requirements, job.id == other ? large : small)
+        << "job " << job.id;
+    if (job.require_stable) ++demoted;
+  });
+  EXPECT_GT(demoted, 0u);
+  EXPECT_EQ(system.metrics().completed, batch.size() + 1);
 }
 
 TEST(Lattice, JobTableRejectsIdsOutsideTheTable) {

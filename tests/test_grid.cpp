@@ -77,10 +77,12 @@ TEST(Rsl, Errors) {
 
 TEST(Rsl, GenerateRoundTrip) {
   GridJob job = make_job(7, 100.0);
-  job.requirements.platforms = {PlatformSpec{OsType::kLinux, Arch::kX86_64}};
-  job.requirements.min_memory_gb = 4.0;
-  job.requirements.needs_mpi = true;
-  job.requirements.software = {"java"};
+  JobRequirements requirements;
+  requirements.platforms = {PlatformSpec{OsType::kLinux, Arch::kX86_64}};
+  requirements.min_memory_gb = 4.0;
+  requirements.needs_mpi = true;
+  requirements.software = {"java"};
+  job.requirements = &requirements;
   job.estimated_reference_runtime = 1234.5;
   const RslDocument doc = parse_rsl(to_rsl(job));
   EXPECT_EQ(doc.executable, "garli");
@@ -263,7 +265,7 @@ void expect_outage_protocol(sim::Simulation& sim, LocalResource& lrm,
   lrm.submit(jobs[5]);
   EXPECT_EQ(ended.back(), (Ended{6, FailureCause::kOutage, 0.0}));
   EXPECT_EQ(jobs[5].state, JobState::kFailed);
-  EXPECT_EQ(jobs[5].resource, lrm.name());
+  EXPECT_EQ(jobs[5].resource, &lrm);
   EXPECT_EQ(metrics.counter_total("grid.outage_kills"), 6u);
 
   lrm.set_outage(false);
@@ -546,10 +548,12 @@ TEST(Condor, MatchmakingIsFirstFitOverIdleMachines) {
 
     util::Rng rng(seed);
     const double memory_gb[] = {0.0, 0.0, 1.5, 2.0, 3.0, 4.0};
+    JobRequirements by_memory[6];
+    for (int i = 0; i < 6; ++i) by_memory[i].min_memory_gb = memory_gb[i];
     for (int round = 0; round < 400; ++round) {
       if (rng.bernoulli(0.3)) {
         jobs.push_back(make_job(jobs.size() + 1, rng.uniform(600.0, 7200.0)));
-        jobs.back().requirements.min_memory_gb = memory_gb[rng.below(6)];
+        jobs.back().requirements = &by_memory[rng.below(6)];
         submit(jobs.back());
       } else if (!sim.step()) {
         break;
@@ -614,8 +618,10 @@ TEST(Mds, UnknownResourceQueries) {
 
 TEST(Adapters, CondorSubmitFile) {
   GridJob job = make_job(1, 100.0);
-  job.requirements.platforms = {PlatformSpec{OsType::kLinux, Arch::kX86_64}};
-  job.requirements.min_memory_gb = 2.0;
+  JobRequirements requirements;
+  requirements.platforms = {PlatformSpec{OsType::kLinux, Arch::kX86_64}};
+  requirements.min_memory_gb = 2.0;
+  job.requirements = &requirements;
   const std::string submit = condor_submit_file(job);
   EXPECT_NE(submit.find("universe = vanilla"), std::string::npos);
   EXPECT_NE(submit.find("OpSys == \"LINUX\""), std::string::npos);
@@ -634,7 +640,9 @@ TEST(Adapters, PbsScript) {
 
 TEST(Adapters, SgeScript) {
   GridJob job = make_job(4, 100.0);
-  job.requirements.needs_mpi = true;
+  JobRequirements requirements;
+  requirements.needs_mpi = true;
+  job.requirements = &requirements;
   const std::string script = sge_script(job);
   EXPECT_NE(script.find("#$ -N garli-4"), std::string::npos);
   EXPECT_NE(script.find("-pe mpi"), std::string::npos);

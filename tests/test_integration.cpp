@@ -265,7 +265,7 @@ TEST(Integration, BoincDeadlinesComeFromEstimates) {
   const std::uint64_t id = system.submit_garli_job(f);
   system.run(120.0);  // one pump
   ASSERT_EQ(server.workunits().size(), 1u);
-  const boinc::Workunit& wu = server.workunits().begin()->second;
+  const boinc::Workunit& wu = server.workunits().front();
   const grid::GridJob* job = system.job(id);
   ASSERT_TRUE(job->estimated_reference_runtime.has_value());
   const double expected = system.config().deadline.deadline_seconds(
@@ -304,7 +304,7 @@ TEST(Integration, MdsOutageStopsPlacementThenRecovers) {
   GarliFeatures f;
   const std::uint64_t id = system.submit_garli_job(f);
   system.run_until_drained(90.0 * 86400.0);
-  EXPECT_EQ(system.job(id)->resource, "hpc");
+  EXPECT_EQ(grid::resource_name(*system.job(id)), "hpc");
   EXPECT_EQ(system.metrics().completed, 1u);
 }
 

@@ -395,13 +395,14 @@ TEST(NetPool, StaleDownloadCallbackAfterCancelIsANoOp) {
       [](grid::GridJob&, const grid::JobOutcome&) {});
   grid::GridJob job = make_job(1, 3600.0, 0.0, 1.0);
   server.submit(job);
-  const boinc::Workunit& wu = server.workunits().begin()->second;
-  ASSERT_EQ(wu.results.size(), 1u);
-  ASSERT_EQ(wu.results[0].state, boinc::ResultState::kInProgress);
+  const boinc::Workunit& wu = server.workunits().front();
+  ASSERT_EQ(wu.result_count, 1u);
+  const boinc::Result& result = *server.results_of(wu).begin();
+  ASSERT_EQ(result.state, boinc::ResultState::kInProgress);
   ASSERT_EQ(server.info().free_slots, 0u);
   server.cancel(job.id);
   sim.run(2.0 * 86400.0);  // the latency callback fires in here
-  EXPECT_EQ(wu.results[0].state, boinc::ResultState::kAborted);
+  EXPECT_EQ(result.state, boinc::ResultState::kAborted);
   EXPECT_EQ(server.total_cpu_seconds(), 0.0);
   EXPECT_EQ(server.network()->transfers_started(), 1u);  // no upload
   EXPECT_EQ(server.info().free_slots, 1u);

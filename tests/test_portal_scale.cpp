@@ -449,7 +449,8 @@ TenThousandUserRun run_ten_thousand_user_workload() {
   fx.system.for_each_job([&mix](const grid::GridJob& job) {
     if (job.state != grid::JobState::kCompleted) return;
     mix(&job.id, sizeof job.id);
-    mix(job.resource.data(), job.resource.size());
+    const std::string_view resource = grid::resource_name(job);
+    mix(resource.data(), resource.size());
     mix(&job.finish_time, sizeof job.finish_time);
   });
   result.placement_digest = hash;

@@ -45,7 +45,8 @@ Outcome outcome_of(const LatticeSystem& system,
   system.for_each_job([&out](const grid::GridJob& job) {
     out.jobs.push_back(util::format(
         "job {} {} on '{}' attempts {} stable {} queued {} start {} end {}",
-        job.id, grid::job_state_name(job.state), job.resource, job.attempts,
+        job.id, grid::job_state_name(job.state), grid::resource_name(job),
+        job.attempts,
         job.require_stable, job.queued_time, job.start_time,
         job.finish_time));
   });

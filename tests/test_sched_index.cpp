@@ -137,17 +137,22 @@ grid::ResourceInfo random_resource(util::Rng& rng, std::size_t index) {
   return info;
 }
 
-grid::GridJob random_job(util::Rng& rng, std::uint64_t id) {
+/// A job with random requirements, drawn into `requirements`, which the job
+/// points at.
+grid::GridJob random_job(util::Rng& rng, std::uint64_t id,
+                         grid::JobRequirements& requirements) {
   grid::GridJob job;
   job.id = id;
+  requirements = {};
   for (const grid::PlatformSpec& platform : kPlatformPool) {
-    if (rng.bernoulli(0.3)) job.requirements.platforms.push_back(platform);
+    if (rng.bernoulli(0.3)) requirements.platforms.push_back(platform);
   }
   for (const std::string& software : kSoftwarePool) {
-    if (rng.bernoulli(0.2)) job.requirements.software.push_back(software);
+    if (rng.bernoulli(0.2)) requirements.software.push_back(software);
   }
-  job.requirements.needs_mpi = rng.bernoulli(0.2);
-  job.requirements.min_memory_gb = static_cast<double>(rng.below(10));
+  requirements.needs_mpi = rng.bernoulli(0.2);
+  requirements.min_memory_gb = static_cast<double>(rng.below(10));
+  job.requirements = &requirements;
   job.true_reference_runtime = rng.uniform(600.0, 40.0 * 3600.0);
   if (rng.bernoulli(0.8)) {
     job.estimated_reference_runtime =
@@ -186,12 +191,14 @@ TEST(MdsIndex, MatchesLinearScanOverRandomInventories) {
     const std::size_t registered = mds.all().size();
 
     for (int q = 0; q < 50; ++q) {
-      const grid::GridJob job = random_job(rng, static_cast<std::uint64_t>(q));
+      grid::JobRequirements requirements;
+      const grid::GridJob job =
+          random_job(rng, static_cast<std::uint64_t>(q), requirements);
       std::vector<const grid::MdsEntry*> indexed;
       grid::MdsMatchStats indexed_stats;
-      mds.match_online(job.requirements, indexed, &indexed_stats);
+      mds.match_online(*job.requirements, indexed, &indexed_stats);
       const std::vector<grid::MdsEntry> linear =
-          sched_reference::eligible(mds, job.requirements);
+          sched_reference::eligible(mds, *job.requirements);
       ASSERT_EQ(indexed.size(), linear.size());
       for (std::size_t i = 0; i < indexed.size(); ++i) {
         EXPECT_EQ(indexed[i]->info.name, linear[i].info.name)
@@ -218,8 +225,9 @@ void calibrate_some(util::Rng& rng, grid::MdsDirectory& mds,
 
 /// random_job plus the decision inputs only the scheduler reads: demotion
 /// to stable-only resources and staged data volume.
-grid::GridJob random_scheduled_job(util::Rng& rng, std::uint64_t id) {
-  grid::GridJob job = random_job(rng, id);
+grid::GridJob random_scheduled_job(util::Rng& rng, std::uint64_t id,
+                                   grid::JobRequirements& requirements) {
+  grid::GridJob job = random_job(rng, id, requirements);
   job.require_stable = rng.bernoulli(0.2);
   job.input_mb = rng.uniform(0.0, 2000.0);
   job.output_mb = rng.uniform(0.0, 200.0);
@@ -248,7 +256,8 @@ TEST(MetaScheduler, IndexedAndLinearChooseIdenticallyInEveryMode) {
       core::MetaScheduler indexed(mds, policy);
       sched_reference::Scheduler linear(mds, policy);
       for (std::uint64_t j = 0; j < 100; ++j) {
-        const grid::GridJob job = random_scheduled_job(rng, j);
+        grid::JobRequirements requirements;
+        const grid::GridJob job = random_scheduled_job(rng, j, requirements);
         const std::optional<std::string> via_index = indexed.choose(job);
         const std::optional<std::string> via_scan = linear.choose(job);
         ASSERT_EQ(via_index, via_scan)
@@ -283,7 +292,8 @@ TEST(MetaScheduler, FairShareKeepsIndexedAndLinearChoiceIdentical) {
       indexed.set_fair_share(&ledger);
       sched_reference::Scheduler linear(mds, policy, &ledger);
       for (std::uint64_t j = 0; j < 100; ++j) {
-        grid::GridJob job = random_scheduled_job(rng, j);
+        grid::JobRequirements requirements;
+        grid::GridJob job = random_scheduled_job(rng, j, requirements);
         job.user_id = rng.below(9);  // 0 (unattributed) through 8
         const std::optional<std::string> via_index = indexed.choose(job);
         const std::optional<std::string> via_scan = linear.choose(job);
@@ -450,8 +460,9 @@ TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
         }
       }
       for (int q = 0; q < 8; ++q) {
-        const grid::GridJob job =
-            random_scheduled_job(rng, static_cast<std::uint64_t>(q));
+        grid::JobRequirements requirements;
+        const grid::GridJob job = random_scheduled_job(
+            rng, static_cast<std::uint64_t>(q), requirements);
         for (std::size_t m = 0; m < schedulers.size(); ++m) {
           ASSERT_EQ(schedulers[m].choose(job), references[m].choose(job))
               << "mode " << scheduling_mode_name(kAllModes[m]) << " trial "
@@ -470,9 +481,9 @@ TEST(MdsRankIndex, BestRankedMatchesLinearUnderMutation) {
 /// states, assignments, outputs and timing, plus the aggregate counters.
 std::string server_fingerprint(const boinc::BoincServer& server) {
   std::ostringstream out;
-  for (const auto& [id, wu] : server.workunits()) {
-    out << "wu" << id << " s" << static_cast<int>(wu.state);
-    for (const boinc::Result& result : wu.results) {
+  for (const boinc::Workunit& wu : server.workunits()) {
+    out << "wu" << wu.id << " s" << static_cast<int>(wu.state);
+    for (const boinc::Result& result : server.results_of(wu)) {
       out << " [" << result.id << " st" << static_cast<int>(result.state)
           << " h" << result.host_id << " sent" << result.sent_time << " dl"
           << result.deadline << " rcv" << result.received_time << " cpu"
@@ -653,7 +664,7 @@ TEST(Transitioner, DeadlineHeapEntriesAreBoundedByDispatches) {
   // heap still holds their lazily-deleted entries (one per dispatch), and
   // the periodic transitioner never had anything overdue to pop.
   EXPECT_GE(server.deadline_heap_entries(), 8u);
-  for (const auto& [id, wu] : server.workunits()) {
+  for (const boinc::Workunit& wu : server.workunits()) {
     EXPECT_EQ(wu.state, boinc::WorkunitState::kValidated);
   }
 }
