@@ -558,19 +558,16 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
                              {{"outcome", "completed"},
                               {"resource", job.resource->name()}});
     }
-    if (job.estimated_reference_runtime) {
-      const double measured =
-          outcome.cpu_seconds * speeds_.speed_or_default(job.resource->name());
-      obs_predictor_error_->observe(
-          std::abs(*job.estimated_reference_runtime - measured));
-    }
-
     // §VI.E: feed the observation back into the model. The measured
     // reference runtime is the attempt's CPU time scaled by the calibrated
     // resource speed.
-    const double speed = speeds_.speed_or_default(job.resource->name());
-    estimator_.observe(feature_runs_[jobs_[job.id - 1].features],
-                       outcome.cpu_seconds * speed);
+    const double measured =
+        outcome.cpu_seconds * speeds_.speed_or_default(job.resource->name());
+    if (job.estimated_reference_runtime) {
+      obs_predictor_error_->observe(
+          std::abs(*job.estimated_reference_runtime - measured));
+    }
+    estimator_.observe(feature_runs_[jobs_[job.id - 1].features], measured);
     if (terminal_hook_) terminal_hook_(job, true);
     return;
   }

@@ -30,7 +30,8 @@ GaSearch::GaSearch(const PatternizedAlignment& data,
   // A child differs from its parent in at most one branch length or one
   // model parameter, and shares the parent's compiled model otherwise, so
   // the matrix cache turns the rest of its P(t) matrices into lookups
-  // (0.86-0.89 of them in the garli_search benchmark's searches).
+  // (0.86-0.89 of them in the garli_search benchmark's searches, with
+  // the cache holding the matrices of 8 trees).
   engine_.enable_matrix_cache();
   if (config_.population_size < 2) {
     throw std::invalid_argument("ga: population must be at least 2");

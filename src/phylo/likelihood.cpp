@@ -83,11 +83,6 @@ void LikelihoodEngine::publish_observability() {
   pub_cache_misses_ = cache_misses_;
 }
 
-void LikelihoodEngine::enable_matrix_cache(std::size_t capacity) {
-  cache_enabled_ = true;
-  cache_capacity_ = std::max<std::size_t>(1, capacity);
-}
-
 const double* LikelihoodEngine::transition(const SubstitutionModel& model,
                                            double branch_length,
                                            double rate) {
@@ -95,66 +90,40 @@ const double* LikelihoodEngine::transition(const SubstitutionModel& model,
     model.transition_matrix(branch_length, rate, p_matrix_, *kernel_ops_);
     return p_matrix_.data();
   }
-  MatrixKey key{model.serial(), std::bit_cast<std::uint64_t>(branch_length),
-                std::bit_cast<std::uint64_t>(rate)};
-  const auto it = matrix_cache_.find(key);
-  if (it != matrix_cache_.end()) {
+  const MatrixKey key{model.serial(),
+                      std::bit_cast<std::uint64_t>(branch_length),
+                      std::bit_cast<std::uint64_t>(rate)};
+  const auto it = slot_of_.find(key);
+  if (it != slot_of_.end()) {
     ++cache_hits_;
-    it->second.referenced = true;
-    return it->second.matrix.data();
+    MatrixSlot& slot = slots_[it->second];
+    slot.referenced = true;
+    return slot.matrix.data();
   }
   ++cache_misses_;
-  if (matrix_cache_.size() >= cache_capacity_) {
-    // Second-chance sweep: entries hit since the last sweep survive with
-    // their bit cleared; cold entries go. If everything is hot, drop every
-    // other entry so insertion always makes progress — either way the hot
-    // working set is never discarded wholesale.
-    std::size_t erased = 0;
-    // lattice-lint: allow(unordered-iteration) — erase set is decided per entry by its referenced bit alone; the surviving set is identical under any visit order
-    for (auto walk = matrix_cache_.begin(); walk != matrix_cache_.end();) {
-      if (walk->second.referenced) {
-        walk->second.referenced = false;
-        ++walk;
-      } else {
-        walk = matrix_cache_.erase(walk);
-        ++erased;
-      }
+  std::size_t index = slots_.size();
+  if (index < cache_capacity_) {
+    slots_.push_back(MatrixSlot{key, false, {}});
+    slots_.back().matrix.resize(n_states_ * n_states_);
+  } else {
+    // CLOCK: the hand clears referenced bits until it reaches an entry not
+    // hit since it was stored or since the hand last passed it. Slots are
+    // visited in a fixed order, so the victim (and every exported counter)
+    // is the same on any platform. The victim's bit is already clear.
+    while (slots_[clock_hand_].referenced) {
+      slots_[clock_hand_].referenced = false;
+      clock_hand_ = (clock_hand_ + 1) % slots_.size();
     }
-    if (erased == 0) {
-      // All-hot fallback. "Every other entry" must not mean hash order —
-      // that would make the survivor set (and the hit/miss counters the
-      // obs layer exports) differ across standard libraries. Sort the keys
-      // and alternate in that platform-independent order instead.
-      std::vector<MatrixKey> keys;
-      keys.reserve(matrix_cache_.size());
-      // lattice-lint: allow(unordered-iteration) — key harvest only; keys are sorted below before any order-sensitive use
-      for (const auto& kv : matrix_cache_) keys.push_back(kv.first);
-      std::sort(keys.begin(), keys.end(), [](const MatrixKey& a,
-                                             const MatrixKey& b) {
-        if (a.model_serial != b.model_serial) {
-          return a.model_serial < b.model_serial;
-        }
-        if (a.length_bits != b.length_bits) {
-          return a.length_bits < b.length_bits;
-        }
-        return a.rate_bits < b.rate_bits;
-      });
-      bool drop = true;
-      for (const MatrixKey& k : keys) {
-        if (drop) {
-          matrix_cache_.erase(k);
-          ++erased;
-        }
-        drop = !drop;
-      }
-    }
-    cache_evictions_ += erased;
+    index = clock_hand_;
+    clock_hand_ = (clock_hand_ + 1) % slots_.size();
+    slot_of_.erase(slots_[index].key);
+    slots_[index].key = key;
+    ++cache_evictions_;
   }
-  MatrixEntry entry;
-  entry.matrix.resize(model.n_states() * model.n_states());
-  model.transition_matrix(branch_length, rate, entry.matrix, *kernel_ops_);
-  return matrix_cache_.emplace(key, std::move(entry))
-      .first->second.matrix.data();
+  MatrixSlot& slot = slots_[index];
+  model.transition_matrix(branch_length, rate, slot.matrix, *kernel_ops_);
+  slot_of_.emplace(key, static_cast<std::uint32_t>(index));
+  return slot.matrix.data();
 }
 
 void LikelihoodEngine::resize_workspace(const Tree& tree,
@@ -167,6 +136,11 @@ void LikelihoodEngine::resize_workspace(const Tree& tree,
   scales_.assign(n_internal * n_cat_ * n_pad_, 0.0);
   cached_n_nodes_ = tree.n_nodes();
   p_matrix_.resize(n_states_ * n_states_);
+  // Cached matrices are sized for the old shape: start the cache over.
+  cache_capacity_ = kResidentTrees * (tree.n_nodes() - 1) * n_cat_;
+  slots_.clear();
+  slot_of_.clear();
+  clock_hand_ = 0;
 }
 
 void LikelihoodEngine::collect_dirty(const Tree& tree, bool full) {

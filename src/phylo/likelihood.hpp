@@ -80,6 +80,10 @@ class LikelihoodEngine {
   /// Name of the kernel tier this engine dispatches to.
   const char* isa_name() const { return kernel_ops_->name; }
 
+  /// Matrices of this many whole trees fit in the P(t) cache at once: a
+  /// GA population (4) plus the children of one generation.
+  static constexpr std::size_t kResidentTrees = 8;
+
   /// Enable the BEAGLE-style transition-matrix cache: P(t) matrices are
   /// memoized by (compiled model instance, branch length, rate). A GA
   /// child shares its parent's compiled model and differs from it in at
@@ -87,14 +91,20 @@ class LikelihoodEngine {
   /// hit: 0.86-0.89 of lookups in the garli_search benchmark's DNA,
   /// amino-acid and codon island searches at seeds 1 and 3 (0.07-0.21
   /// when every evaluation compiled a model of its own, whose new serial
-  /// matched no entry). A miss is a dense reconstruction, 61x61 for codons.
-  /// `capacity` bounds the entry count; when full, a second-chance sweep
-  /// evicts entries not referenced since the previous sweep, keeping the
-  /// hot working set resident.
-  void enable_matrix_cache(std::size_t capacity = 4096);
+  /// matched no entry). A miss is a dense reconstruction, 61x61 for
+  /// codons. The cache holds kResidentTrees trees' matrices,
+  /// kResidentTrees x (nodes - 1) x categories entries, fixed (and
+  /// emptied) whenever the workspace shape changes. A new entry starts
+  /// unmarked and a hit marks it. When the cache is full, a CLOCK hand
+  /// walks the slots in order, clearing marks, and evicts the first
+  /// unmarked entry; the new matrix is written into that slot's block, so
+  /// a miss on a full cache allocates nothing.
+  void enable_matrix_cache() { cache_enabled_ = true; }
   std::uint64_t cache_hits() const { return cache_hits_; }
   std::uint64_t cache_misses() const { return cache_misses_; }
   std::uint64_t cache_evictions() const { return cache_evictions_; }
+  /// Matrices resident in the cache (at most its capacity).
+  std::size_t cache_entries() const { return slots_.size(); }
 
   /// Mirror the engine's statistics into obs instruments: counter deltas
   /// are published at the end of every log_likelihood call, and when the
@@ -151,9 +161,10 @@ class LikelihoodEngine {
       return static_cast<std::size_t>(h);
     }
   };
-  struct MatrixEntry {
+  struct MatrixSlot {
+    MatrixKey key;
+    bool referenced;  // CLOCK mark: set by a hit, cleared as the hand passes
     util::aligned_vector<double> matrix;
-    bool referenced = true;  // second-chance bit, cleared by eviction sweeps
   };
 
   const PatternizedAlignment* data_;
@@ -163,15 +174,17 @@ class LikelihoodEngine {
   std::uint64_t partials_recomputed_ = 0;
 
   bool cache_enabled_ = false;
-  std::size_t cache_capacity_ = 0;
+  std::size_t cache_capacity_ = 0;  // set by resize_workspace
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t cache_evictions_ = 0;
-  // Audited (ISSUE 3): lookups are by exact key; the two eviction sweeps in
-  // transition() are either order-insensitive (flag-driven) or run in
-  // sorted-key order, so hash order never reaches results or counters.
-  // lattice-lint: allow(unordered-member) — keyed lookups; eviction sweeps are order-insensitive or key-sorted (see transition())
-  std::unordered_map<MatrixKey, MatrixEntry, MatrixKeyHash> matrix_cache_;
+  // Each slot owns one matrix block for the engine's life (until a shape
+  // change); eviction walks the slots with clock_hand_, so the map is
+  // only ever probed by exact key, never iterated.
+  std::vector<MatrixSlot> slots_;
+  std::size_t clock_hand_ = 0;
+  // lattice-lint: allow(unordered-member) — keyed lookups only; eviction order is slot order (see transition())
+  std::unordered_map<MatrixKey, std::uint32_t, MatrixKeyHash> slot_of_;
 
   // Cache identity: which (tree, model, shape) the stored partials belong
   // to. cached_revision_[node] mirrors Tree::revision at the time the

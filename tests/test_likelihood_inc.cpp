@@ -1,7 +1,7 @@
 // Tests for the incremental likelihood engine: dirty-partial reuse must be
 // indistinguishable from full recomputation across arbitrary mutation
-// sequences, and the matrix cache's second-chance eviction must keep
-// serving the hot set.
+// sequences, and the matrix cache's CLOCK eviction must keep serving the
+// hot set within its whole-tree capacity, in a platform-independent order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,23 +145,34 @@ TEST(MatrixCache, SecondChanceEvictionKeepsServingUnderPressure) {
   const PatternizedAlignment patterns(dataset.alignment);
   const SubstitutionModel model(spec);
 
-  // Capacity far below the working set (24 taxa -> 46 branches x 4 rates):
-  // the old wholesale clear() would discard everything repeatedly; the
-  // second-chance sweep must keep evicting while results stay exact.
+  // Between two evaluations of the hot tree, a random tree brings 46
+  // branches x 4 rates of new matrices; 24 of them overflow the 8 resident
+  // trees many times over. The CLOCK hand must keep evicting while results
+  // stay exact, and the hot tree's matrices, referenced on every round,
+  // must survive each pass of the hand.
   LikelihoodEngine tight(patterns);
-  tight.enable_matrix_cache(16);
+  tight.enable_matrix_cache();
   tight.enable_incremental(false);
   LikelihoodEngine reference(patterns);
   reference.enable_incremental(false);
 
   Tree tree = dataset.tree;
-  for (int step = 0; step < 5; ++step) {
+  for (int step = 0; step < 24; ++step) {
+    const Tree pressure = Tree::random(24, rng, 0.1);
+    ASSERT_DOUBLE_EQ(tight.log_likelihood(pressure, model),
+                     reference.log_likelihood(pressure, model));
     tree.set_branch_length(1, tree.branch_length(1) * 1.05);
+    const std::uint64_t misses_before = tight.cache_misses();
     ASSERT_DOUBLE_EQ(tight.log_likelihood(tree, model),
                      reference.log_likelihood(tree, model));
+    // Only the changed branch's 4 matrices are new (step 0 fills the rest).
+    if (step > 0) {
+      EXPECT_EQ(tight.cache_misses() - misses_before, 4u) << "step " << step;
+    }
   }
   EXPECT_GT(tight.cache_evictions(), 0u);
   EXPECT_GT(tight.cache_misses(), 0u);
+  EXPECT_GT(tight.cache_hits(), 0u);
 }
 
 TEST(MatrixCache, HotEntriesSurviveEviction) {
@@ -172,16 +183,82 @@ TEST(MatrixCache, HotEntriesSurviveEviction) {
   const SubstitutionModel model(spec);
 
   LikelihoodEngine engine(patterns);
-  engine.enable_matrix_cache(8);
-  Tree tree = dataset.tree;
-  // 6 taxa -> 10 cached matrices per full evaluation; capacity 8 forces
-  // sweeps. Re-evaluating the same tree repeatedly must still produce
-  // hits, because recently referenced matrices get a second chance.
+  engine.enable_matrix_cache();
   engine.enable_incremental(false);
-  for (int round = 0; round < 6; ++round) {
+  const Tree tree = dataset.tree;
+  // 6 taxa -> 10 matrices per full evaluation, 80 resident. Three random
+  // trees between re-evaluations of the same tree force evictions; the
+  // re-evaluated tree's matrices were referenced since the hand last
+  // passed them, so every later evaluation of it is all hits.
+  engine.log_likelihood(tree, model);
+  for (int round = 0; round < 12; ++round) {
+    for (int cold = 0; cold < 3; ++cold) {
+      engine.log_likelihood(Tree::random(6, rng, 0.1), model);
+    }
+    const std::uint64_t misses_before = engine.cache_misses();
     engine.log_likelihood(tree, model);
+    EXPECT_EQ(engine.cache_misses(), misses_before) << "round " << round;
   }
+  EXPECT_GT(engine.cache_evictions(), 0u);
   EXPECT_GT(engine.cache_hits(), 0u);
+}
+
+TEST(MatrixCache, HoldsAtMostResidentTreesOfMatrices) {
+  util::Rng rng(41);
+  ModelSpec spec;
+  spec.rate_het = RateHet::kGamma;
+  spec.n_rate_categories = 4;
+  const auto dataset = simulate_dataset(12, 150, spec, rng, 0.1);
+  const PatternizedAlignment patterns(dataset.alignment);
+  const SubstitutionModel model(spec);
+  // 12 taxa: 22 edges (rooted binary, nodes - 1) x 4 rates per tree.
+  const std::size_t capacity = LikelihoodEngine::kResidentTrees * 22 * 4;
+
+  LikelihoodEngine engine(patterns);
+  engine.enable_matrix_cache();
+  for (int trial = 0; trial < 200; ++trial) {
+    engine.log_likelihood(Tree::random(12, rng, 0.1), model);
+    ASSERT_LE(engine.cache_entries(), capacity) << "after tree " << trial;
+  }
+  // 200 trees of distinct branch lengths fill the cache to the bound.
+  EXPECT_EQ(engine.cache_entries(), capacity);
+  EXPECT_GT(engine.cache_evictions(), 0u);
+}
+
+TEST(MatrixCache, EvictionOrderIsDeterministic) {
+  util::Rng rng(43);
+  ModelSpec spec;
+  spec.rate_het = RateHet::kGamma;
+  spec.n_rate_categories = 4;
+  const auto dataset = simulate_dataset(10, 120, spec, rng, 0.1);
+  const PatternizedAlignment patterns(dataset.alignment);
+  // Two compilations of one spec: the same matrices under different
+  // serials, so the two caches hash every key differently. An eviction
+  // that followed hash order would pick different victims.
+  const SubstitutionModel model_a(spec);
+  const SubstitutionModel model_b(spec);
+  ASSERT_NE(model_a.serial(), model_b.serial());
+
+  std::vector<Tree> trees;
+  for (int i = 0; i < 40; ++i) trees.push_back(Tree::random(10, rng, 0.1));
+  LikelihoodEngine a(patterns);
+  LikelihoodEngine b(patterns);
+  a.enable_matrix_cache();
+  b.enable_matrix_cache();
+  a.enable_incremental(false);
+  b.enable_incremental(false);
+  // Each new tree, then an older one: some revisits hit, some were evicted.
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    for (const std::size_t t : {i, i / 2, i / 5}) {
+      ASSERT_DOUBLE_EQ(a.log_likelihood(trees[t], model_a),
+                       b.log_likelihood(trees[t], model_b));
+    }
+  }
+  EXPECT_GT(a.cache_evictions(), 0u);
+  EXPECT_GT(a.cache_hits(), 0u);
+  EXPECT_EQ(a.cache_hits(), b.cache_hits());
+  EXPECT_EQ(a.cache_misses(), b.cache_misses());
+  EXPECT_EQ(a.cache_evictions(), b.cache_evictions());
 }
 
 }  // namespace

@@ -322,13 +322,17 @@ TEST(MatrixCache, CapacityBoundIsRespected) {
   const PatternizedAlignment patterns(dataset.alignment);
   const SubstitutionModel model(spec);
   LikelihoodEngine engine(patterns);
-  engine.enable_matrix_cache(8);  // tiny capacity forces clears
+  engine.enable_matrix_cache();
+  // 20 random trees overflow the 8 resident trees' worth of matrices.
   for (int trial = 0; trial < 20; ++trial) {
     Tree tree = Tree::random(6, rng, 0.15);
     const double a = engine.log_likelihood(tree, model);
     LikelihoodEngine fresh(patterns);
     EXPECT_DOUBLE_EQ(a, fresh.log_likelihood(tree, model));
   }
+  EXPECT_GT(engine.cache_evictions(), 0u);
+  EXPECT_LE(engine.cache_entries(),
+            LikelihoodEngine::kResidentTrees * 10 * model.categories().size());
 }
 
 }  // namespace
